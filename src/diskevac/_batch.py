@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .geometry import ANGLE_TOL, TWO_PI
+from .meeting import catch_on_circle_arr as _catch_p_arr  # module name perfbench wraps
 from .meeting import solve_meeting_arr as _solve_arr_public
 from .scenarios import TraceInvalidError
 
@@ -192,18 +193,6 @@ def _intercept_arr(qx, qy, tq, p0x, p0y, t0, p1x, p1y, slack=0.0):
     nx = p0x + s * ux
     ny = p0y + s * uy
     return ok, nx, ny, t0 + s
-
-
-def _catch_p_arr(nx, ny, t0, b, iters=80):
-    lo = t0.copy()
-    hi = t0 + 2.0 + 1e-9
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        ang = -b - mid
-        g = mid - t0 - np.hypot(nx - np.cos(ang), ny - np.sin(ang))
-        hi = np.where(g > 0.0, mid, hi)
-        lo = np.where(g > 0.0, lo, mid)
-    return 0.5 * (lo + hi)
 
 
 def _second_exit_arr(a_s, d):

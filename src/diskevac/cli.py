@@ -30,6 +30,13 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 3
 
 
+def _positive_finite(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"{text} is not finite and > 0")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diskevac",
@@ -45,9 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if need_d:
             p.add_argument("--d", type=float, required=True,
                            help="exit separation in radians")
-        p.add_argument("--tol", type=float, default=1e-6,
-                       help="catch-up solver residual bound (>= 1e-12; the "
-                            "solver always meets or beats it)")
         p.add_argument("--include-center-leg", action="store_true",
                        help="add the 1-unit center-to-perimeter leg to times")
 
@@ -73,7 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="replay-oracle batch check")
     p_verify.add_argument("--samples", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tol", type=float, default=1e-4)
+    p_verify.add_argument("--tol", type=_positive_finite, default=1e-4,
+                          help="largest accepted |policy - replay| time")
 
     p_table = sub.add_parser("table1", help="reproduce the Table-1 minima")
     p_table.add_argument("--d-step", type=float, default=0.01)
@@ -261,9 +266,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    if getattr(args, "tol", 1e-6) < 1e-12:
-        print("error: --tol below the 1e-12 floor", file=sys.stderr)
-        return USAGE_ERROR
     try:
         if args.verb == "eval":
             return _cmd_eval(args)

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from .geometry import (
     ANGLE_TOL,
     TWO_PI,
@@ -29,7 +31,7 @@ from .geometry import (
     normalize_angle,
     point_distance,
 )
-from .meeting import solve_meeting_xy as _solve_public
+from .meeting import catch_on_circle_arr, solve_meeting_xy as _solve_public
 from .plans import ArcLeg, ChordLeg, MeetSpec, RobotPlan, mirror_meet, mirror_point
 from .scenarios import (
     CommModel,
@@ -43,8 +45,8 @@ from .wireless import _first_hits
 SIM_TOL = 1e-12
 _BTOL = 1e-9
 
-# Internal root tolerance: far below the default 1e-6 threshold so the
-# interception geometry stays consistent near degenerate placements.
+# Internal residual gate, far below the default 1e-6.  The root itself is
+# always within meeting.ROOT_TOL, whatever the gate.
 _SOLVE_TOL = 1e-12
 
 
@@ -174,24 +176,12 @@ def intercept_moving_target(chaser_q, chaser_t0, target_p0, target_t0, target_p1
 def catch_on_circle_from(point, t0: float, b: float) -> float:
     """Re-aimed on-circle catch: smallest p with p - t0 = |point -> partner(p)|.
 
-    The partner sweeps clockwise from -b, so its position at time p is
-    angle -b - p.  g(p) = (p - t0) - dist is monotone nondecreasing
-    (|d dist/dp| <= 1), giving a clean bisection bracket.
+    One point through meeting.catch_on_circle_arr, the kernel the batch
+    evaluators use, so scalar and batch catches agree by construction.
     """
-    def g(p: float) -> float:
-        pos = cartesian(ArcPos(-b - p))
-        return (p - t0) - point_distance(point, pos)
-
-    lo, hi = t0, t0 + 2.0 + 1e-9
-    if g(lo) > 0.0:
-        return lo
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    p = catch_on_circle_arr(np.array([point[0]]), np.array([point[1]]),
+                            np.array([t0]), b)
+    return float(p[0])
 
 
 @dataclass

@@ -48,6 +48,9 @@ class Scenario:
     e1: ArcPos
 
     def __post_init__(self):
+        for name, value in (("d", self.d), ("zeta", self.zeta), ("e1", self.e1.theta)):
+            if not math.isfinite(value):
+                raise ScenarioError(f"{name} = {value} is not finite")
         if not (0.0 <= self.d <= math.pi + _EPS):
             raise ScenarioError(f"d = {self.d} outside [0, pi]")
         if self.zeta < 0.0:

@@ -21,6 +21,7 @@ from diskevac.face_to_face import (
     eval_f2f_labeled,
     eval_f2f_same,
 )
+from diskevac.meeting import ROOT_TOL
 from diskevac.replay import replay, verify_agreement
 from diskevac.scenarios import CommModel
 from diskevac.sweep import (
@@ -244,6 +245,14 @@ def test_criterion_7_solver_quality():
                 continue
             res = np.abs(x + 2.0 * np.sin((x + y + offset) / 2.0) - y)
             worst_residual = max(worst_residual, float(res.max()))
+            # root accuracy: the residual changes sign within ROOT_TOL of y
+            below, above = y - ROOT_TOL, y + ROOT_TOL
+            f_below = x + 2.0 * np.sin((x + below + offset) / 2.0) - below
+            f_above = x + 2.0 * np.sin((x + above + offset) / 2.0) - above
+            if np.any(f_below < 0.0) or np.any(f_above > 0.0):
+                ok = False
+                print(f"  no sign change within {ROOT_TOL} of the root at "
+                      f"d={d} ({offset_kind})")
             fhi = x + 2.0 * np.sin((2.0 * x + 2.0 + offset) / 2.0) - (x + 2.0)
             if np.any(fhi > 1e-12):
                 ok = False

@@ -1,4 +1,10 @@
+import math
+
+import pytest
+
 from diskevac.cli import main
+from diskevac.geometry import ArcPos
+from diskevac.scenarios import CommModel, Scenario, ScenarioError
 
 
 def test_eval_prints_time_and_case(capsys):
@@ -99,3 +105,47 @@ def test_table1_coarse(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.count("min_time") == 6
+
+
+def test_eval_and_sweep_have_no_tol_option(capsys):
+    rc_eval = main(["eval", "--model", "wireless", "--d", "1.0", "--zeta", "0",
+                    "--e1", "0.5", "--tol", "1e-6"])
+    rc_sweep = main(["sweep", "--model", "wireless", "--d-step", "1.0",
+                     "--exit-step", "0.1", "--tol", "1e-6"])
+    capsys.readouterr()
+    assert rc_eval == 2
+    assert rc_sweep == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-4"])
+def test_verify_tol_must_be_finite_and_positive(tol, capsys):
+    rc = main(["verify", "--samples", "5", "--tol", tol])
+    capsys.readouterr()
+    assert rc == 2
+
+
+def test_verify_tol_has_no_solver_floor(capsys):
+    # a replay-deviation threshold below 1e-12 is a valid request
+    rc = main(["verify", "--samples", "5", "--tol", "1e-13"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "verified 5 scenarios" in out
+
+
+@pytest.mark.parametrize("flag, value", [("--zeta", "nan"), ("--e1", "nan"),
+                                         ("--d", "nan"), ("--e1", "inf")])
+def test_eval_rejects_non_finite_input(flag, value, capsys):
+    args = {"--d": "1.0", "--zeta": "0.5", "--e1": "0.5", flag: value}
+    rc = main(["eval", "--model", "wireless"]
+              + [tok for item in args.items() for tok in item])
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert "nan" not in out
+
+
+@pytest.mark.parametrize("field", ["d", "zeta", "e1"])
+def test_scenario_rejects_non_finite(field):
+    values = {"d": 1.0, "zeta": 0.5, "e1": 0.5, field: math.nan}
+    with pytest.raises(ScenarioError):
+        Scenario(CommModel.WIRELESS, False, values["d"], values["zeta"],
+                 ArcPos(values["e1"]))

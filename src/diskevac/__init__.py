@@ -10,24 +10,28 @@ from .face_to_face import (
 )
 from .geometry import (
     ArcPos,
-    CandidateExits,
     Direction,
     arc_between,
-    candidate_exits,
     cartesian,
     chord_length,
     normalize_angle,
 )
 from .meeting import MeetQuery, RegimeError, SolverError, solve_meeting, solve_meeting_xy
+from .plans import Outcome
 from .replay import Trajectory, dump_trace, replay, verify_agreement
 from .scenarios import (
     CommModel,
     EvacResult,
+    Regime,
     Scenario,
     ScenarioError,
     TraceInvalidError,
     UnsupportedRegimeError,
     WrongEvaluatorError,
+    classify,
+    evaluate,
+    plan,
+    resolve_zeta,
 )
 from .sweep import (
     SeriesSpec,
@@ -45,7 +49,6 @@ from .wireless import (
     eval_wireless_labeled,
     eval_wireless_unlabeled,
     plan_wireless,
-    resolve_zeta,
     worst_wireless,
 )
 

@@ -14,17 +14,8 @@ import numpy as np
 
 from .geometry import ANGLE_TOL, TWO_PI
 from .meeting import catch_on_circle_arr as _catch_p_arr  # module name perfbench wraps
-from .meeting import solve_meeting_arr as _solve_arr_public
-from .scenarios import TraceInvalidError
-
-_SOLVE_TOL = 1e-12  # keep in lockstep with face_to_face._SOLVE_TOL
-
-
-def solve_meeting_arr(x, offset):
-    return _solve_arr_public(x, offset, _SOLVE_TOL)
-
-SIM_TOL = 1e-12
-_BTOL = 1e-9
+from .meeting import solve_meeting_arr
+from .scenarios import SIM_TOL, TraceInvalidError
 
 TAG_LIST = (
     "W-sim", "W1a", "W1b", "W1c", "W2", "W3a", "W3b", "WL-L1", "WL-L2",
@@ -47,6 +38,12 @@ def decode_tag(code: int) -> str:
 def exit_grid(step: float) -> np.ndarray:
     n = int(math.floor(TWO_PI / step - 1e-9)) + 1
     return np.arange(n, dtype=float) * step
+
+
+def _norm(a):
+    """np.mod into [0, 2*pi), snapping a rounded 2*pi to 0 as normalize_angle does."""
+    t = np.mod(a, TWO_PI)
+    return np.where(t >= TWO_PI, 0.0, t)
 
 
 def _ch(arc):
@@ -106,12 +103,12 @@ def batch_wireless(d: float, zeta: float, labeled: bool, e1s: np.ndarray):
         return _ch(np.mod(c - big_d, TWO_PI))
 
     def swept(c):
-        by_finder = np.mod(c - b, TWO_PI) <= x + ANGLE_TOL
-        by_receiver = np.mod(-b - c, TWO_PI) <= x + ANGLE_TOL
+        by_finder = _norm(c - b) <= x + ANGLE_TOL
+        by_receiver = _norm(-b - c) <= x + ANGLE_TOL
         return by_finder, by_receiver
 
     def in_gap(c):
-        u = np.mod(c + b, TWO_PI)
+        u = _norm(c + b)
         return (u > ANGLE_TOL) & (u < zeta - ANGLE_TOL)
 
     if labeled:
@@ -123,8 +120,8 @@ def batch_wireless(d: float, zeta: float, labeled: bool, e1s: np.ndarray):
         times = x + chord_from_d(found)
         codes = np.full(n, encode_tag("W3b"), dtype=np.int16)
     else:
-        cb = np.mod(found - d, TWO_PI)
-        ca = np.mod(found + d, TWO_PI)
+        cb = _norm(found - d)
+        ca = _norm(found + d)
         f_b, r_b = swept(cb)
         f_a, r_a = swept(ca)
         ruled_b = (f_b | r_b) & ~_close(cb, found)
@@ -182,11 +179,11 @@ def _intercept_arr(qx, qy, tq, p0x, p0y, t0, p1x, p1y, slack=0.0):
     delta = t0 - tq
     lateness = np.hypot(qx - p1x, qy - p1y) - (seg + delta)
     ok = lateness <= slack
-    safe = np.where(seg > _BTOL, seg, 1.0)
+    safe = np.where(seg > ANGLE_TOL, seg, 1.0)
     ux, uy = ux / safe, uy / safe
     wx, wy = qx - p0x, qy - p0y
     denom = 2.0 * (wx * ux + wy * uy + delta)
-    degen = (np.abs(denom) <= 1e-14) | (seg <= _BTOL)
+    degen = (np.abs(denom) <= 1e-14) | (seg <= ANGLE_TOL)
     s = (wx * wx + wy * wy - delta * delta) / np.where(degen, 1.0, denom)
     s = np.where(degen, seg, s)
     s = np.clip(np.maximum(s, -delta), 0.0, seg)
@@ -203,7 +200,7 @@ def _second_exit_arr(a_s, d):
     guaranteed miss at N.
     """
     out = a_s.copy()
-    dance = (a_s < d - _BTOL) & (a_s > d / 2.0)
+    dance = (a_s < d - ANGLE_TOL) & (a_s > d / 2.0)
     if not np.any(dance):
         return out
     idx = np.flatnonzero(dance)
@@ -329,7 +326,7 @@ def batch_f2f_same(d: float, e1s: np.ndarray):
     t_c4 = np.where(g4a, y + np.minimum(_ch(x + y), _ch(t_a - y)),
                     np.maximum(x, _second_exit_arr(t_a, d)))
     c_c4 = np.where(g4a, encode_tag("F0-4a"),
-                    np.where(t_a >= d - _BTOL, encode_tag("F0-4c"),
+                    np.where(t_a >= d - ANGLE_TOL, encode_tag("F0-4c"),
                              encode_tag("F0-4b")))
 
     times = np.select(
@@ -379,7 +376,7 @@ def batch_f2f_diff(d: float, e1s: np.ndarray):
     seg = _ch(np.full(n, d))
     s = np.clip((t_a + seg - x) / 2.0, 0.0, seg)
     t_1b = x + s + np.minimum(s, seg - s)
-    c_1b = np.where(t_a >= d - _BTOL, encode_tag("Fd-2a"), encode_tag("Fd-1b"))
+    c_1b = np.where(t_a >= d - ANGLE_TOL, encode_tag("Fd-2a"), encode_tag("Fd-1b"))
 
     # 1c: gap exit, miss at N, catch at P (or the degenerate direct chase)
     t_1c = np.full(n, np.nan)
@@ -403,7 +400,7 @@ def batch_f2f_diff(d: float, e1s: np.ndarray):
                          np.hypot(ppx - cbpx, ppy - cbpy))
         t_pm = p + hop
         t_def = np.maximum(t_pm, t_x[idx])
-        t_1c[idx] = np.where(si <= _BTOL, t_chase,
+        t_1c[idx] = np.where(si <= ANGLE_TOL, t_chase,
                              np.where(p <= t_x[idx], t_pm, t_def))
 
     times = np.select(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bounds import f2f_lower_bound, wireless_gap_bound
 from .geometry import ArcPos, DomainError
-from .scenarios import CommModel, Scenario, ScenarioError
+from .scenarios import CommModel, Scenario, ScenarioError, evaluate, resolve_zeta
 from .sweep import (
     SeriesSpec,
     SweepConfig,
@@ -24,7 +24,6 @@ from .sweep import (
     table1,
     write_csv,
 )
-from .wireless import resolve_zeta
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 3
@@ -111,18 +110,9 @@ def _scenario(args, e1: float) -> Scenario:
 
 def _cmd_eval(args) -> int:
     from .replay import dump_trace, replay
-    from .face_to_face import eval_f2f_labeled, eval_f2f_diff, eval_f2f_same
-    from .wireless import eval_wireless_labeled, eval_wireless_unlabeled
 
     scn = _scenario(args, args.e1)
-    if scn.model is CommModel.WIRELESS:
-        res = eval_wireless_labeled(scn) if scn.labeled else eval_wireless_unlabeled(scn)
-    elif scn.labeled:
-        res = eval_f2f_labeled(scn)
-    elif abs(scn.zeta) < 1e-12:
-        res = eval_f2f_same(scn)
-    else:
-        res = eval_f2f_diff(scn)
+    res = evaluate(scn)
     extra = 1.0 if args.include_center_leg else 0.0
     print(f"time {res.time_from_perimeter + extra:.6f} case {res.case_tag}")
     print(f"r1_exit {res.r1_exit_time + extra:.6f} "
@@ -190,21 +180,12 @@ def random_scenarios(seed: int, samples: int):
 
 def run_verification(samples: int, seed: int, tol: float):
     """Replay every sampled scenario; returns (max_deviation, issues)."""
-    from .face_to_face import eval_f2f_labeled, eval_f2f_diff, eval_f2f_same
     from .replay import replay, verify_agreement
-    from .wireless import eval_wireless_labeled, eval_wireless_unlabeled
 
     max_dev = 0.0
     issues: list[str] = []
     for scn in random_scenarios(seed, samples):
-        if scn.model is CommModel.WIRELESS:
-            res = eval_wireless_labeled(scn) if scn.labeled else eval_wireless_unlabeled(scn)
-        elif scn.labeled:
-            res = eval_f2f_labeled(scn)
-        elif scn.zeta == 0.0:
-            res = eval_f2f_same(scn)
-        else:
-            res = eval_f2f_diff(scn)
+        res = evaluate(scn)
         tr1, tr2, makespan = replay(scn)
         dev = abs(makespan - res.time_from_perimeter)
         max_dev = max(max_dev, dev)

@@ -14,8 +14,7 @@ worst-case expressions; worst cases emerge from the sweep module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,116 +24,29 @@ from .geometry import (
     ArcPos,
     Direction,
     angle_close,
-    arc_between,
     cartesian,
     chord_length,
     normalize_angle,
     point_distance,
 )
-from .meeting import catch_on_circle_arr, solve_meeting_xy as _solve_public
-from .plans import ArcLeg, ChordLeg, MeetSpec, RobotPlan, mirror_meet, mirror_point
+from .meeting import catch_on_circle_arr, solve_meeting_xy
+from .plans import ArcLeg, ChordLeg, MeetSpec, Outcome, RobotPlan, mirror_meet, mirror_point
 from .scenarios import (
-    CommModel,
+    SIM_TOL,
     EvacResult,
+    Regime,
     Scenario,
     TraceInvalidError,
     WrongEvaluatorError,
+    first_hits,
+    resolve_zeta,
 )
-from .wireless import _first_hits
-
-SIM_TOL = 1e-12
-_BTOL = 1e-9
-
-# Internal residual gate, far below the default 1e-6.  The root itself is
-# always within meeting.ROOT_TOL, whatever the gate.
-_SOLVE_TOL = 1e-12
-
-
-def solve_meeting_xy(x: float, offset: float) -> float:
-    return _solve_public(x, offset, _SOLVE_TOL)
-
-TAGS_SAME = ("F0-1", "F0-2a", "F0-2b", "F0-3a", "F0-3b", "F0-4a", "F0-4b", "F0-4c", "F0-sim")
-TAGS_DIFF = ("Fd-1a", "Fd-1b", "Fd-1c", "Fd-2a", "Fd-2b", "Fd-2c", "Fd-sim")
-TAGS_LABELED = ("FL-1", "FL-2", "FL-3", "FL-4")
 
 DISCREPANCY_NOTES = (
     "the closed form sometimes quoted for Fd-2b is min(x, 2*pi - x - 2d); "
     "evacuation time is the last robot's exit, so the realized makespan is "
     "the max of the two separate exit times and that is what Fd-2b reports.",
 )
-
-
-@dataclass
-class F2FOutcome:
-    x: float
-    case_tag: str
-    simultaneous: bool
-    r1_time: float
-    r2_time: float
-    r1_plan: RobotPlan
-    r2_plan: RobotPlan
-    meets: list[MeetSpec] = field(default_factory=list)
-
-
-class Intent(Enum):
-    CATCH_ON_CIRCLE = "catch-on-circle"
-    MEET_ON_CHORD = "meet-on-chord"
-    GO_TO_EXIT = "go-to-exit"
-    EXIT_HERE = "exit-here"
-
-
-@dataclass(frozen=True)
-class PursuitWaypoint:
-    point: tuple[float, float]
-    planned_arrival: float
-    intent: Intent
-
-
-@dataclass
-class PursuitPlan:
-    """Planned-arrival view of one robot's itinerary.
-
-    Arrival times strictly increase and consecutive waypoints are exactly
-    one unit-speed hop apart; the replay oracle re-derives the same times
-    independently from the raw legs.
-    """
-
-    waypoints: list[PursuitWaypoint]
-
-
-def pursuit_plans(out: F2FOutcome) -> tuple[PursuitPlan, PursuitPlan]:
-    on_circle = {id(m.point): m.catch_eq is not None for m in out.meets}
-
-    def classify(point, is_last):
-        if is_last:
-            return Intent.EXIT_HERE
-        for m in out.meets:
-            if point_distance(point, m.point) <= 1e-9:
-                if on_circle.get(id(m.point)) or abs(math.hypot(*point) - 1.0) <= 1e-9:
-                    return Intent.CATCH_ON_CIRCLE
-                return Intent.MEET_ON_CHORD
-        return Intent.GO_TO_EXIT
-
-    def build(plan: RobotPlan) -> PursuitPlan:
-        waypoints = []
-        t = 0.0
-        for i, leg in enumerate(plan.legs):
-            if isinstance(leg, ArcLeg):
-                length = arc_between(leg.start, leg.end, leg.direction)
-            else:
-                length = point_distance(leg.p0, leg.p1)
-            if length <= 1e-12:
-                continue
-            t += length
-            end = leg.p1 if isinstance(leg, ChordLeg) else cartesian(leg.end)
-            waypoints.append(PursuitWaypoint(
-                end, t, classify(end, i == len(plan.legs) - 1)))
-        if not waypoints and plan.exit_pos is not None:
-            waypoints.append(PursuitWaypoint(cartesian(plan.exit_pos), 0.0,
-                                             Intent.EXIT_HERE))
-        return PursuitPlan(waypoints)
-
-    return build(out.r1_plan), build(out.r2_plan)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +71,7 @@ def intercept_moving_target(chaser_q, chaser_t0, target_p0, target_t0, target_p1
     lateness = point_distance(chaser_q, target_p1) - (seg_len + delta)
     if lateness > slack:
         return None
-    if seg_len <= _BTOL:
+    if seg_len <= ANGLE_TOL:
         return target_p1, target_t0 + seg_len, seg_len
     ux, uy = ux / seg_len, uy / seg_len
     wx, wy = chaser_q[0] - target_p0[0], chaser_q[1] - target_p0[1]
@@ -228,68 +140,128 @@ def _case3_same(a: float, d: float, trailing_is_exit: bool) -> _Case3:
 
 
 def _second_finder_same(a: float, d: float):
-    """Plan of a second finder (zeta = 0) in its own frame.
+    """Exit time and plan of a second finder (zeta = 0) in its own frame.
 
-    Returns (exit_time, legs, reached_exit_arc, branch).  A second finder
-    never meets anyone: its chase/P gates compare against the partner's
-    arrival at the ahead candidate, which already happened.
+    A second finder never meets anyone: its chase/P gates compare against
+    the partner's arrival at the ahead candidate, which already happened.
+    Only the case-3 dance with its guaranteed miss at N moves it off its
+    find; a <= d/2 happens for a second finder on degenerate boundaries
+    only, and it exits in place there.
     """
     legs: list = [ArcLeg(ArcPos(0.0), ArcPos(a), Direction.CCW)]
-    x_pos = cartesian(ArcPos(a))
-    if a >= d - _BTOL:
-        return a, legs, ArcPos(a), "exit"
-    if a > d / 2.0:
+    if d / 2.0 < a < d - ANGLE_TOL:
         res = _case3_same(a, d, trailing_is_exit=False)
-        if res.branch == "exit":
-            return a, legs, ArcPos(a), "exit"
         if res.branch == "nn":
-            ca = ArcPos(a + d)
-            ca_pos = cartesian(ca)
-            w_own = point_distance(res.n_point, x_pos)
-            w_ca = point_distance(res.n_point, ca_pos)
-            target, hop = (ArcPos(a), w_own) if w_own <= w_ca else (ca, w_ca)
-            legs.append(ChordLeg(x_pos, res.n_point))
-            legs.append(ChordLeg(res.n_point, cartesian(target)))
-            return res.t_n + hop, legs, target, "dance"
-        raise TraceInvalidError(f"second finder reached branch {res.branch}")
-    # a <= d/2 for a second finder only on degenerate boundaries
-    return a, legs, ArcPos(a), "exit"
+            (own, w_own), (ca, w_ca) = _by_distance(res.n_point, ArcPos(a), ArcPos(a + d))
+            target, hop = (own, w_own) if w_own <= w_ca else (ca, w_ca)
+            legs += [ChordLeg(cartesian(own), res.n_point),
+                     ChordLeg(res.n_point, cartesian(target))]
+            return res.t_n + hop, RobotPlan(legs, target, a)
+        if res.branch != "exit":
+            raise TraceInvalidError(f"second finder reached branch {res.branch}")
+    return a, RobotPlan(legs, ArcPos(a), a)
 
 
 # ---------------------------------------------------------------------------
-# frame helpers
+# the first finder's frame and plan assembly
 # ---------------------------------------------------------------------------
 
-def _frame_hits(scn: Scenario):
-    (t1, f1, o1), (t2, f2, o2) = _first_hits(scn)
+class _Frame:
+    """A face-to-face scenario seen by its first finder, plans under way.
+
+    The finder starts at +b and sweeps counterclockwise to its find X,
+    reached at time x; the partner starts at -b and sweeps clockwise, so
+    at time t it stands at -b - t.  `done` maps a mirrored frame back.
+    """
+
+    def __init__(self, d: float, b: float, mirrored: bool, x: float,
+                 found: float, other: float):
+        self.b, self.mirrored, self.x, self.other = b, mirrored, x, other
+        self.side = _other_side(found, other, d)
+        self.x_arc = ArcPos(found)
+        self.x_pos = cartesian(self.x_arc)
+        self.ca = ArcPos(found + d)  # candidate counterclockwise of X
+        self.ca_pos = cartesian(self.ca)
+        self.cb = ArcPos(found - d)  # candidate clockwise of X
+        self.cb_pos = cartesian(self.cb)
+        self.start = ArcPos(0.0 - b)  # the partner's; no negative zero at b = 0
+        self.finder_legs: list = [ArcLeg(ArcPos(b), self.x_arc, Direction.CCW)]
+        self.partner_legs: list = []
+        self.meets: list[MeetSpec] = []
+
+    def partner_time(self, theta: float) -> float:
+        """When the partner's clockwise sweep reaches angle theta."""
+        return normalize_angle(-self.b - theta)
+
+    def meet_on_circle(self, t_meet: float):
+        """The finder cuts straight to the partner's spot at t_meet (catch M)."""
+        m_arc = ArcPos(-self.b - t_meet)
+        m_pos = cartesian(m_arc)
+        self.finder_legs.append(ChordLeg(self.x_pos, m_pos))
+        self.partner_legs.append(ArcLeg(self.start, m_arc, Direction.CW))
+        self.meets.append(MeetSpec(m_pos, t_meet, (self.x, 2.0 * self.b, t_meet)))
+        return m_arc, m_pos
+
+    def meet_at_n(self, n_point, t_n: float, via: ArcPos) -> None:
+        """The finder runs X -> N; the partner sweeps to `via`, then cuts to N."""
+        self.finder_legs.append(ChordLeg(self.x_pos, n_point))
+        self.partner_legs += [ArcLeg(self.start, via, Direction.CW),
+                              ChordLeg(cartesian(via), n_point)]
+        self.meets.append(MeetSpec(n_point, t_n, None))
+
+    def meet_at_p(self, n_point, p: float):
+        """The finder runs X -> N -> P; the partner sweeps on to P."""
+        p_arc = ArcPos(-self.b - p)
+        p_pos = cartesian(p_arc)
+        self.finder_legs += [ChordLeg(self.x_pos, n_point), ChordLeg(n_point, p_pos)]
+        self.partner_legs.append(ArcLeg(self.start, p_arc, Direction.CW))
+        self.meets.append(MeetSpec(p_pos, p, None))
+        return p_pos
+
+    def done(self, tag: str, f_time: float, p_time: float, f_exit: ArcPos,
+             p_plan: RobotPlan) -> Outcome:
+        f_plan = RobotPlan(self.finder_legs, f_exit, self.x)
+        if self.mirrored:
+            return Outcome(self.x, tag, False, p_time, f_time, p_plan.mirrored(),
+                           f_plan.mirrored(), [mirror_meet(m) for m in self.meets])
+        return Outcome(self.x, tag, False, f_time, p_time, f_plan, p_plan, self.meets)
+
+    def joint(self, tag, point, target: ArcPos, time: float, partner_found=None):
+        """Both robots walk together from the meeting point to target."""
+        tp = cartesian(target)
+        self.finder_legs.append(ChordLeg(point, tp))
+        self.partner_legs.append(ChordLeg(point, tp))
+        return self.done(tag, time, time, target,
+                         RobotPlan(self.partner_legs, target, partner_found))
+
+    def joint_hop(self, tag, point, t_meet: float, targets, partner_found=None):
+        """Together from the meeting point to the nearest of (exit, distance)."""
+        target, time = _joint_hop(point, t_meet, targets)
+        return self.joint(tag, point, target, time, partner_found)
+
+
+def _frame(scn: Scenario, b: float) -> _Frame | None:
+    """First-finder frame of scn, or None when both robots find at once."""
+    (t1, f1, o1), (t2, f2, o2) = first_hits(scn)
     if abs(t1 - t2) <= SIM_TOL:
         return None
-    mirrored = t2 < t1
-    if mirrored:
-        return mirrored, t2, normalize_angle(-f2), normalize_angle(-o2)
-    return mirrored, t1, f1, o1
-
-
-def _assemble(mirrored, x, tag, finder_time, partner_time,
-              finder_plan, partner_plan, meets) -> F2FOutcome:
-    if mirrored:
-        return F2FOutcome(
-            x, tag, False,
-            r1_time=partner_time, r2_time=finder_time,
-            r1_plan=partner_plan.mirrored(), r2_plan=finder_plan.mirrored(),
-            meets=[mirror_meet(m) for m in meets],
-        )
-    return F2FOutcome(x, tag, False, finder_time, partner_time,
-                      finder_plan, partner_plan, meets)
+    if t2 < t1:
+        return _Frame(scn.d, b, True, t2, normalize_angle(-f2), normalize_angle(-o2))
+    return _Frame(scn.d, b, False, t1, f1, o1)
 
 
 def _joint_hop(meet_point, meet_time, targets):
     """Pick the nearest exit from a meeting point; ties go to the first."""
     best_pos, best_w = None, None
     for pos, w in targets:
-        if best_w is None or w < best_w - _BTOL:
+        if best_w is None or w < best_w - ANGLE_TOL:
             best_pos, best_w = pos, w
     return best_pos, meet_time + best_w
+
+
+def _by_distance(point, *targets: ArcPos):
+    """(target, straight-line distance from point) for each target."""
+    return [(t, point_distance(point, cartesian(t))) for t in targets]
 
 
 def _other_side(found: float, other: float, d: float) -> str:
@@ -305,395 +277,205 @@ def _other_side(found: float, other: float, d: float) -> str:
 # zeta = 0, unlabeled
 # ---------------------------------------------------------------------------
 
-def _outcome_f2f_same(scn: Scenario) -> F2FOutcome:
+def _outcome_f2f_same(scn: Scenario) -> Outcome:
     d = scn.d
-    frame = _frame_hits(scn)
-    if frame is None:
+    f = _frame(scn, 0.0)
+    if f is None:
         return _sim_outcome(scn, "same")
-    mirrored, x, found, other = frame
-    side = _other_side(found, other, d)
-    x_arc = ArcPos(found)
-    x_pos = cartesian(x_arc)
-    ca = ArcPos(found + d)
-    ca_pos = cartesian(ca)
-    cb = ArcPos(found - d)
-    cb_pos = cartesian(cb)
-    t_a = normalize_angle(-ca.theta)  # partner's arrival at the ahead candidate
+    x = f.x
+    t_a = f.partner_time(f.ca.theta)  # partner's arrival at the ahead candidate
     y = solve_meeting_xy(x, 0.0)
 
-    finder_legs: list = [ArcLeg(ArcPos(0.0), x_arc, Direction.CCW)]
-    partner_legs: list = []
-    meets: list[MeetSpec] = []
+    def catch(tag: str, t: float) -> Outcome:
+        """Catch the partner on the circle at t, then the nearer of X and E2'."""
+        _, m_pos = f.meet_on_circle(t)
+        return f.joint_hop(tag, m_pos, t, [(f.x_arc, chord_length(x + t)),
+                                           (f.ca, chord_length(t_a - t))])
 
-    def meet_on_circle(t_meet: float):
-        m_arc = ArcPos(-t_meet)
-        m_pos = cartesian(m_arc)
-        finder_legs.append(ChordLeg(x_pos, m_pos))
-        partner_legs.append(ArcLeg(ArcPos(0.0), m_arc, Direction.CW))
-        meets.append(MeetSpec(m_pos, t_meet, (x, 0.0, t_meet)))
-        return m_arc, m_pos
-
-    def finish_joint(point, target, time):
-        tp = cartesian(target)
-        finder_legs.append(ChordLeg(point, tp))
-        partner_legs.append(ChordLeg(point, tp))
-        f_plan = RobotPlan(finder_legs, target, x)
-        p_plan = RobotPlan(partner_legs, target, None)
-        return _assemble(mirrored, x, tag, time, time, f_plan, p_plan, meets)
+    def separately(tag: str, f_time: float, f_exit: ArcPos, s_arc: float) -> Outcome:
+        """The partner evacuates alone as a second finder at its arc s_arc."""
+        s_time, s_plan = _second_finder_same(s_arc, d)
+        return f.done(tag, f_time, s_time, f_exit, s_plan.mirrored())
 
     if x + y <= d:  # Case 1: catch before the trailing candidate
-        tag = "F0-1"
-        m_arc, m_pos = meet_on_circle(y)
-        if angle_close(m_arc.theta, other):
-            f_plan = RobotPlan(finder_legs, m_arc, x)
-            p_plan = RobotPlan(partner_legs, m_arc, y)
-            return _assemble(mirrored, x, tag, y, y, f_plan, p_plan, meets)
+        m_arc, m_pos = f.meet_on_circle(y)
+        if angle_close(m_arc.theta, f.other):
+            return f.done("F0-1", y, y, m_arc, RobotPlan(f.partner_legs, m_arc, y))
         w_x = chord_length(x + y)
         hop_cb = chord_length((d - x) - y)
         between = chord_length(min(2.0 * d, TWO_PI))
         if w_x <= hop_cb + between:
-            return finish_joint(m_pos, x_arc, y + w_x)
-        finder_legs.append(ChordLeg(m_pos, cb_pos))
-        partner_legs.append(ChordLeg(m_pos, cb_pos))
-        if side == "behind":
-            f_plan = RobotPlan(finder_legs, cb, x)
-            p_plan = RobotPlan(partner_legs, cb, None)
-            t = y + hop_cb
-            return _assemble(mirrored, x, tag, t, t, f_plan, p_plan, meets)
-        finder_legs.append(ChordLeg(cb_pos, ca_pos))
-        partner_legs.append(ChordLeg(cb_pos, ca_pos))
-        t = y + hop_cb + between
-        f_plan = RobotPlan(finder_legs, ca, x)
-        p_plan = RobotPlan(partner_legs, ca, None)
-        return _assemble(mirrored, x, tag, t, t, f_plan, p_plan, meets)
+            return f.joint("F0-1", m_pos, f.x_arc, y + w_x)
+        if f.side == "behind":
+            return f.joint("F0-1", m_pos, f.cb, y + hop_cb)
+        f.finder_legs.append(ChordLeg(m_pos, f.cb_pos))
+        f.partner_legs.append(ChordLeg(m_pos, f.cb_pos))
+        return f.joint("F0-1", f.cb_pos, f.ca, y + hop_cb + between)
 
     if x <= d / 2.0:  # Case 2
         if y <= t_a:  # 2a: the chase is viable
-            if side == "ahead":
-                tag = "F0-2a"
-                _, m_pos = meet_on_circle(y)
-                target, time = _joint_hop(
-                    m_pos, y,
-                    [(x_arc, chord_length(x + y)), (ca, chord_length(t_a - y))],
-                )
-                return finish_joint(m_pos, target, time)
+            if f.side == "ahead":
+                return catch("F0-2a", y)
             # exit at the trailing candidate: the partner finds it first and
             # intercepts this chase at N (its own case 3a)
-            tag = "F0-3a"
             res = _case3_same(d - x, d, trailing_is_exit=True)
             if res.branch != "nmeet":
                 raise TraceInvalidError("partner failed to intercept a live chase")
             n_f = mirror_point(res.n_point)
-            t_n = res.t_n
-            m_pos = cartesian(ArcPos(-y))
-            finder_legs.append(ChordLeg(x_pos, n_f))
-            partner_legs.append(ArcLeg(ArcPos(0.0), cb, Direction.CW))
-            partner_legs.append(ChordLeg(cb_pos, n_f))
-            meets.append(MeetSpec(n_f, t_n, None))
-            target, time = _joint_hop(
-                n_f, t_n,
-                [(x_arc, point_distance(n_f, x_pos)),
-                 (cb, point_distance(n_f, cb_pos))],
-            )
-            tp = cartesian(target)
-            finder_legs.append(ChordLeg(n_f, tp))
-            partner_legs.append(ChordLeg(n_f, tp))
-            f_plan = RobotPlan(finder_legs, target, x)
-            p_plan = RobotPlan(partner_legs, target, d - x)
-            return _assemble(mirrored, x, tag, time, time, f_plan, p_plan, meets)
+            f.meet_at_n(n_f, res.t_n, f.cb)
+            return f.joint_hop("F0-3a", n_f, res.t_n, _by_distance(n_f, f.x_arc, f.cb),
+                               partner_found=d - x)
         # 2b: no viable chase, both evacuate separately
-        tag = "F0-2b"
-        s_arc = d - x if side == "behind" else t_a
-        return _separate_exit_same(mirrored, x, tag, s_arc, d,
-                                   finder_legs, x_arc, meets)
+        return separately("F0-2b", x, f.x_arc, d - x if f.side == "behind" else t_a)
 
     if x < d:  # Case 3: the trailing candidate may already be explored
-        if side != "ahead":
+        if f.side != "ahead":
             raise TraceInvalidError("first finder in case 3 with a trailing exit")
         res = _case3_same(x, d, trailing_is_exit=False)
         if res.branch == "exit":
-            tag = "F0-3b"
-            return _separate_exit_same(mirrored, x, tag, t_a, d,
-                                       finder_legs, x_arc, meets)
+            return separately("F0-3b", x, f.x_arc, t_a)
         if res.branch == "chase":
-            tag = "F0-3a"
-            _, m_pos = meet_on_circle(res.y)
-            target, time = _joint_hop(
-                m_pos, res.y,
-                [(x_arc, chord_length(x + res.y)),
-                 (ca, chord_length(t_a - res.y))],
-            )
-            return finish_joint(m_pos, target, time)
+            return catch("F0-3a", res.y)
         if res.branch == "pmeet":
-            tag = "F0-3a"
-            p_arc = ArcPos(-res.p)
-            p_pos = cartesian(p_arc)
-            finder_legs.append(ChordLeg(x_pos, res.n_point))
-            finder_legs.append(ChordLeg(res.n_point, p_pos))
-            partner_legs.append(ArcLeg(ArcPos(0.0), p_arc, Direction.CW))
-            meets.append(MeetSpec(p_pos, res.p, None))
-            target, time = _joint_hop(
-                p_pos, res.p,
-                [(x_arc, point_distance(p_pos, x_pos)),
-                 (ca, point_distance(p_pos, ca_pos))],
-            )
-            return finish_joint(p_pos, target, time)
+            p_pos = f.meet_at_p(res.n_point, res.p)
+            return f.joint_hop("F0-3a", p_pos, res.p, _by_distance(p_pos, f.x_arc, f.ca))
         # 'nn': nobody at N and P is out of reach; head for the closest exit
-        tag = "F0-3a"
-        finder_legs.append(ChordLeg(x_pos, res.n_point))
-        target, f_time = _joint_hop(
-            res.n_point, res.t_n,
-            [(x_arc, point_distance(res.n_point, x_pos)),
-             (ca, point_distance(res.n_point, ca_pos))],
-        )
-        finder_legs.append(ChordLeg(res.n_point, cartesian(target)))
-        f_plan = RobotPlan(finder_legs, target, x)
-        s_time, s_legs, s_exit, _ = _second_finder_same(t_a, d)
-        p_plan = RobotPlan(s_legs, s_exit, t_a).mirrored()
-        return _assemble(mirrored, x, tag, f_time, s_time, f_plan, p_plan, meets)
+        f.finder_legs.append(ChordLeg(f.x_pos, res.n_point))
+        target, f_time = _joint_hop(res.n_point, res.t_n,
+                                    _by_distance(res.n_point, f.x_arc, f.ca))
+        f.finder_legs.append(ChordLeg(res.n_point, cartesian(target)))
+        return separately("F0-3a", f_time, target, t_a)
 
     # Case 4: the trailing candidate is in the finder's own swept arc
-    if side != "ahead":
+    if f.side != "ahead":
         raise TraceInvalidError("first finder in case 4 with a trailing exit")
     if y < t_a:
-        tag = "F0-4a"
-        _, m_pos = meet_on_circle(y)
-        target, time = _joint_hop(
-            m_pos, y,
-            [(x_arc, chord_length(x + y)), (ca, chord_length(t_a - y))],
-        )
-        return finish_joint(m_pos, target, time)
-    tag = "F0-4c" if t_a >= d - _BTOL else "F0-4b"
-    return _separate_exit_same(mirrored, x, tag, t_a, d, finder_legs, x_arc, meets)
-
-
-def _separate_exit_same(mirrored, x, tag, s_arc, d, finder_legs, x_arc, meets):
-    """Both robots evacuate without meeting (zeta = 0)."""
-    f_plan = RobotPlan(finder_legs, x_arc, x)
-    s_time, s_legs, s_exit, _ = _second_finder_same(s_arc, d)
-    p_plan = RobotPlan(s_legs, s_exit, s_arc).mirrored()
-    return _assemble(mirrored, x, tag, x, s_time, f_plan, p_plan, meets)
+        return catch("F0-4a", y)
+    return separately("F0-4c" if t_a >= d - ANGLE_TOL else "F0-4b", x, f.x_arc, t_a)
 
 
 # ---------------------------------------------------------------------------
 # zeta = d, unlabeled
 # ---------------------------------------------------------------------------
 
-def _outcome_f2f_diff(scn: Scenario) -> F2FOutcome:
+def _outcome_f2f_diff(scn: Scenario) -> Outcome:
     d = scn.d
     b = d / 2.0
-    frame = _frame_hits(scn)
-    if frame is None:
+    f = _frame(scn, b)
+    if f is None:
         return _sim_outcome(scn, "diff")
-    mirrored, x, found, other = frame
-    side = _other_side(found, other, d)
-    x_arc = ArcPos(found)
-    x_pos = cartesian(x_arc)
-    ca = ArcPos(found + d)
-    ca_pos = cartesian(ca)
-    cb = ArcPos(found - d)
-    cb_pos = cartesian(cb)
-
-    def partner_arc(theta: float) -> float:
-        return normalize_angle(-b - theta)
-
-    t_a = partner_arc(ca.theta)
-    t_x = partner_arc(x_arc.theta)
+    x = f.x
+    t_a = f.partner_time(f.ca.theta)
+    t_x = f.partner_time(f.x_arc.theta)
     y = solve_meeting_xy(x, d)
 
-    finder_legs: list = [ArcLeg(ArcPos(b), x_arc, Direction.CCW)]
-    partner_legs: list = []
-    meets: list[MeetSpec] = []
-
-    def meet_on_circle(t_meet: float):
-        m_arc = ArcPos(-b - t_meet)
-        m_pos = cartesian(m_arc)
-        finder_legs.append(ChordLeg(x_pos, m_pos))
-        partner_legs.append(ArcLeg(ArcPos(-b), m_arc, Direction.CW))
-        meets.append(MeetSpec(m_pos, t_meet, (x, d, t_meet)))
-        return m_arc, m_pos
-
-    def finish_joint(point, target, time, partner_found=None):
-        tp = cartesian(target)
-        finder_legs.append(ChordLeg(point, tp))
-        partner_legs.append(ChordLeg(point, tp))
-        f_plan = RobotPlan(finder_legs, target, x)
-        p_plan = RobotPlan(partner_legs, target, partner_found)
-        return _assemble(mirrored, x, tag, time, time, f_plan, p_plan, meets)
-
     if x >= d:  # Case 2: own sweep rules the trailing candidate out
-        if side != "ahead":
+        if f.side != "ahead":
             raise TraceInvalidError("case 2 with an exit at the ruled-out candidate")
         t_stop = min(t_a, t_x)
         if y < t_stop:  # 2c: catch the partner before it reaches any exit
-            tag = "Fd-2c"
-            _, m_pos = meet_on_circle(y)
-            target, time = _joint_hop(
-                m_pos, y,
-                [(x_arc, point_distance(m_pos, x_pos)),
-                 (ca, point_distance(m_pos, ca_pos))],
-            )
-            return finish_joint(m_pos, target, time)
+            _, m_pos = f.meet_on_circle(y)
+            return f.joint_hop("Fd-2c", m_pos, y, _by_distance(m_pos, f.x_arc, f.ca))
         # 2b: the partner will deduce the layout on its own; exit separately
-        tag = "Fd-2b"
-        s_target = ca if t_a <= t_x else x_arc
-        partner_legs.append(ArcLeg(ArcPos(-b), ArcPos(-b - t_stop), Direction.CW))
-        f_plan = RobotPlan(finder_legs, x_arc, x)
-        p_plan = RobotPlan(partner_legs, s_target, t_stop)
-        return _assemble(mirrored, x, tag, x, t_stop, f_plan, p_plan, meets)
+        s_target = f.ca if t_a <= t_x else f.x_arc
+        f.partner_legs.append(ArcLeg(f.start, ArcPos(-b - t_stop), Direction.CW))
+        return f.done("Fd-2b", x, t_stop, f.x_arc, RobotPlan(f.partner_legs, s_target, t_stop))
 
     # Case 1: x < d, the trailing candidate hides in the never-swept gap
     if t_a > y:  # 1a: E2' is not inside arc CM; catch and return to X
-        tag = "Fd-1a"
-        _, m_pos = meet_on_circle(y)
-        return finish_joint(m_pos, x_arc, y + chord_length(d + x + y))
-    # 1b / 1c: E2' lies within the partner's pre-catch sweep
+        _, m_pos = f.meet_on_circle(y)
+        return f.joint("Fd-1a", m_pos, f.x_arc, y + chord_length(d + x + y))
+    # 1b / 1c: E2' lies within the partner's pre-catch sweep; N sits on the
+    # chord X-E2' where the partner, coming back from E2', meets the finder
     seg = chord_length(d)
     s = min(max((t_a + seg - x) / 2.0, 0.0), seg)
-    if side == "ahead":  # 1b: both converge on the chord X-E2'
-        tag = "Fd-2a" if t_a >= d - _BTOL else "Fd-1b"
-        ux, uy = (ca_pos[0] - x_pos[0]) / seg, (ca_pos[1] - x_pos[1]) / seg
-        n_point = (x_pos[0] + s * ux, x_pos[1] + s * uy)
-        t_n = x + s
-        finder_legs.append(ChordLeg(x_pos, n_point))
-        partner_legs.append(ArcLeg(ArcPos(-b), ca, Direction.CW))
-        partner_legs.append(ChordLeg(ca_pos, n_point))
-        meets.append(MeetSpec(n_point, t_n, None))
-        target, time = _joint_hop(n_point, t_n, [(x_arc, s), (ca, seg - s)])
-        return finish_joint(n_point, target, time, partner_found=t_a)
-    # other exit is the gap candidate; E2' will turn out empty
-    tag = "Fd-1c"
-    if s <= _BTOL:
-        # the partner swept past E2' long ago; fall back to the plain catch
-        if y >= t_x - _BTOL:
-            raise TraceInvalidError("catch point behind the partner's own find")
-        _, m_pos = meet_on_circle(y)
-        target, time = _joint_hop(
-            m_pos, y,
-            [(x_arc, point_distance(m_pos, x_pos)),
-             (cb, point_distance(m_pos, cb_pos))],
-        )
-        return finish_joint(m_pos, target, time)
-    ux, uy = (ca_pos[0] - x_pos[0]) / seg, (ca_pos[1] - x_pos[1]) / seg
-    n_point = (x_pos[0] + s * ux, x_pos[1] + s * uy)
+    ux, uy = (f.ca_pos[0] - f.x_pos[0]) / seg, (f.ca_pos[1] - f.x_pos[1]) / seg
+    n_point = (f.x_pos[0] + s * ux, f.x_pos[1] + s * uy)
     t_n = x + s
-    finder_legs.append(ChordLeg(x_pos, n_point))
+    if f.side == "ahead":  # 1b: both converge on the chord X-E2'
+        f.meet_at_n(n_point, t_n, f.ca)
+        return f.joint_hop("Fd-2a" if t_a >= d - ANGLE_TOL else "Fd-1b", n_point, t_n,
+                           [(f.x_arc, s), (f.ca, seg - s)], partner_found=t_a)
+    # other exit is the gap candidate; E2' will turn out empty
+    if s <= ANGLE_TOL:
+        # the partner swept past E2' long ago; fall back to the plain catch
+        if y >= t_x - ANGLE_TOL:
+            raise TraceInvalidError("catch point behind the partner's own find")
+        _, m_pos = f.meet_on_circle(y)
+        return f.joint_hop("Fd-1c", m_pos, y, _by_distance(m_pos, f.x_arc, f.cb))
     p = catch_on_circle_from(n_point, t_n, b)
     if p <= t_x:
-        p_arc = ArcPos(-b - p)
-        p_pos = cartesian(p_arc)
-        finder_legs.append(ChordLeg(n_point, p_pos))
-        partner_legs.append(ArcLeg(ArcPos(-b), p_arc, Direction.CW))
-        meets.append(MeetSpec(p_pos, p, None))
-        target, time = _joint_hop(
-            p_pos, p,
-            [(x_arc, point_distance(p_pos, x_pos)),
-             (cb, point_distance(p_pos, cb_pos))],
-        )
-        return finish_joint(p_pos, target, time)
+        p_pos = f.meet_at_p(n_point, p)
+        return f.joint_hop("Fd-1c", p_pos, p, _by_distance(p_pos, f.x_arc, f.cb))
     # Defensive corner: the partner reaches X (a real exit) before P and
     # leaves; the finder carries on alone from P to the closest exit.
-    p_arc = ArcPos(-b - p)
-    p_pos = cartesian(p_arc)
-    finder_legs.append(ChordLeg(n_point, p_pos))
-    target, f_time = _joint_hop(
-        p_pos, p,
-        [(x_arc, point_distance(p_pos, x_pos)),
-         (cb, point_distance(p_pos, cb_pos))],
-    )
-    finder_legs.append(ChordLeg(p_pos, cartesian(target)))
-    partner_legs.append(ArcLeg(ArcPos(-b), x_arc, Direction.CW))
-    f_plan = RobotPlan(finder_legs, target, x)
-    p_plan = RobotPlan(partner_legs, x_arc, t_x)
-    return _assemble(mirrored, x, tag, f_time, t_x, f_plan, p_plan, meets)
+    p_pos = cartesian(ArcPos(-b - p))
+    f.finder_legs += [ChordLeg(f.x_pos, n_point), ChordLeg(n_point, p_pos)]
+    target, f_time = _joint_hop(p_pos, p, _by_distance(p_pos, f.x_arc, f.cb))
+    f.finder_legs.append(ChordLeg(p_pos, cartesian(target)))
+    f.partner_legs.append(ArcLeg(f.start, f.x_arc, Direction.CW))
+    return f.done("Fd-1c", f_time, t_x, target, RobotPlan(f.partner_legs, f.x_arc, t_x))
 
 
 # ---------------------------------------------------------------------------
 # labeled exits, generic zeta
 # ---------------------------------------------------------------------------
 
-def _outcome_f2f_labeled(scn: Scenario) -> F2FOutcome:
-    d, zeta = scn.d, scn.zeta
-    b = zeta / 2.0
-    frame = _frame_hits(scn)
-    if frame is None:
+def _outcome_f2f_labeled(scn: Scenario) -> Outcome:
+    zeta = scn.zeta
+    f = _frame(scn, zeta / 2.0)
+    if f is None:
         return _sim_outcome(scn, "labeled")
-    mirrored, x, found, other = frame
-    side = _other_side(found, other, d)
-    x_arc = ArcPos(found)
-    x_pos = cartesian(x_arc)
-    other_arc = ArcPos(other)
-    other_pos = cartesian(other_arc)
-    t_o = normalize_angle(-b - other)
+    x = f.x
+    other_arc = ArcPos(f.other)
+    t_o = f.partner_time(f.other)
     y = solve_meeting_xy(x, zeta)
-    if t_o < x - _BTOL:
+    if t_o < x - ANGLE_TOL:
         raise TraceInvalidError("labeled partner should have found the exit first")
-
-    finder_legs: list = [ArcLeg(ArcPos(b), x_arc, Direction.CCW)]
-    meets: list[MeetSpec] = []
 
     if t_o <= y:
         # The partner reaches the other exit before any catch completes;
         # chasing is hopeless, so both exit where they are headed.
-        tag = "FL-2" if side == "behind" else "FL-4"
-        partner_legs = [ArcLeg(ArcPos(-b), other_arc, Direction.CW)]
-        f_plan = RobotPlan(finder_legs, x_arc, x)
-        p_plan = RobotPlan(partner_legs, other_arc, t_o)
-        return _assemble(mirrored, x, tag, x, t_o, f_plan, p_plan, meets)
-
-    tag = "FL-1" if side == "behind" else "FL-3"
-    m_arc = ArcPos(-b - y)
-    m_pos = cartesian(m_arc)
-    finder_legs.append(ChordLeg(x_pos, m_pos))
-    partner_legs = [ArcLeg(ArcPos(-b), m_arc, Direction.CW)]
-    meets.append(MeetSpec(m_pos, y, (x, zeta, y)))
-    target, time = _joint_hop(
-        m_pos, y,
-        [(x_arc, chord_length(x + y + zeta)),
-         (other_arc, point_distance(m_pos, other_pos))],
-    )
-    tp = cartesian(target)
-    finder_legs.append(ChordLeg(m_pos, tp))
-    partner_legs.append(ChordLeg(m_pos, tp))
-    f_plan = RobotPlan(finder_legs, target, x)
-    p_plan = RobotPlan(partner_legs, target, None)
-    return _assemble(mirrored, x, tag, time, time, f_plan, p_plan, meets)
+        f.partner_legs.append(ArcLeg(f.start, other_arc, Direction.CW))
+        return f.done("FL-2" if f.side == "behind" else "FL-4", x, t_o, f.x_arc,
+                      RobotPlan(f.partner_legs, other_arc, t_o))
+    _, m_pos = f.meet_on_circle(y)
+    return f.joint_hop("FL-1" if f.side == "behind" else "FL-3", m_pos, y,
+                       [(f.x_arc, chord_length(x + y + zeta)),
+                        (other_arc, point_distance(m_pos, cartesian(other_arc)))])
 
 
 # ---------------------------------------------------------------------------
 # simultaneous discovery (mirror-symmetric layouts)
 # ---------------------------------------------------------------------------
 
-def _sim_outcome(scn: Scenario, kind: str) -> F2FOutcome:
+def _sim_outcome(scn: Scenario, kind: str) -> Outcome:
     b = scn.zeta / 2.0
-    (t1, f1, o1), (t2, f2, _) = _first_hits(scn)
+    (t1, f1, o1), (t2, f2, _) = first_hits(scn)
     x = t1
     r1_exit = ArcPos(f1)
     r2_exit = ArcPos(f2)
     leg1 = [ArcLeg(ArcPos(b), r1_exit, Direction.CCW)]
     leg2 = [ArcLeg(ArcPos(-b), r2_exit, Direction.CW)]
 
+    moving = None
     if kind == "labeled":
         tag = "FL-4" if angle_close(o1, normalize_angle(f1 + scn.d)) else "FL-2"
-        return F2FOutcome(x, tag, True, x, x,
-                          RobotPlan(leg1, r1_exit, x), RobotPlan(leg2, r2_exit, x))
-
-    tag = "F0-sim" if kind == "same" else "Fd-sim"
-    if x <= ANGLE_TOL or angle_close(f1, f2):
-        # Zero travel, or both robots stepped onto the same exit together.
-        return F2FOutcome(x, tag, True, x, x,
-                          RobotPlan(leg1, r1_exit, x), RobotPlan(leg2, r2_exit, x))
-
-    moving = _sim_first_action(scn, kind, x, f1, o1)
+    else:
+        tag = "F0-sim" if kind == "same" else "Fd-sim"
+        # Zero travel, or both robots stepped onto the same exit together:
+        # both exit in place.
+        if not (x <= ANGLE_TOL or angle_close(f1, f2)):
+            moving = _sim_first_action(scn, kind, x, f1, o1)
     if moving is None:
-        return F2FOutcome(x, tag, True, x, x,
-                          RobotPlan(leg1, r1_exit, x), RobotPlan(leg2, r2_exit, x))
+        return Outcome(x, tag, True, x, x,
+                       RobotPlan(leg1, r1_exit, x), RobotPlan(leg2, r2_exit, x))
     # Both robots run the mirror-image maneuver and collide on the x-axis.
     t_leg = x
     for leg in moving:
         y0, y1 = leg.p0[1], leg.p1[1]
         seg = point_distance(leg.p0, leg.p1)
-        if seg <= _BTOL or y0 * y1 > 0.0:
+        if seg <= ANGLE_TOL or y0 * y1 > 0.0:
             t_leg += seg
             leg1.append(leg)
             continue
@@ -711,7 +493,7 @@ def _sim_outcome(scn: Scenario, kind: str) -> F2FOutcome:
         plan2.found_exit_at = x
         meet = MeetSpec(cross, tau, None)
         # the meeting point lies on the symmetry axis, its own mirror image
-        return F2FOutcome(x, tag, True, time, time, plan1, plan2, [meet])
+        return Outcome(x, tag, True, time, time, plan1, plan2, [meet])
     raise TraceInvalidError("symmetric maneuvers never crossed the axis")
 
 
@@ -755,59 +537,42 @@ def _sim_first_action(scn: Scenario, kind: str, x: float, found: float, other: f
 # public evaluators
 # ---------------------------------------------------------------------------
 
-def _check(scn: Scenario):
-    if scn.model is not CommModel.FACE_TO_FACE:
-        raise WrongEvaluatorError("scenario is not a face-to-face instance")
+_BY_REGIME = {
+    Regime.F2F_SAME: _outcome_f2f_same,
+    Regime.F2F_DIFF: _outcome_f2f_diff,
+    Regime.F2F_LABELED: _outcome_f2f_labeled,
+}
 
 
-def _to_result(out: F2FOutcome) -> EvacResult:
-    return EvacResult(
-        time_from_perimeter=max(out.r1_time, out.r2_time),
-        r1_exit_time=out.r1_time,
-        r2_exit_time=out.r2_time,
-        discovery_arc_x=out.x,
-        case_tag=out.case_tag,
-        simultaneous=out.simultaneous,
-    )
+def _outcome(scn: Scenario, *accepted: Regime) -> Outcome:
+    regime = scn.regime
+    if regime not in accepted:
+        wanted = " or ".join(r.value for r in accepted)
+        raise WrongEvaluatorError(
+            f"a {regime.value} scenario sent to the face-to-face {wanted} evaluator")
+    return _BY_REGIME[regime](scn)
 
 
 def eval_f2f_same(scn: Scenario) -> EvacResult:
-    _check(scn)
-    if scn.labeled or abs(scn.zeta) > _BTOL:
-        raise WrongEvaluatorError("eval_f2f_same handles unlabeled zeta = 0 only")
-    return _to_result(_outcome_f2f_same(scn))
+    return _outcome(scn, Regime.F2F_SAME).to_result()
 
 
 def eval_f2f_diff(scn: Scenario) -> EvacResult:
-    _check(scn)
-    if scn.labeled or abs(scn.zeta - scn.d) > _BTOL:
-        raise WrongEvaluatorError("eval_f2f_diff handles unlabeled zeta = d only")
-    return _to_result(_outcome_f2f_diff(scn))
+    return _outcome(scn, Regime.F2F_DIFF).to_result()
 
 
 def eval_f2f_labeled(scn: Scenario) -> EvacResult:
-    _check(scn)
-    if not scn.labeled:
-        raise WrongEvaluatorError("eval_f2f_labeled needs a labeled scenario")
-    return _to_result(_outcome_f2f_labeled(scn))
+    return _outcome(scn, Regime.F2F_LABELED).to_result()
 
 
-def plan_f2f(scn: Scenario) -> F2FOutcome:
+def plan_f2f(scn: Scenario) -> Outcome:
     """Full outcome (plans included) for the replay oracle."""
-    _check(scn)
-    if scn.labeled:
-        return _outcome_f2f_labeled(scn)
-    if abs(scn.zeta) <= _BTOL:
-        return _outcome_f2f_same(scn)
-    if abs(scn.zeta - scn.d) <= _BTOL:
-        return _outcome_f2f_diff(scn)
-    raise WrongEvaluatorError("unlabeled face-to-face needs zeta in {0, d}")
+    return _outcome(scn, *_BY_REGIME)
 
 
 def worst_f2f(d: float, variant: str, exit_step: float, zeta_policy="0"):
     """Worst realized time over the exit grid: (time, argmax_e1, case_tag)."""
     from . import _batch
-    from .wireless import resolve_zeta
 
     if exit_step <= 0.0:
         raise ValueError("exit_step must be positive")

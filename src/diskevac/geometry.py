@@ -74,11 +74,6 @@ def arc_between(a: ArcPos, b: ArcPos, direction: Direction) -> float:
     return normalize_angle(a.theta - b.theta)
 
 
-def chord_between(a: ArcPos, b: ArcPos) -> float:
-    """Straight-line distance between two perimeter points."""
-    return chord_length(arc_between(a, b, Direction.CCW))
-
-
 def cartesian(p: ArcPos) -> tuple[float, float]:
     return (math.cos(p.theta), math.sin(p.theta))
 
@@ -86,20 +81,3 @@ def cartesian(p: ArcPos) -> tuple[float, float]:
 def point_distance(p: tuple[float, float], q: tuple[float, float]) -> float:
     return math.hypot(p[0] - q[0], p[1] - q[1])
 
-
-@dataclass(frozen=True)
-class CandidateExits:
-    """The two probable exit positions around a discovered exit."""
-
-    e1_prime: ArcPos  # clockwise side of the discovery point
-    e2_prime: ArcPos  # counterclockwise side
-    coincident: bool  # both candidates are the same circle point
-
-
-def candidate_exits(x_pos: ArcPos, d: float) -> CandidateExits:
-    """Points at arc distance d on either side of a discovered exit."""
-    if d < -ANGLE_TOL or d > math.pi + ANGLE_TOL:
-        raise DomainError(f"exit separation {d} outside [0, pi]")
-    e1p = x_pos.offset(-d)
-    e2p = x_pos.offset(d)
-    return CandidateExits(e1p, e2p, e1p.almost_equal(e2p))

@@ -35,6 +35,7 @@ import numpy as np
 from .geometry import TWO_PI
 
 DEFAULT_TOL = 1e-6
+GATE_TOL = 1e-12  # residual gate of solve_meeting_xy/_arr unless told otherwise
 MAX_ITER = 200
 ROOT_TOL = 1e-12  # enforced bound on |root - returned root|
 _BRACKET_SLACK = 1e-12
@@ -122,11 +123,11 @@ def solve_meeting(q: MeetQuery) -> float:
     return y
 
 
-def solve_meeting_xy(x: float, offset: float, tol: float = DEFAULT_TOL) -> float:
+def solve_meeting_xy(x: float, offset: float, tol: float = GATE_TOL) -> float:
     return solve_meeting(MeetQuery(x, offset, tol))
 
 
-def solve_meeting_arr(x, offset, tol: float = DEFAULT_TOL):
+def solve_meeting_arr(x, offset, tol: float = GATE_TOL):
     """Vectorized solve_meeting over an array of x values (shared offset).
 
     Each point runs the scalar iteration; converged points leave the

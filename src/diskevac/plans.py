@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .geometry import ArcPos, Direction, cartesian
+from .scenarios import EvacResult
 
 
 @dataclass(frozen=True)
@@ -85,3 +86,32 @@ def mirror_point(p: tuple[float, float]) -> tuple[float, float]:
 
 def mirror_meet(m: MeetSpec) -> MeetSpec:
     return MeetSpec(mirror_point(m.point), m.policy_time, m.catch_eq)
+
+
+@dataclass
+class Outcome:
+    """A policy's realized evacuation: times, case tag and both plans.
+
+    Face-to-face policies fill `meets`; wireless ones set `message_time`,
+    the instant of the finder's broadcast.
+    """
+
+    x: float
+    case_tag: str
+    simultaneous: bool
+    r1_time: float
+    r2_time: float
+    r1_plan: RobotPlan
+    r2_plan: RobotPlan
+    meets: list[MeetSpec] = field(default_factory=list)
+    message_time: float | None = None
+
+    def to_result(self) -> EvacResult:
+        return EvacResult(
+            time_from_perimeter=max(self.r1_time, self.r2_time),
+            r1_exit_time=self.r1_time,
+            r2_exit_time=self.r2_time,
+            discovery_arc_x=self.x,
+            case_tag=self.case_tag,
+            simultaneous=self.simultaneous,
+        )

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass, field
 
 from .geometry import Direction, arc_between, cartesian, point_distance
-from .plans import ArcLeg, MeetSpec, RobotPlan
-from .scenarios import CommModel, Scenario, TraceInvalidError
+from .plans import ArcLeg, RobotPlan
+from .scenarios import Scenario, TraceInvalidError, plan
 
 MEET_POS_TOL = 1e-6
 EXIT_POS_TOL = 1e-9
@@ -109,28 +109,16 @@ def _integrate(plan: RobotPlan, start_time: float = 0.0) -> Trajectory:
 
 def replay(scn: Scenario):
     """Reconstruct both trajectories; returns (traj1, traj2, makespan)."""
-    if scn.model is CommModel.WIRELESS:
-        from .wireless import plan_wireless
-
-        out = plan_wireless(scn)
-        tr1 = _integrate(out.r1_plan)
-        tr2 = _integrate(out.r2_plan)
-        if out.message_time is not None and not out.simultaneous:
-            finder, receiver = (tr1, tr2) if out.r1_plan.found_exit_at is not None else (tr2, tr1)
-            finder.events.append(Event("sent_message", out.message_time,
-                                       finder.position_at(out.message_time)))
-            receiver.events.append(Event("received_message", out.message_time,
-                                         receiver.position_at(out.message_time)))
-        meets: list[MeetSpec] = []
-    else:
-        from .face_to_face import plan_f2f
-
-        out = plan_f2f(scn)
-        tr1 = _integrate(out.r1_plan)
-        tr2 = _integrate(out.r2_plan)
-        meets = out.meets
-
-    for meet in meets:
+    out = plan(scn)
+    tr1 = _integrate(out.r1_plan)
+    tr2 = _integrate(out.r2_plan)
+    if out.message_time is not None and not out.simultaneous:
+        finder, receiver = (tr1, tr2) if out.r1_plan.found_exit_at is not None else (tr2, tr1)
+        finder.events.append(Event("sent_message", out.message_time,
+                                   finder.position_at(out.message_time)))
+        receiver.events.append(Event("received_message", out.message_time,
+                                     receiver.position_at(out.message_time)))
+    for meet in out.meets:
         p1 = tr1.position_at(meet.policy_time)
         p2 = tr2.position_at(meet.policy_time)
         for tr, p in ((tr1, p1), (tr2, p2)):

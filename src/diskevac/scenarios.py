@@ -6,9 +6,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .geometry import ArcPos
+from .geometry import ANGLE_TOL, TWO_PI, ArcPos, normalize_angle
 
 _EPS = 1e-12
+SIM_TOL = 1e-12  # first-hit times this close make one simultaneous find
 
 
 class CommModel(Enum):
@@ -25,7 +26,7 @@ class UnsupportedRegimeError(ScenarioError):
 
 
 class WrongEvaluatorError(ScenarioError):
-    """Scenario routed to an evaluator for a different zeta regime."""
+    """Scenario routed to an evaluator for a different regime, or to none."""
 
 
 class TraceInvalidError(RuntimeError):
@@ -62,6 +63,10 @@ class Scenario:
             )
 
     @property
+    def regime(self) -> "Regime":
+        return classify(self.model, self.labeled, self.d, self.zeta)
+
+    @property
     def e2(self) -> ArcPos:
         return self.e1.offset(self.d)
 
@@ -93,3 +98,93 @@ class EvacResult:
 
     def total_time(self) -> float:
         return self.time_from_perimeter + 1.0
+
+
+class Regime(Enum):
+    """The paper's four policy families; values name the f2f variants."""
+
+    WIRELESS = "wireless"
+    F2F_SAME = "same"
+    F2F_DIFF = "diff"
+    F2F_LABELED = "labeled"
+
+
+def classify(model: CommModel, labeled: bool, d: float, zeta: float) -> Regime:
+    """The policy family that handles (model, labeled, d, zeta).
+
+    Wireless policies take any zeta, labeled face-to-face too.  Unlabeled
+    face-to-face has policies for zeta = 0 and zeta = d only, each within
+    ANGLE_TOL; zeta = 0 is tested first, so d = zeta = 0 is F2F_SAME.
+    """
+    if model is CommModel.WIRELESS:
+        return Regime.WIRELESS
+    if labeled:
+        return Regime.F2F_LABELED
+    if abs(zeta) <= ANGLE_TOL:
+        return Regime.F2F_SAME
+    if abs(zeta - d) <= ANGLE_TOL:
+        return Regime.F2F_DIFF
+    raise WrongEvaluatorError(
+        f"unlabeled face-to-face needs zeta in {{0, d}} within {ANGLE_TOL:g}; "
+        f"got zeta = {zeta}, d = {d}"
+    )
+
+
+def evaluate(scn: Scenario) -> EvacResult:
+    """Realized evacuation of scn by the evaluator of its regime."""
+    from . import face_to_face, wireless
+
+    regime = scn.regime
+    if regime is Regime.WIRELESS:
+        lab = "labeled" if scn.labeled else "unlabeled"
+        return getattr(wireless, f"eval_wireless_{lab}")(scn)
+    return getattr(face_to_face, f"eval_f2f_{regime.value}")(scn)
+
+
+def plan(scn: Scenario):
+    """Full outcome of scn, plans included, for the replay oracle."""
+    from . import face_to_face, wireless
+
+    if scn.regime is Regime.WIRELESS:
+        return wireless.plan_wireless(scn)
+    return face_to_face.plan_f2f(scn)
+
+
+def resolve_zeta(policy, d: float) -> float:
+    """Map a zeta policy ('0', 'd', 'd/2' or a number) to a value for d."""
+    if isinstance(policy, (int, float)):
+        return float(policy)
+    text = str(policy).strip().lower()
+    if text in ("0", "zero"):
+        return 0.0
+    if text == "d":
+        return d
+    if text == "d/2":
+        return d / 2.0
+    return float(text)
+
+
+def _hit_ccw(start: float, exit_theta: float) -> float:
+    t = normalize_angle(exit_theta - start)
+    # an exit within angular tolerance behind the start point counts as
+    # sitting on it, not a full lap away
+    return 0.0 if t >= TWO_PI - ANGLE_TOL else t
+
+
+def _hit_cw(start: float, exit_theta: float) -> float:
+    t = normalize_angle(start - exit_theta)
+    return 0.0 if t >= TWO_PI - ANGLE_TOL else t
+
+
+def first_hits(scn: Scenario):
+    """Per-robot first exit hit: (t, found_theta, other_theta) twice."""
+    b = scn.zeta / 2.0
+    exits = (scn.e1.theta, scn.e2.theta)
+    t1_per = [_hit_ccw(b, e) for e in exits]
+    t2_per = [_hit_cw(-b, e) for e in exits]
+    i1 = 0 if t1_per[0] <= t1_per[1] else 1
+    i2 = 0 if t2_per[0] <= t2_per[1] else 1
+    return (
+        (t1_per[i1], exits[i1], exits[1 - i1]),
+        (t2_per[i2], exits[i2], exits[1 - i2]),
+    )

@@ -12,7 +12,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .scenarios import CommModel
+from .scenarios import CommModel, Regime, classify, resolve_zeta
 
 CSV_HEADER = "d,zeta_policy,model,labeled,worst_time,argmax_e1,case"
 
@@ -39,8 +39,9 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.d_step <= 0.0 or self.exit_step <= 0.0:
-            raise ValueError("grid steps must be positive")
+        for step in (self.d_step, self.exit_step):
+            if not (math.isfinite(step) and step > 0.0):
+                raise ValueError(f"grid step {step} is not finite and > 0")
         if not (0.0 <= self.d_min <= self.d_max <= math.pi + 1e-12):
             raise ValueError("d range must sit inside [0, pi]")
 
@@ -78,21 +79,16 @@ class SweepRecord:
 
 def _eval_cell(args) -> SweepRecord:
     d, series, cfg = args
-    from .face_to_face import worst_f2f
-    from .wireless import resolve_zeta, worst_wireless
+    from . import face_to_face, wireless
 
-    if series.model is CommModel.WIRELESS:
-        time, argmax, tag = worst_wireless(d, series.zeta_policy,
-                                           series.labeled, cfg.exit_step)
-    elif series.labeled:
-        time, argmax, tag = worst_f2f(d, "labeled", cfg.exit_step,
-                                      series.zeta_policy)
+    regime = classify(series.model, series.labeled, d,
+                      resolve_zeta(series.zeta_policy, d))
+    if regime is Regime.WIRELESS:
+        time, argmax, tag = wireless.worst_wireless(d, series.zeta_policy,
+                                                    series.labeled, cfg.exit_step)
     else:
-        zeta = resolve_zeta(series.zeta_policy, d)
-        variant = "same" if zeta == 0.0 else "diff"
-        if variant == "diff" and abs(zeta - d) > 1e-12:
-            raise ValueError("unlabeled face-to-face supports zeta in {0, d}")
-        time, argmax, tag = worst_f2f(d, variant, cfg.exit_step)
+        time, argmax, tag = face_to_face.worst_f2f(d, regime.value, cfg.exit_step,
+                                                   series.zeta_policy)
     if cfg.include_center_leg:
         time += 1.0
     return SweepRecord(d, series.zeta_policy, series.model.value,

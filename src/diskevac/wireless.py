@@ -10,8 +10,6 @@ reliable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .geometry import (
     ANGLE_TOL,
     TWO_PI,
@@ -22,10 +20,17 @@ from .geometry import (
     chord_length,
     normalize_angle,
 )
-from .plans import ArcLeg, ChordLeg, RobotPlan
-from .scenarios import CommModel, EvacResult, Scenario, TraceInvalidError, WrongEvaluatorError
-
-SIM_TOL = 1e-12
+from .plans import ArcLeg, ChordLeg, Outcome, RobotPlan
+from .scenarios import (
+    SIM_TOL,
+    EvacResult,
+    Regime,
+    Scenario,
+    TraceInvalidError,
+    WrongEvaluatorError,
+    first_hits,
+    resolve_zeta,
+)
 
 TAG_SIM = "W-sim"
 TAG_W1A, TAG_W1B, TAG_W1C = "W1a", "W1b", "W1c"
@@ -33,48 +38,9 @@ TAG_W2, TAG_W3A, TAG_W3B = "W2", "W3a", "W3b"
 TAG_L1, TAG_L2 = "WL-L1", "WL-L2"
 
 
-@dataclass
-class WirelessOutcome:
-    x: float
-    case_tag: str
-    simultaneous: bool
-    r1_time: float
-    r2_time: float
-    r1_plan: RobotPlan
-    r2_plan: RobotPlan
-    message_time: float | None
-
-
-def _hit_ccw(start: float, exit_theta: float) -> float:
-    t = normalize_angle(exit_theta - start)
-    # an exit within angular tolerance behind the start point counts as
-    # sitting on it, not a full lap away
-    return 0.0 if t >= TWO_PI - ANGLE_TOL else t
-
-
-def _hit_cw(start: float, exit_theta: float) -> float:
-    t = normalize_angle(start - exit_theta)
-    return 0.0 if t >= TWO_PI - ANGLE_TOL else t
-
-
-def _first_hits(scn: Scenario):
-    """Per-robot first exit hit: (t, found_theta, other_theta) twice."""
+def _wireless_outcome(scn: Scenario) -> Outcome:
     b = scn.zeta / 2.0
-    exits = (scn.e1.theta, scn.e2.theta)
-    t1_per = [_hit_ccw(b, e) for e in exits]
-    t2_per = [_hit_cw(-b, e) for e in exits]
-    i1 = 0 if t1_per[0] <= t1_per[1] else 1
-    i2 = 0 if t2_per[0] <= t2_per[1] else 1
-    return (
-        (t1_per[i1], exits[i1], exits[1 - i1]),
-        (t2_per[i2], exits[i2], exits[1 - i2]),
-    )
-
-
-def _wireless_outcome(scn: Scenario) -> WirelessOutcome:
-    b = scn.zeta / 2.0
-    d = scn.d
-    (t1, found1, other1), (t2, found2, other2) = _first_hits(scn)
+    (t1, found1, other1), (t2, found2, other2) = first_hits(scn)
 
     if abs(t1 - t2) <= SIM_TOL:
         x = t1
@@ -88,7 +54,7 @@ def _wireless_outcome(scn: Scenario) -> WirelessOutcome:
             exit_pos=ArcPos(found2),
             found_exit_at=x,
         )
-        return WirelessOutcome(x, TAG_SIM, True, x, x, plan1, plan2, x)
+        return Outcome(x, TAG_SIM, True, x, x, plan1, plan2, message_time=x)
 
     mirrored = t2 < t1
     if mirrored:
@@ -146,7 +112,7 @@ def _wireless_outcome(scn: Scenario) -> WirelessOutcome:
     else:
         r1_plan, r2_plan = finder_plan, receiver_plan
         r1_time, r2_time = x, receiver_time
-    return WirelessOutcome(x, tag, False, r1_time, r2_time, r1_plan, r2_plan, x)
+    return Outcome(x, tag, False, r1_time, r2_time, r1_plan, r2_plan, message_time=x)
 
 
 def _unlabeled_route(scn, x, X, D, other, chord_from_d, swept_by_finder,
@@ -216,52 +182,27 @@ def _unlabeled_route(scn, x, X, D, other, chord_from_d, swept_by_finder,
     return RobotPlan(receiver_legs, ArcPos(target), None), time, tag
 
 
-def _check_wireless(scn: Scenario, labeled: bool):
-    if scn.model is not CommModel.WIRELESS:
+def _check(scn: Scenario, labeled: bool):
+    if scn.regime is not Regime.WIRELESS:
         raise WrongEvaluatorError("scenario is not a wireless instance")
     if scn.labeled != labeled:
         raise WrongEvaluatorError("labeled flag does not match the evaluator")
 
 
-def _to_result(out: WirelessOutcome) -> EvacResult:
-    return EvacResult(
-        time_from_perimeter=max(out.r1_time, out.r2_time),
-        r1_exit_time=out.r1_time,
-        r2_exit_time=out.r2_time,
-        discovery_arc_x=out.x,
-        case_tag=out.case_tag,
-        simultaneous=out.simultaneous,
-    )
-
-
 def eval_wireless_unlabeled(scn: Scenario) -> EvacResult:
-    _check_wireless(scn, labeled=False)
-    return _to_result(_wireless_outcome(scn))
+    _check(scn, labeled=False)
+    return _wireless_outcome(scn).to_result()
 
 
 def eval_wireless_labeled(scn: Scenario) -> EvacResult:
-    _check_wireless(scn, labeled=True)
-    return _to_result(_wireless_outcome(scn))
+    _check(scn, labeled=True)
+    return _wireless_outcome(scn).to_result()
 
 
-def plan_wireless(scn: Scenario) -> WirelessOutcome:
+def plan_wireless(scn: Scenario) -> Outcome:
     """Full outcome (plans included) for the replay oracle."""
-    _check_wireless(scn, labeled=scn.labeled)
+    _check(scn, labeled=scn.labeled)
     return _wireless_outcome(scn)
-
-
-def resolve_zeta(policy, d: float) -> float:
-    """Map a zeta policy ('0', 'd', 'd/2' or a number) to a value for d."""
-    if isinstance(policy, (int, float)):
-        return float(policy)
-    text = str(policy).strip().lower()
-    if text in ("0", "zero"):
-        return 0.0
-    if text == "d":
-        return d
-    if text == "d/2":
-        return d / 2.0
-    return float(text)
 
 
 def worst_wireless(d: float, zeta_policy, labeled: bool, exit_step: float):

@@ -15,15 +15,10 @@ import pytest
 from diskevac import _batch
 from diskevac.bounds import f2f_lower_bound
 from diskevac.cli import random_scenarios
-from diskevac.face_to_face import (
-    DISCREPANCY_NOTES,
-    eval_f2f_diff,
-    eval_f2f_labeled,
-    eval_f2f_same,
-)
+from diskevac.face_to_face import DISCREPANCY_NOTES
 from diskevac.meeting import ROOT_TOL
 from diskevac.replay import replay, verify_agreement
-from diskevac.scenarios import CommModel
+from diskevac.scenarios import CommModel, evaluate
 from diskevac.sweep import (
     SeriesSpec,
     SweepConfig,
@@ -33,7 +28,6 @@ from diskevac.sweep import (
     run_sweep,
     transition_points,
 )
-from diskevac.wireless import eval_wireless_labeled, eval_wireless_unlabeled
 
 CFG = SweepConfig()  # defaults: d step 0.01, exit step 0.001, d in [0, pi]
 TWO_THIRDS_PI = 2.0 * math.pi / 3.0
@@ -167,16 +161,6 @@ def test_criterion_5_lower_bound_dominance(sweeps):
     _report(5, "lower-bound dominance", ok)
 
 
-def _eval_policy(scn):
-    if scn.model is CommModel.WIRELESS:
-        return eval_wireless_labeled(scn) if scn.labeled else eval_wireless_unlabeled(scn)
-    if scn.labeled:
-        return eval_f2f_labeled(scn)
-    if scn.zeta == 0.0:
-        return eval_f2f_same(scn)
-    return eval_f2f_diff(scn)
-
-
 def test_criterion_6_oracle_equivalence():
     ok = True
     max_dev = 0.0
@@ -186,11 +170,9 @@ def test_criterion_6_oracle_equivalence():
     scns = random_scenarios(seed=20260810, samples=5000)
     per_kind = {}
     for scn in scns:
-        kind = (scn.model, scn.labeled,
-                "same" if (not scn.labeled and scn.zeta == 0.0) else
-                "diff" if (not scn.labeled and scn.zeta == scn.d) else "z")
+        kind = (scn.regime, scn.labeled)
         per_kind[kind] = per_kind.get(kind, 0) + 1
-        res = _eval_policy(scn)
+        res = evaluate(scn)
         tr1, tr2, makespan = replay(scn)
         dev = abs(makespan - res.time_from_perimeter)
         max_dev = max(max_dev, dev)

@@ -149,3 +149,32 @@ def test_scenario_rejects_non_finite(field):
     with pytest.raises(ScenarioError):
         Scenario(CommModel.WIRELESS, False, values["d"], values["zeta"],
                  ArcPos(values["e1"]))
+
+
+@pytest.mark.parametrize("verb", ["sweep", "table1", "compare"])
+@pytest.mark.parametrize("step", ["nan", "inf"])
+def test_non_finite_sweep_step_rejected(verb, step, capsys):
+    # a NaN or infinite d step never passes d_max, so the d grid would not end
+    required = {"sweep": [], "table1": [],
+                "compare": ["--model-a", "wireless", "--model-b", "wireless"]}[verb]
+    rc = main([verb, "--d-step", step] + required)
+    assert rc == 2
+    assert "is not finite and > 0" in capsys.readouterr().err
+
+
+def test_eval_f2f_zeta_within_tolerance_of_zero(capsys):
+    rc = main(["eval", "--model", "f2f", "--d", "1", "--zeta", "5e-10", "--e1", "2"])
+    near = capsys.readouterr().out
+    main(["eval", "--model", "f2f", "--d", "1", "--zeta", "0", "--e1", "2"])
+    exact = capsys.readouterr().out
+    assert rc == 0
+    assert near.startswith("time 3.282963 case F0-4a\n")
+    assert near == exact
+
+
+def test_eval_f2f_unlabeled_zeta_between_0_and_d(capsys):
+    rc = main(["eval", "--model", "f2f", "--d", "1", "--zeta", "0.5", "--e1", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "{0, d}" in captured.err
+    assert captured.out == ""

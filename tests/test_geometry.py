@@ -4,13 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diskevac.geometry import (
-    ANGLE_TOL,
     TWO_PI,
     ArcPos,
     Direction,
     DomainError,
     arc_between,
-    candidate_exits,
     cartesian,
     chord_length,
     normalize_angle,
@@ -49,22 +47,6 @@ def test_cartesian_examples():
     assert cartesian(ArcPos(math.pi / 2)) == pytest.approx((0.0, 1.0))
     dist = point_distance(cartesian(ArcPos(0.0)), cartesian(ArcPos(math.pi)))
     assert dist == pytest.approx(chord_length(math.pi))
-
-
-def test_candidate_exits_examples():
-    c = candidate_exits(ArcPos(1.0), 0.5)
-    assert c.e2_prime.theta == pytest.approx(1.5)
-    assert c.e1_prime.theta == pytest.approx(0.5)
-    assert not c.coincident
-
-    c = candidate_exits(ArcPos(0.0), math.pi)
-    assert c.e1_prime.theta == pytest.approx(math.pi)
-    assert c.e2_prime.theta == pytest.approx(math.pi)
-    assert c.coincident
-
-    c = candidate_exits(ArcPos(6.0), 1.0)
-    assert c.e2_prime.theta == pytest.approx(7.0 - TWO_PI)
-    assert c.e1_prime.theta == pytest.approx(5.0)
 
 
 def test_chord_never_longer_than_arc():
@@ -107,15 +89,3 @@ def test_arc_directions_complement(a, b):
     else:
         assert ccw + cw == pytest.approx(TWO_PI, abs=1e-9)
 
-
-@given(finite_angles, st.floats(min_value=0.0, max_value=math.pi))
-def test_candidate_round_trip(theta, d):
-    x_pos = ArcPos(theta)
-    c = candidate_exits(x_pos, d)
-    assert arc_between(x_pos, c.e1_prime, Direction.CW) == pytest.approx(
-        d % TWO_PI, abs=1e-12)
-    assert arc_between(c.e2_prime, x_pos, Direction.CW) == pytest.approx(
-        d % TWO_PI, abs=1e-12)
-    same_point = arc_between(c.e1_prime, c.e2_prime, Direction.CCW)
-    gap = min(same_point, TWO_PI - same_point)
-    assert c.coincident == (gap <= ANGLE_TOL)

@@ -4,21 +4,9 @@ import numpy as np
 import pytest
 
 from diskevac.cli import random_scenarios
-from diskevac.face_to_face import eval_f2f_diff, eval_f2f_labeled, eval_f2f_same
 from diskevac.geometry import TWO_PI, ArcPos
 from diskevac.replay import Event, dump_trace, replay, verify_agreement
-from diskevac.scenarios import CommModel, Scenario
-from diskevac.wireless import eval_wireless_labeled, eval_wireless_unlabeled
-
-
-def _policy_eval(scn):
-    if scn.model is CommModel.WIRELESS:
-        return eval_wireless_labeled(scn) if scn.labeled else eval_wireless_unlabeled(scn)
-    if scn.labeled:
-        return eval_f2f_labeled(scn)
-    if scn.zeta == 0.0:
-        return eval_f2f_same(scn)
-    return eval_f2f_diff(scn)
+from diskevac.scenarios import CommModel, Scenario, evaluate
 
 
 def test_table1_scenario_makespan():
@@ -84,7 +72,7 @@ def test_trace_dump_format(tmp_path):
 
 def test_oracle_equivalence_random_batch():
     for scn in random_scenarios(seed=123, samples=400):
-        res = _policy_eval(scn)
+        res = evaluate(scn)
         tr1, tr2, makespan = replay(scn)
         assert abs(makespan - res.time_from_perimeter) < 1e-4, scn
         report = verify_agreement(scn, tr1, tr2)

@@ -6,6 +6,7 @@ import pytest
 from diskevac import _batch
 from diskevac.geometry import TWO_PI, ArcPos
 from diskevac.scenarios import CommModel, Scenario, UnsupportedRegimeError
+from diskevac.replay import replay
 from diskevac.wireless import (
     eval_wireless_labeled,
     eval_wireless_unlabeled,
@@ -128,6 +129,21 @@ def test_batch_matches_scalar():
                 res = fn(wl(d, zeta, float(e1), labeled=labeled))
                 assert res.time_from_perimeter == pytest.approx(float(t), abs=1e-9)
                 assert res.case_tag == _batch.decode_tag(c)
+
+
+@pytest.mark.parametrize("d, zeta, e1", [(1.1, 0.55, 1.375), (0.93, 0.93, 1.395)])
+def test_batch_candidate_at_finder_start(d, zeta, e1):
+    # e1 = d + zeta/2 puts a candidate on the finder's start point, where
+    # the angle arithmetic rounds to -5.6e-17; np.mod alone makes that 2*pi,
+    # an unswept candidate, and the batch used to report W1a
+    times, codes = _batch.batch_wireless(d, zeta, False, np.array([e1]))
+    scn = wl(d, zeta, e1)
+    res = eval_wireless_unlabeled(scn)
+    assert _batch.decode_tag(codes[0]) == res.case_tag == "W3b"
+    assert float(times[0]) == pytest.approx(res.time_from_perimeter, abs=1e-12)
+    assert replay(scn)[2] == pytest.approx(float(times[0]), abs=1e-9)
+    if d == 1.1:
+        assert float(times[0]) == pytest.approx(2.975846, abs=1e-6)
 
 
 def _case_conditions(tag, x, zeta, d):

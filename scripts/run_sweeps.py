@@ -10,22 +10,7 @@ import argparse
 import time
 from pathlib import Path
 
-from diskevac.scenarios import CommModel
-from diskevac.sweep import SeriesSpec, SweepConfig, run_sweep, write_csv
-
-ALL_SERIES = [
-    SeriesSpec(CommModel.WIRELESS, False, "0"),
-    SeriesSpec(CommModel.WIRELESS, False, "d/2"),
-    SeriesSpec(CommModel.WIRELESS, False, "d"),
-    SeriesSpec(CommModel.WIRELESS, True, "0"),
-    SeriesSpec(CommModel.WIRELESS, True, "d/2"),
-    SeriesSpec(CommModel.WIRELESS, True, "d"),
-    SeriesSpec(CommModel.FACE_TO_FACE, False, "0"),
-    SeriesSpec(CommModel.FACE_TO_FACE, False, "d"),
-    SeriesSpec(CommModel.FACE_TO_FACE, True, "0"),
-    SeriesSpec(CommModel.FACE_TO_FACE, True, "d/2"),
-    SeriesSpec(CommModel.FACE_TO_FACE, True, "d"),
-]
+from diskevac.sweep import ALL_SERIES, SweepConfig, run_sweep, write_csv
 
 
 def main():

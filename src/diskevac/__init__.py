@@ -21,7 +21,6 @@ from .plans import Outcome
 from .replay import Trajectory, dump_trace, replay, verify_agreement
 from .scenarios import (
     CommModel,
-    EvacResult,
     Regime,
     Scenario,
     ScenarioError,

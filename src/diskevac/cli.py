@@ -36,6 +36,13 @@ def _positive_finite(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a count >= 1")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diskevac",
@@ -74,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="also print the wireless zeta > d bound")
 
     p_verify = sub.add_parser("verify", help="replay-oracle batch check")
-    p_verify.add_argument("--samples", type=int, default=1000)
+    p_verify.add_argument("--samples", type=_count, default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--tol", type=_positive_finite, default=1e-4,
                           help="largest accepted |policy - replay| time")

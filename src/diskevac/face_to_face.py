@@ -30,10 +30,9 @@ from .geometry import (
     point_distance,
 )
 from .meeting import catch_on_circle_arr, solve_meeting_xy
-from .plans import ArcLeg, ChordLeg, MeetSpec, Outcome, RobotPlan, mirror_meet, mirror_point
+from .plans import ArcLeg, ChordLeg, Outcome, Point, mirror_plan, mirror_point
 from .scenarios import (
     SIM_TOL,
-    EvacResult,
     Regime,
     Scenario,
     TraceInvalidError,
@@ -140,7 +139,7 @@ def _case3_same(a: float, d: float, trailing_is_exit: bool) -> _Case3:
 
 
 def _second_finder_same(a: float, d: float):
-    """Exit time and plan of a second finder (zeta = 0) in its own frame.
+    """Exit time and legs of a second finder (zeta = 0) in its own frame.
 
     A second finder never meets anyone: its chase/P gates compare against
     the partner's arrival at the ahead candidate, which already happened.
@@ -156,10 +155,10 @@ def _second_finder_same(a: float, d: float):
             target, hop = (own, w_own) if w_own <= w_ca else (ca, w_ca)
             legs += [ChordLeg(cartesian(own), res.n_point),
                      ChordLeg(res.n_point, cartesian(target))]
-            return res.t_n + hop, RobotPlan(legs, target, a)
+            return res.t_n + hop, legs
         if res.branch != "exit":
             raise TraceInvalidError(f"second finder reached branch {res.branch}")
-    return a, RobotPlan(legs, ArcPos(a), a)
+    return a, legs
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +186,7 @@ class _Frame:
         self.start = ArcPos(0.0 - b)  # the partner's; no negative zero at b = 0
         self.finder_legs: list = [ArcLeg(ArcPos(b), self.x_arc, Direction.CCW)]
         self.partner_legs: list = []
-        self.meets: list[MeetSpec] = []
+        self.meets: list[Point] = []
 
     def partner_time(self, theta: float) -> float:
         """When the partner's clockwise sweep reaches angle theta."""
@@ -199,7 +198,7 @@ class _Frame:
         m_pos = cartesian(m_arc)
         self.finder_legs.append(ChordLeg(self.x_pos, m_pos))
         self.partner_legs.append(ArcLeg(self.start, m_arc, Direction.CW))
-        self.meets.append(MeetSpec(m_pos, t_meet, (self.x, 2.0 * self.b, t_meet)))
+        self.meets.append(m_pos)
         return m_arc, m_pos
 
     def meet_at_n(self, n_point, t_n: float, via: ArcPos) -> None:
@@ -207,7 +206,7 @@ class _Frame:
         self.finder_legs.append(ChordLeg(self.x_pos, n_point))
         self.partner_legs += [ArcLeg(self.start, via, Direction.CW),
                               ChordLeg(cartesian(via), n_point)]
-        self.meets.append(MeetSpec(n_point, t_n, None))
+        self.meets.append(n_point)
 
     def meet_at_p(self, n_point, p: float):
         """The finder runs X -> N -> P; the partner sweeps on to P."""
@@ -215,29 +214,27 @@ class _Frame:
         p_pos = cartesian(p_arc)
         self.finder_legs += [ChordLeg(self.x_pos, n_point), ChordLeg(n_point, p_pos)]
         self.partner_legs.append(ArcLeg(self.start, p_arc, Direction.CW))
-        self.meets.append(MeetSpec(p_pos, p, None))
+        self.meets.append(p_pos)
         return p_pos
 
-    def done(self, tag: str, f_time: float, p_time: float, f_exit: ArcPos,
-             p_plan: RobotPlan) -> Outcome:
-        f_plan = RobotPlan(self.finder_legs, f_exit, self.x)
+    def done(self, tag: str, f_time: float, p_time: float) -> Outcome:
+        f_legs, p_legs = self.finder_legs, self.partner_legs
         if self.mirrored:
-            return Outcome(self.x, tag, False, p_time, f_time, p_plan.mirrored(),
-                           f_plan.mirrored(), [mirror_meet(m) for m in self.meets])
-        return Outcome(self.x, tag, False, f_time, p_time, f_plan, p_plan, self.meets)
+            return Outcome(self.x, tag, False, p_time, f_time, mirror_plan(p_legs),
+                           mirror_plan(f_legs), [mirror_point(m) for m in self.meets])
+        return Outcome(self.x, tag, False, f_time, p_time, f_legs, p_legs, self.meets)
 
-    def joint(self, tag, point, target: ArcPos, time: float, partner_found=None):
+    def joint(self, tag, point, target: ArcPos, time: float):
         """Both robots walk together from the meeting point to target."""
         tp = cartesian(target)
         self.finder_legs.append(ChordLeg(point, tp))
         self.partner_legs.append(ChordLeg(point, tp))
-        return self.done(tag, time, time, target,
-                         RobotPlan(self.partner_legs, target, partner_found))
+        return self.done(tag, time, time)
 
-    def joint_hop(self, tag, point, t_meet: float, targets, partner_found=None):
+    def joint_hop(self, tag, point, t_meet: float, targets):
         """Together from the meeting point to the nearest of (exit, distance)."""
         target, time = _joint_hop(point, t_meet, targets)
-        return self.joint(tag, point, target, time, partner_found)
+        return self.joint(tag, point, target, time)
 
 
 def _frame(scn: Scenario, b: float) -> _Frame | None:
@@ -292,15 +289,16 @@ def _outcome_f2f_same(scn: Scenario) -> Outcome:
         return f.joint_hop(tag, m_pos, t, [(f.x_arc, chord_length(x + t)),
                                            (f.ca, chord_length(t_a - t))])
 
-    def separately(tag: str, f_time: float, f_exit: ArcPos, s_arc: float) -> Outcome:
+    def separately(tag: str, f_time: float, s_arc: float) -> Outcome:
         """The partner evacuates alone as a second finder at its arc s_arc."""
-        s_time, s_plan = _second_finder_same(s_arc, d)
-        return f.done(tag, f_time, s_time, f_exit, s_plan.mirrored())
+        s_time, s_legs = _second_finder_same(s_arc, d)
+        f.partner_legs = mirror_plan(s_legs)
+        return f.done(tag, f_time, s_time)
 
     if x + y <= d:  # Case 1: catch before the trailing candidate
         m_arc, m_pos = f.meet_on_circle(y)
         if angle_close(m_arc.theta, f.other):
-            return f.done("F0-1", y, y, m_arc, RobotPlan(f.partner_legs, m_arc, y))
+            return f.done("F0-1", y, y)
         w_x = chord_length(x + y)
         hop_cb = chord_length((d - x) - y)
         between = chord_length(min(2.0 * d, TWO_PI))
@@ -323,17 +321,16 @@ def _outcome_f2f_same(scn: Scenario) -> Outcome:
                 raise TraceInvalidError("partner failed to intercept a live chase")
             n_f = mirror_point(res.n_point)
             f.meet_at_n(n_f, res.t_n, f.cb)
-            return f.joint_hop("F0-3a", n_f, res.t_n, _by_distance(n_f, f.x_arc, f.cb),
-                               partner_found=d - x)
+            return f.joint_hop("F0-3a", n_f, res.t_n, _by_distance(n_f, f.x_arc, f.cb))
         # 2b: no viable chase, both evacuate separately
-        return separately("F0-2b", x, f.x_arc, d - x if f.side == "behind" else t_a)
+        return separately("F0-2b", x, d - x if f.side == "behind" else t_a)
 
     if x < d:  # Case 3: the trailing candidate may already be explored
         if f.side != "ahead":
             raise TraceInvalidError("first finder in case 3 with a trailing exit")
         res = _case3_same(x, d, trailing_is_exit=False)
         if res.branch == "exit":
-            return separately("F0-3b", x, f.x_arc, t_a)
+            return separately("F0-3b", x, t_a)
         if res.branch == "chase":
             return catch("F0-3a", res.y)
         if res.branch == "pmeet":
@@ -344,14 +341,14 @@ def _outcome_f2f_same(scn: Scenario) -> Outcome:
         target, f_time = _joint_hop(res.n_point, res.t_n,
                                     _by_distance(res.n_point, f.x_arc, f.ca))
         f.finder_legs.append(ChordLeg(res.n_point, cartesian(target)))
-        return separately("F0-3a", f_time, target, t_a)
+        return separately("F0-3a", f_time, t_a)
 
     # Case 4: the trailing candidate is in the finder's own swept arc
     if f.side != "ahead":
         raise TraceInvalidError("first finder in case 4 with a trailing exit")
     if y < t_a:
         return catch("F0-4a", y)
-    return separately("F0-4c" if t_a >= d - ANGLE_TOL else "F0-4b", x, f.x_arc, t_a)
+    return separately("F0-4c" if t_a >= d - ANGLE_TOL else "F0-4b", x, t_a)
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +374,8 @@ def _outcome_f2f_diff(scn: Scenario) -> Outcome:
             _, m_pos = f.meet_on_circle(y)
             return f.joint_hop("Fd-2c", m_pos, y, _by_distance(m_pos, f.x_arc, f.ca))
         # 2b: the partner will deduce the layout on its own; exit separately
-        s_target = f.ca if t_a <= t_x else f.x_arc
         f.partner_legs.append(ArcLeg(f.start, ArcPos(-b - t_stop), Direction.CW))
-        return f.done("Fd-2b", x, t_stop, f.x_arc, RobotPlan(f.partner_legs, s_target, t_stop))
+        return f.done("Fd-2b", x, t_stop)
 
     # Case 1: x < d, the trailing candidate hides in the never-swept gap
     if t_a > y:  # 1a: E2' is not inside arc CM; catch and return to X
@@ -395,7 +391,7 @@ def _outcome_f2f_diff(scn: Scenario) -> Outcome:
     if f.side == "ahead":  # 1b: both converge on the chord X-E2'
         f.meet_at_n(n_point, t_n, f.ca)
         return f.joint_hop("Fd-2a" if t_a >= d - ANGLE_TOL else "Fd-1b", n_point, t_n,
-                           [(f.x_arc, s), (f.ca, seg - s)], partner_found=t_a)
+                           [(f.x_arc, s), (f.ca, seg - s)])
     # other exit is the gap candidate; E2' will turn out empty
     if s <= ANGLE_TOL:
         # the partner swept past E2' long ago; fall back to the plain catch
@@ -414,7 +410,7 @@ def _outcome_f2f_diff(scn: Scenario) -> Outcome:
     target, f_time = _joint_hop(p_pos, p, _by_distance(p_pos, f.x_arc, f.cb))
     f.finder_legs.append(ChordLeg(p_pos, cartesian(target)))
     f.partner_legs.append(ArcLeg(f.start, f.x_arc, Direction.CW))
-    return f.done("Fd-1c", f_time, t_x, target, RobotPlan(f.partner_legs, f.x_arc, t_x))
+    return f.done("Fd-1c", f_time, t_x)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +433,7 @@ def _outcome_f2f_labeled(scn: Scenario) -> Outcome:
         # The partner reaches the other exit before any catch completes;
         # chasing is hopeless, so both exit where they are headed.
         f.partner_legs.append(ArcLeg(f.start, other_arc, Direction.CW))
-        return f.done("FL-2" if f.side == "behind" else "FL-4", x, t_o, f.x_arc,
-                      RobotPlan(f.partner_legs, other_arc, t_o))
+        return f.done("FL-2" if f.side == "behind" else "FL-4", x, t_o)
     _, m_pos = f.meet_on_circle(y)
     return f.joint_hop("FL-1" if f.side == "behind" else "FL-3", m_pos, y,
                        [(f.x_arc, chord_length(x + y + zeta)),
@@ -468,8 +463,7 @@ def _sim_outcome(scn: Scenario, kind: str) -> Outcome:
         if not (x <= ANGLE_TOL or angle_close(f1, f2)):
             moving = _sim_first_action(scn, kind, x, f1, o1)
     if moving is None:
-        return Outcome(x, tag, True, x, x,
-                       RobotPlan(leg1, r1_exit, x), RobotPlan(leg2, r2_exit, x))
+        return Outcome(x, tag, True, x, x, leg1, leg2)
     # Both robots run the mirror-image maneuver and collide on the x-axis.
     t_leg = x
     for leg in moving:
@@ -488,12 +482,8 @@ def _sim_outcome(scn: Scenario, kind: str) -> Outcome:
         target = r1_exit if w_a <= w_b else r2_exit
         leg1.append(ChordLeg(cross, cartesian(target)))
         time = tau + min(w_a, w_b)
-        plan1 = RobotPlan(leg1, target, x)
-        plan2 = plan1.mirrored()
-        plan2.found_exit_at = x
-        meet = MeetSpec(cross, tau, None)
         # the meeting point lies on the symmetry axis, its own mirror image
-        return Outcome(x, tag, True, time, time, plan1, plan2, [meet])
+        return Outcome(x, tag, True, time, time, leg1, mirror_plan(leg1), [cross])
     raise TraceInvalidError("symmetric maneuvers never crossed the axis")
 
 
@@ -553,20 +543,20 @@ def _outcome(scn: Scenario, *accepted: Regime) -> Outcome:
     return _BY_REGIME[regime](scn)
 
 
-def eval_f2f_same(scn: Scenario) -> EvacResult:
-    return _outcome(scn, Regime.F2F_SAME).to_result()
+def eval_f2f_same(scn: Scenario) -> Outcome:
+    return _outcome(scn, Regime.F2F_SAME)
 
 
-def eval_f2f_diff(scn: Scenario) -> EvacResult:
-    return _outcome(scn, Regime.F2F_DIFF).to_result()
+def eval_f2f_diff(scn: Scenario) -> Outcome:
+    return _outcome(scn, Regime.F2F_DIFF)
 
 
-def eval_f2f_labeled(scn: Scenario) -> EvacResult:
-    return _outcome(scn, Regime.F2F_LABELED).to_result()
+def eval_f2f_labeled(scn: Scenario) -> Outcome:
+    return _outcome(scn, Regime.F2F_LABELED)
 
 
 def plan_f2f(scn: Scenario) -> Outcome:
-    """Full outcome (plans included) for the replay oracle."""
+    """Outcome of any face-to-face scenario, for the replay oracle."""
     return _outcome(scn, *_BY_REGIME)
 
 

@@ -1,10 +1,11 @@
 """Geometric motion plans handed from the policy dispatchers to the replay.
 
-A plan is pure geometry (arcs and straight segments) plus meet/message
-annotations; it carries no durations.  The policy evaluators price the
-same decisions with the closed-form trig expressions, the replay prices
-them by integrating segment lengths, which keeps the two time
-computations independent.
+A plan is one robot's list of legs (arcs and straight segments); a meet
+is the point where both robots must stand together.  Plans carry no
+times: the policy evaluators price their decisions with the closed-form
+trig expressions and report those times in `Outcome`, while the replay
+prices the plans by integrating segment lengths and derives every meet
+and message time from them, which keeps the two computations independent.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .geometry import ArcPos, Direction, cartesian
-from .scenarios import EvacResult
+
+Point = tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -24,11 +26,11 @@ class ArcLeg:
     direction: Direction
 
     @property
-    def p0(self) -> tuple[float, float]:
+    def p0(self) -> Point:
         return cartesian(self.start)
 
     @property
-    def p1(self) -> tuple[float, float]:
+    def p1(self) -> Point:
         return cartesian(self.end)
 
 
@@ -36,82 +38,47 @@ class ArcLeg:
 class ChordLeg:
     """Straight move between two points (perimeter or interior)."""
 
-    p0: tuple[float, float]
-    p1: tuple[float, float]
+    p0: Point
+    p1: Point
 
 
 Leg = ArcLeg | ChordLeg
 
 
-@dataclass(frozen=True)
-class MeetSpec:
-    """A planned meeting: both robots co-located at `point`.
-
-    policy_time is the closed-form arrival time; catch_eq carries
-    (x, offset, y) when the meet came from an on-circle catch equation so
-    the replay can check the equation residual.
-    """
-
-    point: tuple[float, float]
-    policy_time: float
-    catch_eq: tuple[float, float, float] | None = None
-
-
-@dataclass
-class RobotPlan:
-    """One robot's full itinerary; the final leg endpoint is its exit."""
-
-    legs: list[Leg] = field(default_factory=list)
-    exit_pos: ArcPos | None = None
-    found_exit_at: float | None = None  # policy time of own discovery, if any
-
-    def mirrored(self) -> "RobotPlan":
-        return RobotPlan(
-            legs=[_mirror_leg(leg) for leg in self.legs],
-            exit_pos=ArcPos(-self.exit_pos.theta) if self.exit_pos else None,
-            found_exit_at=self.found_exit_at,
-        )
-
-
-def _mirror_leg(leg: Leg) -> Leg:
-    if isinstance(leg, ArcLeg):
-        flip = Direction.CW if leg.direction is Direction.CCW else Direction.CCW
-        return ArcLeg(ArcPos(-leg.start.theta), ArcPos(-leg.end.theta), flip)
-    return ChordLeg((leg.p0[0], -leg.p0[1]), (leg.p1[0], -leg.p1[1]))
-
-
-def mirror_point(p: tuple[float, float]) -> tuple[float, float]:
+def mirror_point(p: Point) -> Point:
     return (p[0], -p[1])
 
 
-def mirror_meet(m: MeetSpec) -> MeetSpec:
-    return MeetSpec(mirror_point(m.point), m.policy_time, m.catch_eq)
+def mirror_plan(legs: list[Leg]) -> list[Leg]:
+    """The plan reflected across the x-axis."""
+    out: list[Leg] = []
+    for leg in legs:
+        if isinstance(leg, ArcLeg):
+            flip = Direction.CW if leg.direction is Direction.CCW else Direction.CCW
+            out.append(ArcLeg(ArcPos(-leg.start.theta), ArcPos(-leg.end.theta), flip))
+        else:
+            out.append(ChordLeg(mirror_point(leg.p0), mirror_point(leg.p1)))
+    return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class Outcome:
-    """A policy's realized evacuation: times, case tag and both plans.
+    """A policy's realized evacuation: closed-form times, case tag, plans.
 
-    Face-to-face policies fill `meets`; wireless ones set `message_time`,
-    the instant of the finder's broadcast.
+    Times are measured from perimeter arrival.  The plans end at each
+    robot's exit; `meets` lists the points where the robots exchange
+    information face to face (wireless policies have none).
     """
 
-    x: float
+    discovery_arc_x: float
     case_tag: str
     simultaneous: bool
-    r1_time: float
-    r2_time: float
-    r1_plan: RobotPlan
-    r2_plan: RobotPlan
-    meets: list[MeetSpec] = field(default_factory=list)
-    message_time: float | None = None
+    r1_exit_time: float
+    r2_exit_time: float
+    r1_plan: list[Leg]
+    r2_plan: list[Leg]
+    meets: list[Point] = field(default_factory=list)
 
-    def to_result(self) -> EvacResult:
-        return EvacResult(
-            time_from_perimeter=max(self.r1_time, self.r2_time),
-            r1_exit_time=self.r1_time,
-            r2_exit_time=self.r2_time,
-            discovery_arc_x=self.x,
-            case_tag=self.case_tag,
-            simultaneous=self.simultaneous,
-        )
+    @property
+    def time_from_perimeter(self) -> float:
+        return max(self.r1_exit_time, self.r2_exit_time)

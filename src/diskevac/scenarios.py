@@ -1,12 +1,14 @@
-"""Problem instances and evaluation results shared by the policy modules."""
+"""Problem instances, their regime and the dispatch to the policy modules."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .geometry import ANGLE_TOL, TWO_PI, ArcPos, normalize_angle
+from .plans import Outcome
 
 _EPS = 1e-12
 SIM_TOL = 1e-12  # first-hit times this close make one simultaneous find
@@ -54,50 +56,27 @@ class Scenario:
                 raise ScenarioError(f"{name} = {value} is not finite")
         if not (0.0 <= self.d <= math.pi + _EPS):
             raise ScenarioError(f"d = {self.d} outside [0, pi]")
-        if self.zeta < 0.0:
-            raise ScenarioError(f"zeta = {self.zeta} negative")
-        if self.zeta > self.d + _EPS:
-            raise UnsupportedRegimeError(
-                f"zeta = {self.zeta} exceeds d = {self.d}; only the "
-                "bounds module covers this regime (wireless_gap_bound)"
-            )
+        check_zeta(self.d, self.zeta)
 
-    @property
+    @cached_property
     def regime(self) -> "Regime":
+        """Classified on first use, so a scenario no policy covers still builds."""
         return classify(self.model, self.labeled, self.d, self.zeta)
 
     @property
     def e2(self) -> ArcPos:
         return self.e1.offset(self.d)
 
-    @property
-    def r1_start(self) -> ArcPos:
-        """R1 starts at B, zeta/2 counterclockwise of A, and travels CCW."""
-        return ArcPos(self.zeta / 2.0)
 
-    @property
-    def r2_start(self) -> ArcPos:
-        """R2 starts at C, zeta/2 clockwise of A, and travels CW."""
-        return ArcPos(-self.zeta / 2.0)
-
-
-@dataclass(frozen=True)
-class EvacResult:
-    """Evacuation outcome, times measured from perimeter arrival.
-
-    Reported totals add 1 (the center-to-perimeter leg) on top of
-    time_from_perimeter; total_time() applies it.
-    """
-
-    time_from_perimeter: float
-    r1_exit_time: float
-    r2_exit_time: float
-    discovery_arc_x: float
-    case_tag: str
-    simultaneous: bool = False
-
-    def total_time(self) -> float:
-        return self.time_from_perimeter + 1.0
+def check_zeta(d: float, zeta: float) -> None:
+    """Refuse a start separation zeta outside [0, d]."""
+    if zeta < 0.0:
+        raise ScenarioError(f"zeta = {zeta} negative")
+    if zeta > d + _EPS:
+        raise UnsupportedRegimeError(
+            f"zeta = {zeta} exceeds d = {d}; only the "
+            "bounds module covers this regime (wireless_gap_bound)"
+        )
 
 
 class Regime(Enum):
@@ -130,7 +109,7 @@ def classify(model: CommModel, labeled: bool, d: float, zeta: float) -> Regime:
     )
 
 
-def evaluate(scn: Scenario) -> EvacResult:
+def evaluate(scn: Scenario) -> Outcome:
     """Realized evacuation of scn by the evaluator of its regime."""
     from . import face_to_face, wireless
 
@@ -141,8 +120,8 @@ def evaluate(scn: Scenario) -> EvacResult:
     return getattr(face_to_face, f"eval_f2f_{regime.value}")(scn)
 
 
-def plan(scn: Scenario):
-    """Full outcome of scn, plans included, for the replay oracle."""
+def plan(scn: Scenario) -> Outcome:
+    """Outcome of scn with its plans, for the replay oracle."""
     from . import face_to_face, wireless
 
     if scn.regime is Regime.WIRELESS:

@@ -12,7 +12,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .scenarios import CommModel, Regime, classify, resolve_zeta
+from .scenarios import CommModel, Regime, check_zeta, classify, resolve_zeta
 
 CSV_HEADER = "d,zeta_policy,model,labeled,worst_time,argmax_e1,case"
 
@@ -44,6 +44,8 @@ class SweepConfig:
                 raise ValueError(f"grid step {step} is not finite and > 0")
         if not (0.0 <= self.d_min <= self.d_max <= math.pi + 1e-12):
             raise ValueError("d range must sit inside [0, pi]")
+        if self.workers < 1:
+            raise ValueError(f"workers = {self.workers}, need at least 1")
 
     def d_grid(self) -> list[float]:
         ds = []
@@ -78,11 +80,9 @@ class SweepRecord:
 
 
 def _eval_cell(args) -> SweepRecord:
-    d, series, cfg = args
+    d, regime, series, cfg = args
     from . import face_to_face, wireless
 
-    regime = classify(series.model, series.labeled, d,
-                      resolve_zeta(series.zeta_policy, d))
     if regime is Regime.WIRELESS:
         time, argmax, tag = wireless.worst_wireless(d, series.zeta_policy,
                                                     series.labeled, cfg.exit_step)
@@ -96,9 +96,16 @@ def _eval_cell(args) -> SweepRecord:
 
 
 def run_sweep(cfg: SweepConfig, series: SeriesSpec) -> list[SweepRecord]:
-    """One record per d grid point, ordered by d, worker-count independent."""
-    jobs = [(d, series, cfg) for d in cfg.d_grid()]
-    if cfg.workers <= 1:
+    """One record per d grid point, ordered by d, worker-count independent.
+
+    Every cell is checked and classified before any cell runs.
+    """
+    jobs = []
+    for d in cfg.d_grid():
+        zeta = resolve_zeta(series.zeta_policy, d)
+        check_zeta(d, zeta)
+        jobs.append((d, classify(series.model, series.labeled, d, zeta), series, cfg))
+    if cfg.workers == 1:
         return [_eval_cell(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
         return list(pool.map(_eval_cell, jobs, chunksize=8))
@@ -182,15 +189,24 @@ def read_csv(path) -> list[SweepRecord]:
     return records
 
 
-# The six series behind the Table-1 reproduction.
-TABLE1_SERIES = (
+# Every series scripts/run_sweeps.py writes, in its order.
+ALL_SERIES = (
     SeriesSpec(CommModel.WIRELESS, False, "0"),
-    SeriesSpec(CommModel.WIRELESS, False, "d"),
     SeriesSpec(CommModel.WIRELESS, False, "d/2"),
+    SeriesSpec(CommModel.WIRELESS, False, "d"),
     SeriesSpec(CommModel.WIRELESS, True, "0"),
-    SeriesSpec(CommModel.WIRELESS, True, "d"),
     SeriesSpec(CommModel.WIRELESS, True, "d/2"),
+    SeriesSpec(CommModel.WIRELESS, True, "d"),
+    SeriesSpec(CommModel.FACE_TO_FACE, False, "0"),
+    SeriesSpec(CommModel.FACE_TO_FACE, False, "d"),
+    SeriesSpec(CommModel.FACE_TO_FACE, True, "0"),
+    SeriesSpec(CommModel.FACE_TO_FACE, True, "d/2"),
+    SeriesSpec(CommModel.FACE_TO_FACE, True, "d"),
 )
+
+# The six series behind the Table-1 reproduction, in its row order.
+TABLE1_SERIES = tuple(SeriesSpec(CommModel.WIRELESS, labeled, zeta)
+                      for labeled in (False, True) for zeta in ("0", "d", "d/2"))
 
 
 def table1(cfg: SweepConfig):

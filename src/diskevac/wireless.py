@@ -20,10 +20,9 @@ from .geometry import (
     chord_length,
     normalize_angle,
 )
-from .plans import ArcLeg, ChordLeg, Outcome, RobotPlan
+from .plans import ArcLeg, ChordLeg, Outcome, mirror_plan
 from .scenarios import (
     SIM_TOL,
-    EvacResult,
     Regime,
     Scenario,
     TraceInvalidError,
@@ -43,18 +42,9 @@ def _wireless_outcome(scn: Scenario) -> Outcome:
     (t1, found1, other1), (t2, found2, other2) = first_hits(scn)
 
     if abs(t1 - t2) <= SIM_TOL:
-        x = t1
-        plan1 = RobotPlan(
-            legs=[ArcLeg(ArcPos(b), ArcPos(found1), Direction.CCW)],
-            exit_pos=ArcPos(found1),
-            found_exit_at=x,
-        )
-        plan2 = RobotPlan(
-            legs=[ArcLeg(ArcPos(-b), ArcPos(found2), Direction.CW)],
-            exit_pos=ArcPos(found2),
-            found_exit_at=x,
-        )
-        return Outcome(x, TAG_SIM, True, x, x, plan1, plan2, message_time=x)
+        return Outcome(t1, TAG_SIM, True, t1, t1,
+                       [ArcLeg(ArcPos(b), ArcPos(found1), Direction.CCW)],
+                       [ArcLeg(ArcPos(-b), ArcPos(found2), Direction.CW)])
 
     mirrored = t2 < t1
     if mirrored:
@@ -80,11 +70,7 @@ def _wireless_outcome(scn: Scenario) -> Outcome:
         u = normalize_angle(c + b)
         return ANGLE_TOL < u < scn.zeta - ANGLE_TOL
 
-    finder_plan = RobotPlan(
-        legs=[ArcLeg(ArcPos(b), ArcPos(X), Direction.CCW)],
-        exit_pos=ArcPos(X),
-        found_exit_at=x,
-    )
+    finder_legs = [ArcLeg(ArcPos(b), ArcPos(X), Direction.CCW)]
     receiver_legs: list = [ArcLeg(ArcPos(-b), ArcPos(D), Direction.CW)]
 
     if scn.labeled:
@@ -99,32 +85,28 @@ def _wireless_outcome(scn: Scenario) -> Outcome:
         receiver_legs.append(ChordLeg(cartesian(ArcPos(D)), cartesian(ArcPos(target))))
         receiver_time = x + length
         tag = TAG_L2 if in_gap(other) else TAG_L1
-        receiver_plan = RobotPlan(receiver_legs, ArcPos(target), None)
     else:
-        receiver_plan, receiver_time, tag = _unlabeled_route(
+        receiver_time, tag = _unlabeled_route(
             scn, x, X, D, other, chord_from_d, swept_by_finder,
             swept_by_receiver, in_gap, receiver_legs,
         )
 
     if mirrored:
-        r1_plan, r2_plan = receiver_plan.mirrored(), finder_plan.mirrored()
-        r1_time, r2_time = receiver_time, x
-    else:
-        r1_plan, r2_plan = finder_plan, receiver_plan
-        r1_time, r2_time = x, receiver_time
-    return Outcome(x, tag, False, r1_time, r2_time, r1_plan, r2_plan, message_time=x)
+        return Outcome(x, tag, False, receiver_time, x,
+                       mirror_plan(receiver_legs), mirror_plan(finder_legs))
+    return Outcome(x, tag, False, x, receiver_time, finder_legs, receiver_legs)
 
 
 def _unlabeled_route(scn, x, X, D, other, chord_from_d, swept_by_finder,
                      swept_by_receiver, in_gap, receiver_legs):
-    """Receiver route choice, realized for the actual exit layout."""
+    """Receiver route choice, appended to receiver_legs: (exit time, tag)."""
     d = scn.d
     d_pos = cartesian(ArcPos(D))
 
     if d < ANGLE_TOL:
         # Coincident exits: both candidates equal X, which is certain.
         receiver_legs.append(ChordLeg(d_pos, cartesian(ArcPos(X))))
-        return RobotPlan(receiver_legs, ArcPos(X), None), x + chord_from_d(X), TAG_W3B
+        return x + chord_from_d(X), TAG_W3B
 
     cb = normalize_angle(X - d)  # clockwise-side candidate
     ca = normalize_angle(X + d)  # counterclockwise-side candidate
@@ -147,18 +129,17 @@ def _unlabeled_route(scn, x, X, D, other, chord_from_d, swept_by_finder,
         best = min(w_x, w_b, w_a)
         if best == w_x:
             receiver_legs.append(ChordLeg(d_pos, cartesian(ArcPos(X))))
-            time, exit_pos = x + w_x, ArcPos(X)
+            time = x + w_x
         else:
             first, second = (cb, ca) if w_b <= w_a else (ca, cb)
             receiver_legs.append(ChordLeg(d_pos, cartesian(ArcPos(first))))
             if angle_close(other, first):
-                time, exit_pos = x + chord_from_d(first), ArcPos(first)
+                time = x + chord_from_d(first)
             else:
                 receiver_legs.append(
                     ChordLeg(cartesian(ArcPos(first)), cartesian(ArcPos(second)))
                 )
                 time = x + chord_from_d(first) + between
-                exit_pos = ArcPos(second)
         gap_b, gap_a = in_gap(cb), in_gap(ca)
         if not gap_b and not gap_a:
             tag = TAG_W1A
@@ -166,7 +147,7 @@ def _unlabeled_route(scn, x, X, D, other, chord_from_d, swept_by_finder,
             tag = TAG_W1C
         else:
             tag = TAG_W1B
-        return RobotPlan(receiver_legs, exit_pos, None), time, tag
+        return time, tag
 
     certain = cb if ruled_a else ca
     if not angle_close(other, certain):
@@ -179,7 +160,7 @@ def _unlabeled_route(scn, x, X, D, other, chord_from_d, swept_by_finder,
         tag = TAG_W2
     else:
         tag = TAG_W3A if swept_by_receiver(cb) else TAG_W3B
-    return RobotPlan(receiver_legs, ArcPos(target), None), time, tag
+    return time, tag
 
 
 def _check(scn: Scenario, labeled: bool):
@@ -189,18 +170,18 @@ def _check(scn: Scenario, labeled: bool):
         raise WrongEvaluatorError("labeled flag does not match the evaluator")
 
 
-def eval_wireless_unlabeled(scn: Scenario) -> EvacResult:
+def eval_wireless_unlabeled(scn: Scenario) -> Outcome:
     _check(scn, labeled=False)
-    return _wireless_outcome(scn).to_result()
+    return _wireless_outcome(scn)
 
 
-def eval_wireless_labeled(scn: Scenario) -> EvacResult:
+def eval_wireless_labeled(scn: Scenario) -> Outcome:
     _check(scn, labeled=True)
-    return _wireless_outcome(scn).to_result()
+    return _wireless_outcome(scn)
 
 
 def plan_wireless(scn: Scenario) -> Outcome:
-    """Full outcome (plans included) for the replay oracle."""
+    """Outcome of any wireless scenario, for the replay oracle."""
     _check(scn, labeled=scn.labeled)
     return _wireless_outcome(scn)
 

@@ -178,3 +178,43 @@ def test_eval_f2f_unlabeled_zeta_between_0_and_d(capsys):
     assert rc == 2
     assert "{0, d}" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("samples", ["-5", "0"])
+def test_verify_needs_at_least_one_sample(samples, capsys):
+    rc = main(["verify", "--samples", samples])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "verified" not in captured.out
+
+
+@pytest.mark.parametrize("verb", ["sweep", "table1", "compare"])
+def test_jobs_below_one_rejected(verb, capsys):
+    required = {"sweep": [], "table1": [],
+                "compare": ["--model-a", "wireless", "--model-b", "wireless"]}[verb]
+    rc = main([verb, "--jobs", "0", "--d-step", "0.5", "--exit-step", "0.1"] + required)
+    assert rc == 2
+    assert "workers = 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--model", "wireless", "--zeta", "0.5"],
+    ["sweep", "--model", "f2f", "--labeled", "--zeta", "0.5"],
+    ["compare", "--model-a", "wireless", "--zeta-a", "0.5", "--model-b", "wireless"],
+])
+def test_sweep_refuses_zeta_above_d(args, capsys):
+    # the d grid starts at 0, where zeta = 0.5 exceeds d; no cell may run
+    rc = main(args + ["--d-step", "0.25", "--exit-step", "0.1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "exceeds d" in captured.err
+    assert captured.out == ""
+
+
+def test_sweep_with_zeta_at_most_every_d_runs(capsys):
+    rc = main(["sweep", "--model", "wireless", "--zeta", "0.5", "--d-min", "0.5",
+               "--d-step", "0.25", "--exit-step", "0.1"])
+    rows = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert rows[0].startswith("0.500000,0.5,wireless,0,")
+    assert len(rows) == 12  # 0.5 .. 3.0 step 0.25, plus the pi endpoint

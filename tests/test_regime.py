@@ -2,6 +2,8 @@
 
 import pytest
 
+from diskevac import scenarios
+from diskevac.cli import run_verification
 from diskevac.geometry import ArcPos
 from diskevac.scenarios import (
     CommModel,
@@ -59,3 +61,15 @@ def test_unlabeled_f2f_between_0_and_d_is_refused_everywhere():
                   lambda: _one_cell(F2F, False, 1.0, 0.5)):
         with pytest.raises(WrongEvaluatorError, match=r"\{0, d\}"):
             route()
+
+
+def test_each_scenario_is_classified_once(monkeypatch):
+    # evaluate, the evaluator's own check, plan and plan_f2f/plan_wireless
+    # all ask scn.regime; the scenario classifies itself on the first ask
+    calls = []
+    real = scenarios.classify
+    monkeypatch.setattr(scenarios, "classify",
+                        lambda *args: calls.append(args) or real(*args))
+    _, issues = run_verification(200, 0, 1e-4)
+    assert not issues
+    assert len(calls) == 200

@@ -1,12 +1,17 @@
+import dataclasses
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 from diskevac.cli import random_scenarios
-from diskevac.geometry import TWO_PI, ArcPos
+from diskevac.geometry import TWO_PI, ArcPos, Direction, cartesian
+from diskevac.plans import ArcLeg, ChordLeg
 from diskevac.replay import Event, dump_trace, replay, verify_agreement
-from diskevac.scenarios import CommModel, Scenario, evaluate
+from diskevac.scenarios import CommModel, Scenario, TraceInvalidError, evaluate
+
+replay_mod = importlib.import_module("diskevac.replay")  # the package exports a replay()
 
 
 def test_table1_scenario_makespan():
@@ -44,6 +49,66 @@ def test_mutated_trace_fails_agreement():
     tr1.events.append(Event("meet", 0.123, (0.5, 0.5)))
     report = verify_agreement(scn, tr1, tr2)
     assert not report.passed
+
+
+def _flagged(monkeypatch, scn, mutate) -> bool:
+    """Replay scn with mutate applied to its outcome; True if anything objects."""
+    real = replay_mod.plan
+    monkeypatch.setattr(replay_mod, "plan", lambda s: mutate(real(s)))
+    try:
+        tr1, tr2, _ = replay(scn)
+    except TraceInvalidError:
+        return True
+    return not verify_agreement(scn, tr1, tr2).passed
+
+
+def _extend_sweep(legs, extra):
+    """The first leg sweeps `extra` further; the next leg starts there."""
+    sweep, turn, *rest = legs
+    end = sweep.end.offset(extra if sweep.direction is Direction.CCW else -extra)
+    return [ArcLeg(sweep.start, end, sweep.direction),
+            ChordLeg(cartesian(end), turn.p1), *rest]
+
+
+def _receiver_mutated(change):
+    """Mutation: change the legs of the wireless receiver (the robot that turns)."""
+    def mutate(out):
+        name = "r1_plan" if len(out.r1_plan) > 1 else "r2_plan"
+        return dataclasses.replace(out, **{name: change(getattr(out, name))})
+    return mutate
+
+
+def _catch_point_moved(out):
+    """Mutation: the partner's sweep ends 1e-6 of arc past the catch point."""
+    (meet,) = out.meets
+    name = "r1_plan" if math.dist(out.r1_plan[0].p1, meet) < 1e-12 else "r2_plan"
+    assert math.dist(getattr(out, name)[0].p1, meet) < 1e-12
+    return dataclasses.replace(out, **{name: _extend_sweep(getattr(out, name), 1e-6)})
+
+
+WL_SCN = Scenario(CommModel.WIRELESS, False, 2.0, 1.0, ArcPos(1.3))
+F2F_SCN = Scenario(CommModel.FACE_TO_FACE, False, 2.0, 0.0, ArcPos(1.0))
+
+
+def test_unmutated_plans_pass(monkeypatch):
+    for scn in (WL_SCN, F2F_SCN):
+        assert not _flagged(monkeypatch, scn, lambda out: out)
+
+
+def test_receiver_sweeping_past_the_message_is_flagged(monkeypatch):
+    # the message lands when the receiver's own sweep ends, 0.3 after it left
+    assert _flagged(monkeypatch, WL_SCN, _receiver_mutated(lambda legs: _extend_sweep(legs, 0.3)))
+
+
+def test_moved_catch_point_is_flagged(monkeypatch):
+    assert _flagged(monkeypatch, F2F_SCN, _catch_point_moved)
+
+
+def test_leg_starting_away_from_the_robot_is_flagged(monkeypatch):
+    def jump(legs):
+        sweep, turn = legs
+        return [sweep, ChordLeg((turn.p0[0] + 1e-6, turn.p0[1]), turn.p1)]
+    assert _flagged(monkeypatch, WL_SCN, _receiver_mutated(jump))
 
 
 def test_wireless_message_causality():

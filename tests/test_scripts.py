@@ -1,0 +1,36 @@
+"""Smoke runs of the experiment scripts on a coarse grid."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from diskevac.sweep import ALL_SERIES, CSV_HEADER
+
+ROOT = Path(__file__).resolve().parent.parent
+COARSE = ["--d-step", "0.5", "--exit-step", "0.05"]
+
+
+def _run(script, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_run_sweeps_writes_every_series(tmp_path):
+    proc = _run("run_sweeps.py", "--out-dir", str(tmp_path), *COARSE)
+    assert proc.returncode == 0, proc.stderr
+    csvs = sorted(tmp_path.glob("*.csv"))
+    assert len(csvs) == len(ALL_SERIES) == 11
+    for path in csvs:
+        assert path.read_text().startswith(CSV_HEADER + "\n")
+
+
+def test_reproduce_table1_prints_six_rows():
+    proc = _run("reproduce_table1.py", *COARSE)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["zeta", "exits", "min", "time", "at", "d"]
+    assert len(rows) == 6

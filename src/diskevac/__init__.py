@@ -16,7 +16,7 @@ from .geometry import (
     chord_length,
     normalize_angle,
 )
-from .meeting import MeetQuery, RegimeError, SolverError, solve_meeting, solve_meeting_xy
+from .meeting import RegimeError, SolverError, solve_meeting
 from .plans import Outcome
 from .replay import Trajectory, dump_trace, replay, verify_agreement
 from .scenarios import (
@@ -29,7 +29,6 @@ from .scenarios import (
     WrongEvaluatorError,
     classify,
     evaluate,
-    plan,
     resolve_zeta,
 )
 from .sweep import (

@@ -15,7 +15,7 @@ import numpy as np
 from .geometry import ANGLE_TOL, TWO_PI
 from .meeting import catch_on_circle_arr as _catch_p_arr  # module name perfbench wraps
 from .meeting import solve_meeting_arr
-from .scenarios import SIM_TOL, TraceInvalidError
+from .scenarios import TraceInvalidError
 
 TAG_LIST = (
     "W-sim", "W1a", "W1b", "W1c", "W2", "W3a", "W3b", "WL-L1", "WL-L2",
@@ -75,7 +75,7 @@ def _frame(d: float, zeta: float, e1s: np.ndarray):
     t2 = np.minimum(t2a, t2b)
     found2 = np.where(t2a <= t2b, e1s, e2s)
     other2 = np.where(t2a <= t2b, e2s, e1s)
-    sim = np.abs(t1 - t2) <= SIM_TOL
+    sim = np.abs(t1 - t2) <= ANGLE_TOL
     # Simultaneous finds where both robots stand on the same exit point:
     # co-located, so they exchange and leave immediately.
     sim_trivial = sim & (_close(found1, found2) | (t1 <= ANGLE_TOL))
@@ -94,9 +94,6 @@ def batch_wireless(d: float, zeta: float, labeled: bool, e1s: np.ndarray):
     b = zeta / 2.0
     x, found, other, sim, _ = _frame(d, zeta, e1s)
     n = e1s.size
-    times = np.empty(n)
-    codes = np.empty(n, dtype=np.int16)
-
     big_d = np.mod(-b - x, TWO_PI)  # receiver position when the message lands
 
     def chord_from_d(c):
@@ -192,6 +189,29 @@ def _intercept_arr(qx, qy, tq, p0x, p0y, t0, p1x, p1y, slack=0.0):
     return ok, nx, ny, t0 + s
 
 
+def _hop(px, py, t, theta_a, theta_b):
+    """t plus the distance from (px, py) to the nearer of two perimeter points."""
+    return t + np.minimum(np.hypot(px - np.cos(theta_a), py - np.sin(theta_a)),
+                          np.hypot(px - np.cos(theta_b), py - np.sin(theta_b)))
+
+
+def _case3_arr(a, d, m=None, slack=0.0):
+    """Vector twin of face_to_face._case3_same, up to the interception at N.
+
+    A dancer found an exit at arc a (own frame, d/2 < a < d).  Returns go
+    (False: the 'exit' branch, M comes too late), hit (N is reached in
+    time, else a miss), N = (nx, ny) and its time tn.  m, the catch-up
+    root at phi = d - a, is solved for unless the caller already holds it.
+    """
+    phi = d - a
+    if m is None:
+        m = solve_meeting_arr(phi, 0.0)
+    go = m < TWO_PI - 2.0 * d + a
+    hit, nx, ny, tn = _intercept_arr(np.cos(a), np.sin(a), a, np.cos(-phi), np.sin(-phi),
+                                     phi, np.cos(m), np.sin(m), slack)
+    return go, hit, nx, ny, tn
+
+
 def _second_exit_arr(a_s, d):
     """Second finder's exit time (own frame), vectorized.
 
@@ -203,22 +223,22 @@ def _second_exit_arr(a_s, d):
     dance = (a_s < d - ANGLE_TOL) & (a_s > d / 2.0)
     if not np.any(dance):
         return out
-    idx = np.flatnonzero(dance)
-    a = a_s[idx]
-    phi = d - a
-    m = solve_meeting_arr(phi, 0.0)
-    gate = m < TWO_PI - 2.0 * d + a
-    qx, qy = np.cos(a), np.sin(a)
-    p0x, p0y = np.cos(-phi), np.sin(-phi)
-    p1x, p1y = np.cos(m), np.sin(m)
-    ok, nx, ny, tn = _intercept_arr(qx, qy, a, p0x, p0y, phi, p1x, p1y)
-    use = gate & ok
-    cax, cay = np.cos(a + d), np.sin(a + d)
-    w_own = np.hypot(nx - qx, ny - qy)
-    w_ca = np.hypot(nx - cax, ny - cay)
-    nn_time = tn + np.minimum(w_own, w_ca)
-    out[idx] = np.where(use, nn_time, a)
+    a = a_s[dance]
+    go, hit, nx, ny, tn = _case3_arr(a, d)
+    out[dance] = np.where(go & hit, _hop(nx, ny, tn, a, a + d), a)
     return out
+
+
+def _f2f_frame(d: float, zeta: float, e1s: np.ndarray):
+    """Unlabeled face-to-face frame: x, found, sim and the other exit's side."""
+    x, found, other, sim, sim_trivial = _frame(d, zeta, e1s)
+    if np.any(sim & ~sim_trivial):
+        raise TraceInvalidError("symmetric simultaneous placement on the grid")
+    ahead = _close(other, found + d)
+    behind = ~ahead & _close(other, found - d)
+    if np.any(~ahead & ~behind):
+        raise TraceInvalidError("other exit not at distance d")
+    return x, found, sim, ahead, behind
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +246,8 @@ def _second_exit_arr(a_s, d):
 # ---------------------------------------------------------------------------
 
 def batch_f2f_same(d: float, e1s: np.ndarray):
-    x, found, other, sim, sim_trivial = _frame(d, 0.0, e1s)
-    if np.any(sim & ~sim_trivial):
-        raise TraceInvalidError("symmetric simultaneous placement on the grid")
+    x, found, sim, ahead, behind = _f2f_frame(d, 0.0, e1s)
     n = e1s.size
-    ahead = _close(other, found + d)
-    behind = ~ahead & _close(other, found - d)
-    if np.any(~ahead & ~behind):
-        raise TraceInvalidError("other exit not at distance d")
-
     y = solve_meeting_arr(x, 0.0)
     t_a = np.mod(-(found + d), TWO_PI)
 
@@ -245,8 +258,10 @@ def batch_f2f_same(d: float, e1s: np.ndarray):
     if np.any((c3 | c4) & behind & ~sim):
         raise TraceInvalidError("first finder in case 3/4 with a trailing exit")
 
-    times = np.empty(n)
-    codes = np.empty(n, dtype=np.int16)
+    # catch the partner on the circle at y, then the nearer of X and E2'
+    t_catch = y + np.minimum(_ch(x + y), _ch(t_a - y))
+    # evacuate separately: the partner is a second finder at arc t_a
+    t_apart = np.maximum(x, _second_exit_arr(t_a, d))
 
     # case 1
     w_x = _ch(x + y)
@@ -259,82 +274,45 @@ def batch_f2f_same(d: float, e1s: np.ndarray):
 
     # case 2
     g2a = y <= t_a
-    t_2a_ahead = y + np.minimum(_ch(x + y), _ch(t_a - y))
     # 2a with the exit behind: the partner found it and intercepts at N
     t_2a_behind = np.full(n, np.nan)
-    m2 = (c2 & g2a & behind)
+    m2 = c2 & g2a & behind
     if np.any(m2):
-        idx = np.flatnonzero(m2)
-        a_s = d - x[idx]          # the intercepting partner's own arc
-        y_i = y[idx]              # phantom target arc equals the real chase
-        qx, qy = np.cos(a_s), np.sin(a_s)
-        p0x, p0y = np.cos(-x[idx]), np.sin(-x[idx])
-        p1x, p1y = np.cos(y_i), np.sin(y_i)
-        ok, nx, ny, tn = _intercept_arr(qx, qy, a_s, p0x, p0y, x[idx],
-                                        p1x, p1y, slack=1e-7)
-        if not np.all(ok):
+        a_s = d - x[m2]  # the intercepting partner's own find
+        # the chase it intercepts is this finder's own: its root is y
+        _, hit, nx, ny, tn = _case3_arr(a_s, d, m=y[m2], slack=1e-7)
+        if not np.all(hit):
             raise TraceInvalidError("partner failed to intercept a live chase")
-        w_own = np.hypot(nx - qx, ny - qy)
-        w_trail = np.hypot(nx - p0x, ny - p0y)
-        t_2a_behind[idx] = tn + np.minimum(w_own, w_trail)
-    t_2b = np.where(behind, np.maximum(x, d - x),
-                    np.maximum(x, _second_exit_arr(t_a, d)))
+        t_2a_behind[m2] = _hop(nx, ny, tn, a_s, a_s - d)
+    t_2b = np.where(behind, np.maximum(x, d - x), t_apart)
 
     # case 3 (exit always ahead here)
     t_c3 = np.full(n, np.nan)
     c_c3 = np.full(n, encode_tag("F0-3b"), dtype=np.int16)
     if np.any(c3):
-        idx = np.flatnonzero(c3)
-        xi, yi, tai = x[idx], y[idx], t_a[idx]
-        phi = d - xi
-        m = solve_meeting_arr(phi, 0.0)
-        gate = m < TWO_PI - 2.0 * d + xi
-        qx, qy = np.cos(xi), np.sin(xi)
-        p0x, p0y = np.cos(-phi), np.sin(-phi)
-        p1x, p1y = np.cos(m), np.sin(m)
-        ok, nx, ny, tn = _intercept_arr(qx, qy, xi, p0x, p0y, phi, p1x, p1y)
+        xi, yi, tai = x[c3], y[c3], t_a[c3]
+        go, hit, nx, ny, tn = _case3_arr(xi, d)
         p = _catch_p_arr(nx, ny, tn, 0.0)
-        cax, cay = np.cos(xi + d), np.sin(xi + d)
-        s_side = np.maximum(xi, _second_exit_arr(tai, d))
-
-        p_viable = gate & ok & (p < tai)
-        px, py = np.cos(-p), np.sin(-p)
-        t_pmeet = p + np.minimum(np.hypot(px - qx, py - qy),
-                                 np.hypot(px - cax, py - cay))
-        t_nn = np.maximum(
-            tn + np.minimum(np.hypot(nx - qx, ny - qy),
-                            np.hypot(nx - cax, ny - cay)),
-            s_side,
+        t_nn = np.maximum(_hop(nx, ny, tn, xi, xi + d), t_apart[c3])
+        t_c3[c3] = np.where(
+            go & hit & (p < tai), _hop(np.cos(-p), np.sin(-p), p, xi, xi + d),
+            np.where(go & hit, t_nn,
+                     np.where(go & ~hit & (yi < tai), t_catch[c3], t_apart[c3])),
         )
-        chase_ok = gate & ~ok & (yi < tai)
-        t_chase = yi + np.minimum(_ch(xi + yi), _ch(tai - yi))
-
-        sub_t = np.where(
-            p_viable, t_pmeet,
-            np.where(gate & ok, t_nn,
-                     np.where(chase_ok, t_chase, s_side)),
-        )
-        sub_c = np.where(
-            gate & (ok | (yi < tai)),
-            encode_tag("F0-3a"), encode_tag("F0-3b"),
-        )
-        t_c3[idx] = sub_t
-        c_c3[idx] = sub_c
+        c_c3[c3] = np.where(go & (hit | (yi < tai)),
+                            encode_tag("F0-3a"), encode_tag("F0-3b"))
 
     # case 4
     g4a = y < t_a
-    t_c4 = np.where(g4a, y + np.minimum(_ch(x + y), _ch(t_a - y)),
-                    np.maximum(x, _second_exit_arr(t_a, d)))
+    t_c4 = np.where(g4a, t_catch, t_apart)
     c_c4 = np.where(g4a, encode_tag("F0-4a"),
                     np.where(t_a >= d - ANGLE_TOL, encode_tag("F0-4c"),
                              encode_tag("F0-4b")))
 
-    times = np.select(
-        [sim, c1, c2 & g2a & ahead, c2 & g2a & behind, c2 & ~g2a, c3, c4],
-        [x, t_c1, t_2a_ahead, t_2a_behind, t_2b, t_c3, t_c4],
-    )
+    cases = [sim, c1, c2 & g2a & ahead, m2, c2 & ~g2a, c3, c4]
+    times = np.select(cases, [x, t_c1, t_catch, t_2a_behind, t_2b, t_c3, t_c4])
     codes = np.select(
-        [sim, c1, c2 & g2a & ahead, c2 & g2a & behind, c2 & ~g2a, c3, c4],
+        cases,
         [encode_tag("F0-sim"), encode_tag("F0-1"), encode_tag("F0-2a"),
          encode_tag("F0-3a"), encode_tag("F0-2b"), c_c3, c_c4],
     ).astype(np.int16)
@@ -347,14 +325,8 @@ def batch_f2f_same(d: float, e1s: np.ndarray):
 
 def batch_f2f_diff(d: float, e1s: np.ndarray):
     b = d / 2.0
-    x, found, other, sim, sim_trivial = _frame(d, d, e1s)
-    if np.any(sim & ~sim_trivial):
-        raise TraceInvalidError("symmetric simultaneous placement on the grid")
+    x, found, sim, ahead, behind = _f2f_frame(d, d, e1s)
     n = e1s.size
-    ahead = _close(other, found + d)
-    behind = ~ahead & _close(other, found - d)
-    if np.any(~ahead & ~behind):
-        raise TraceInvalidError("other exit not at distance d")
 
     y = solve_meeting_arr(x, d)
     t_a = np.mod(-b - (found + d), TWO_PI)
@@ -403,12 +375,10 @@ def batch_f2f_diff(d: float, e1s: np.ndarray):
         t_1c[idx] = np.where(si <= ANGLE_TOL, t_chase,
                              np.where(p <= t_x[idx], t_pm, t_def))
 
-    times = np.select(
-        [sim, c2 & g2c, c2, ~c2 & g1a, ~c2 & ahead, m1c],
-        [x, t_2c, t_2b, t_1a, t_1b, t_1c],
-    )
+    cases = [sim, c2 & g2c, c2, ~c2 & g1a, ~c2 & ahead, m1c]
+    times = np.select(cases, [x, t_2c, t_2b, t_1a, t_1b, t_1c])
     codes = np.select(
-        [sim, c2 & g2c, c2, ~c2 & g1a, ~c2 & ahead, m1c],
+        cases,
         [encode_tag("Fd-sim"), encode_tag("Fd-2c"), encode_tag("Fd-2b"),
          encode_tag("Fd-1a"), c_1b, encode_tag("Fd-1c")],
     ).astype(np.int16)

@@ -15,7 +15,15 @@ import numpy as np
 
 from .bounds import f2f_lower_bound, wireless_gap_bound
 from .geometry import ArcPos, DomainError
-from .scenarios import CommModel, Scenario, ScenarioError, evaluate, resolve_zeta
+from .meeting import RegimeError, SolverError
+from .scenarios import (
+    CommModel,
+    Scenario,
+    ScenarioError,
+    TraceInvalidError,
+    evaluate,
+    resolve_zeta,
+)
 from .sweep import (
     SeriesSpec,
     SweepConfig,
@@ -186,14 +194,21 @@ def random_scenarios(seed: int, samples: int):
 
 
 def run_verification(samples: int, seed: int, tol: float):
-    """Replay every sampled scenario; returns (max_deviation, issues)."""
+    """Replay every sampled scenario; returns (max_deviation, issues).
+
+    A policy or replay that cannot handle a scenario is one more issue.
+    """
     from .replay import replay, verify_agreement
 
     max_dev = 0.0
     issues: list[str] = []
     for scn in random_scenarios(seed, samples):
-        res = evaluate(scn)
-        tr1, tr2, makespan = replay(scn)
+        try:
+            res = evaluate(scn)
+            tr1, tr2, makespan = replay(scn)
+        except (TraceInvalidError, RegimeError, SolverError) as exc:
+            issues.append(f"{scn}: {type(exc).__name__}: {exc}")
+            continue
         dev = abs(makespan - res.time_from_perimeter)
         max_dev = max(max_dev, dev)
         if dev >= tol:

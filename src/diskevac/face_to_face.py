@@ -3,9 +3,10 @@
 Information travels only through co-location, so a finder either exits in
 place or intercepts its partner: on the circle at the catch point M, on a
 known chase chord at the equal-elapsed point N, or (after a miss at N) at
-the recomputed on-circle point P.  The dispatcher always works from the
-first finder's perspective; scenarios where R2 finds first are mirrored
-across the x-axis and mapped back afterwards.
+the recomputed on-circle point P.  The dispatcher always works in the
+first finder's frame (scenarios.Frame, shared with the wireless model):
+scenarios where R2 finds first are mirrored across the x-axis and mapped
+back afterwards.
 
 Realized times for the actual exit layout are returned, not per-case
 worst-case expressions; worst cases emerge from the sweep module.
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import meeting
 from .geometry import (
     ANGLE_TOL,
     TWO_PI,
@@ -26,18 +28,15 @@ from .geometry import (
     angle_close,
     cartesian,
     chord_length,
-    normalize_angle,
     point_distance,
 )
-from .meeting import catch_on_circle_arr, solve_meeting_xy
-from .plans import ArcLeg, ChordLeg, Outcome, Point, mirror_plan, mirror_point
+from .plans import ArcLeg, ChordLeg, Outcome, mirror_plan, mirror_point
 from .scenarios import (
-    SIM_TOL,
+    Frame,
     Regime,
     Scenario,
     TraceInvalidError,
     WrongEvaluatorError,
-    first_hits,
     resolve_zeta,
 )
 
@@ -90,8 +89,8 @@ def catch_on_circle_from(point, t0: float, b: float) -> float:
     One point through meeting.catch_on_circle_arr, the kernel the batch
     evaluators use, so scalar and batch catches agree by construction.
     """
-    p = catch_on_circle_arr(np.array([point[0]]), np.array([point[1]]),
-                            np.array([t0]), b)
+    p = meeting.catch_on_circle_arr(np.array([point[0]]), np.array([point[1]]),
+                                    np.array([t0]), b)
     return float(p[0])
 
 
@@ -116,7 +115,7 @@ def _case3_same(a: float, d: float, trailing_is_exit: bool) -> _Case3:
     """
     phi = d - a
     t_a = TWO_PI - a - d
-    m = solve_meeting_xy(phi, 0.0)
+    m = meeting.solve_meeting(phi, 0.0)
     if m >= TWO_PI - 2.0 * d + a:
         return _Case3("exit")
     q = cartesian(ArcPos(a))
@@ -125,7 +124,7 @@ def _case3_same(a: float, d: float, trailing_is_exit: bool) -> _Case3:
     slack = 1e-7 if trailing_is_exit else 0.0
     hit = intercept_moving_target(q, a, p0, phi, p1, slack=slack)
     if hit is None:
-        y = solve_meeting_xy(a, 0.0)
+        y = meeting.solve_meeting(a, 0.0)
         if y < t_a:
             return _Case3("chase", y=y, m=m)
         return _Case3("exit")
@@ -162,89 +161,57 @@ def _second_finder_same(a: float, d: float):
 
 
 # ---------------------------------------------------------------------------
-# the first finder's frame and plan assembly
+# face-to-face meetings in the first finder's frame
 # ---------------------------------------------------------------------------
 
-class _Frame:
-    """A face-to-face scenario seen by its first finder, plans under way.
-
-    The finder starts at +b and sweeps counterclockwise to its find X,
-    reached at time x; the partner starts at -b and sweeps clockwise, so
-    at time t it stands at -b - t.  `done` maps a mirrored frame back.
-    """
-
-    def __init__(self, d: float, b: float, mirrored: bool, x: float,
-                 found: float, other: float):
-        self.b, self.mirrored, self.x, self.other = b, mirrored, x, other
-        self.side = _other_side(found, other, d)
-        self.x_arc = ArcPos(found)
-        self.x_pos = cartesian(self.x_arc)
-        self.ca = ArcPos(found + d)  # candidate counterclockwise of X
-        self.ca_pos = cartesian(self.ca)
-        self.cb = ArcPos(found - d)  # candidate clockwise of X
-        self.cb_pos = cartesian(self.cb)
-        self.start = ArcPos(0.0 - b)  # the partner's; no negative zero at b = 0
-        self.finder_legs: list = [ArcLeg(ArcPos(b), self.x_arc, Direction.CCW)]
-        self.partner_legs: list = []
-        self.meets: list[Point] = []
-
-    def partner_time(self, theta: float) -> float:
-        """When the partner's clockwise sweep reaches angle theta."""
-        return normalize_angle(-self.b - theta)
+class _Frame(Frame):
+    """The shared first-finder frame plus the face-to-face meeting moves."""
 
     def meet_on_circle(self, t_meet: float):
         """The finder cuts straight to the partner's spot at t_meet (catch M)."""
-        m_arc = ArcPos(-self.b - t_meet)
+        m_arc = self.partner_at(t_meet)
         m_pos = cartesian(m_arc)
         self.finder_legs.append(ChordLeg(self.x_pos, m_pos))
-        self.partner_legs.append(ArcLeg(self.start, m_arc, Direction.CW))
+        self.sweep_partner(m_arc)
         self.meets.append(m_pos)
         return m_arc, m_pos
 
-    def meet_at_n(self, n_point, t_n: float, via: ArcPos) -> None:
+    def meet_at_n(self, n_point, via: ArcPos) -> None:
         """The finder runs X -> N; the partner sweeps to `via`, then cuts to N."""
         self.finder_legs.append(ChordLeg(self.x_pos, n_point))
-        self.partner_legs += [ArcLeg(self.start, via, Direction.CW),
-                              ChordLeg(cartesian(via), n_point)]
+        self.sweep_partner(via)
+        self.partner_legs.append(ChordLeg(cartesian(via), n_point))
         self.meets.append(n_point)
 
     def meet_at_p(self, n_point, p: float):
         """The finder runs X -> N -> P; the partner sweeps on to P."""
-        p_arc = ArcPos(-self.b - p)
+        p_arc = self.partner_at(p)
         p_pos = cartesian(p_arc)
         self.finder_legs += [ChordLeg(self.x_pos, n_point), ChordLeg(n_point, p_pos)]
-        self.partner_legs.append(ArcLeg(self.start, p_arc, Direction.CW))
+        self.sweep_partner(p_arc)
         self.meets.append(p_pos)
         return p_pos
 
-    def done(self, tag: str, f_time: float, p_time: float) -> Outcome:
-        f_legs, p_legs = self.finder_legs, self.partner_legs
-        if self.mirrored:
-            return Outcome(self.x, tag, False, p_time, f_time, mirror_plan(p_legs),
-                           mirror_plan(f_legs), [mirror_point(m) for m in self.meets])
-        return Outcome(self.x, tag, False, f_time, p_time, f_legs, p_legs, self.meets)
+    def n_on_chord(self, t_a: float):
+        """(N, s, chord): N sits s along chord X-E2', where a partner that
+        reached E2' at t_a and came back meets the finder (zeta = d)."""
+        seg = chord_length(self.d)
+        s = min(max((t_a + seg - self.x) / 2.0, 0.0), seg)
+        x_pos, ca_pos = self.x_pos, self.ca_pos
+        ux, uy = (ca_pos[0] - x_pos[0]) / seg, (ca_pos[1] - x_pos[1]) / seg
+        return (x_pos[0] + s * ux, x_pos[1] + s * uy), s, seg
 
     def joint(self, tag, point, target: ArcPos, time: float):
         """Both robots walk together from the meeting point to target."""
         tp = cartesian(target)
         self.finder_legs.append(ChordLeg(point, tp))
         self.partner_legs.append(ChordLeg(point, tp))
-        return self.done(tag, time, time)
+        return self.outcome(tag, time, time)
 
     def joint_hop(self, tag, point, t_meet: float, targets):
         """Together from the meeting point to the nearest of (exit, distance)."""
         target, time = _joint_hop(point, t_meet, targets)
         return self.joint(tag, point, target, time)
-
-
-def _frame(scn: Scenario, b: float) -> _Frame | None:
-    """First-finder frame of scn, or None when both robots find at once."""
-    (t1, f1, o1), (t2, f2, o2) = first_hits(scn)
-    if abs(t1 - t2) <= SIM_TOL:
-        return None
-    if t2 < t1:
-        return _Frame(scn.d, b, True, t2, normalize_angle(-f2), normalize_angle(-o2))
-    return _Frame(scn.d, b, False, t1, f1, o1)
 
 
 def _joint_hop(meet_point, meet_time, targets):
@@ -261,27 +228,18 @@ def _by_distance(point, *targets: ArcPos):
     return [(t, point_distance(point, cartesian(t))) for t in targets]
 
 
-def _other_side(found: float, other: float, d: float) -> str:
-    """'ahead' when the other exit is d counterclockwise of the found one."""
-    if angle_close(other, found + d):
-        return "ahead"
-    if angle_close(other, found - d):
-        return "behind"
-    raise TraceInvalidError("other exit is not at arc distance d from the find")
-
-
 # ---------------------------------------------------------------------------
 # zeta = 0, unlabeled
 # ---------------------------------------------------------------------------
 
 def _outcome_f2f_same(scn: Scenario) -> Outcome:
     d = scn.d
-    f = _frame(scn, 0.0)
-    if f is None:
-        return _sim_outcome(scn, "same")
+    f = _Frame(scn)
+    if f.sim:
+        return _sim_outcome(f, "same")
     x = f.x
     t_a = f.partner_time(f.ca.theta)  # partner's arrival at the ahead candidate
-    y = solve_meeting_xy(x, 0.0)
+    y = meeting.solve_meeting(x, 0.0)
 
     def catch(tag: str, t: float) -> Outcome:
         """Catch the partner on the circle at t, then the nearer of X and E2'."""
@@ -293,12 +251,12 @@ def _outcome_f2f_same(scn: Scenario) -> Outcome:
         """The partner evacuates alone as a second finder at its arc s_arc."""
         s_time, s_legs = _second_finder_same(s_arc, d)
         f.partner_legs = mirror_plan(s_legs)
-        return f.done(tag, f_time, s_time)
+        return f.outcome(tag, f_time, s_time)
 
     if x + y <= d:  # Case 1: catch before the trailing candidate
         m_arc, m_pos = f.meet_on_circle(y)
         if angle_close(m_arc.theta, f.other):
-            return f.done("F0-1", y, y)
+            return f.outcome("F0-1", y, y)
         w_x = chord_length(x + y)
         hop_cb = chord_length((d - x) - y)
         between = chord_length(min(2.0 * d, TWO_PI))
@@ -320,7 +278,7 @@ def _outcome_f2f_same(scn: Scenario) -> Outcome:
             if res.branch != "nmeet":
                 raise TraceInvalidError("partner failed to intercept a live chase")
             n_f = mirror_point(res.n_point)
-            f.meet_at_n(n_f, res.t_n, f.cb)
+            f.meet_at_n(n_f, f.cb)
             return f.joint_hop("F0-3a", n_f, res.t_n, _by_distance(n_f, f.x_arc, f.cb))
         # 2b: no viable chase, both evacuate separately
         return separately("F0-2b", x, d - x if f.side == "behind" else t_a)
@@ -357,14 +315,13 @@ def _outcome_f2f_same(scn: Scenario) -> Outcome:
 
 def _outcome_f2f_diff(scn: Scenario) -> Outcome:
     d = scn.d
-    b = d / 2.0
-    f = _frame(scn, b)
-    if f is None:
-        return _sim_outcome(scn, "diff")
+    f = _Frame(scn)
+    if f.sim:
+        return _sim_outcome(f, "diff")
     x = f.x
     t_a = f.partner_time(f.ca.theta)
     t_x = f.partner_time(f.x_arc.theta)
-    y = solve_meeting_xy(x, d)
+    y = meeting.solve_meeting(x, d)
 
     if x >= d:  # Case 2: own sweep rules the trailing candidate out
         if f.side != "ahead":
@@ -374,8 +331,8 @@ def _outcome_f2f_diff(scn: Scenario) -> Outcome:
             _, m_pos = f.meet_on_circle(y)
             return f.joint_hop("Fd-2c", m_pos, y, _by_distance(m_pos, f.x_arc, f.ca))
         # 2b: the partner will deduce the layout on its own; exit separately
-        f.partner_legs.append(ArcLeg(f.start, ArcPos(-b - t_stop), Direction.CW))
-        return f.done("Fd-2b", x, t_stop)
+        f.sweep_partner(f.partner_at(t_stop))
+        return f.outcome("Fd-2b", x, t_stop)
 
     # Case 1: x < d, the trailing candidate hides in the never-swept gap
     if t_a > y:  # 1a: E2' is not inside arc CM; catch and return to X
@@ -383,13 +340,10 @@ def _outcome_f2f_diff(scn: Scenario) -> Outcome:
         return f.joint("Fd-1a", m_pos, f.x_arc, y + chord_length(d + x + y))
     # 1b / 1c: E2' lies within the partner's pre-catch sweep; N sits on the
     # chord X-E2' where the partner, coming back from E2', meets the finder
-    seg = chord_length(d)
-    s = min(max((t_a + seg - x) / 2.0, 0.0), seg)
-    ux, uy = (f.ca_pos[0] - f.x_pos[0]) / seg, (f.ca_pos[1] - f.x_pos[1]) / seg
-    n_point = (f.x_pos[0] + s * ux, f.x_pos[1] + s * uy)
+    n_point, s, seg = f.n_on_chord(t_a)
     t_n = x + s
     if f.side == "ahead":  # 1b: both converge on the chord X-E2'
-        f.meet_at_n(n_point, t_n, f.ca)
+        f.meet_at_n(n_point, f.ca)
         return f.joint_hop("Fd-2a" if t_a >= d - ANGLE_TOL else "Fd-1b", n_point, t_n,
                            [(f.x_arc, s), (f.ca, seg - s)])
     # other exit is the gap candidate; E2' will turn out empty
@@ -399,18 +353,18 @@ def _outcome_f2f_diff(scn: Scenario) -> Outcome:
             raise TraceInvalidError("catch point behind the partner's own find")
         _, m_pos = f.meet_on_circle(y)
         return f.joint_hop("Fd-1c", m_pos, y, _by_distance(m_pos, f.x_arc, f.cb))
-    p = catch_on_circle_from(n_point, t_n, b)
+    p = catch_on_circle_from(n_point, t_n, f.b)
     if p <= t_x:
         p_pos = f.meet_at_p(n_point, p)
         return f.joint_hop("Fd-1c", p_pos, p, _by_distance(p_pos, f.x_arc, f.cb))
     # Defensive corner: the partner reaches X (a real exit) before P and
     # leaves; the finder carries on alone from P to the closest exit.
-    p_pos = cartesian(ArcPos(-b - p))
+    p_pos = cartesian(f.partner_at(p))
     f.finder_legs += [ChordLeg(f.x_pos, n_point), ChordLeg(n_point, p_pos)]
     target, f_time = _joint_hop(p_pos, p, _by_distance(p_pos, f.x_arc, f.cb))
     f.finder_legs.append(ChordLeg(p_pos, cartesian(target)))
-    f.partner_legs.append(ArcLeg(f.start, f.x_arc, Direction.CW))
-    return f.done("Fd-1c", f_time, t_x)
+    f.sweep_partner(f.x_arc)
+    return f.outcome("Fd-1c", f_time, t_x)
 
 
 # ---------------------------------------------------------------------------
@@ -419,21 +373,21 @@ def _outcome_f2f_diff(scn: Scenario) -> Outcome:
 
 def _outcome_f2f_labeled(scn: Scenario) -> Outcome:
     zeta = scn.zeta
-    f = _frame(scn, zeta / 2.0)
-    if f is None:
-        return _sim_outcome(scn, "labeled")
+    f = _Frame(scn)
+    if f.sim:
+        return f.in_place("FL-2" if f.side == "behind" else "FL-4")
     x = f.x
     other_arc = ArcPos(f.other)
     t_o = f.partner_time(f.other)
-    y = solve_meeting_xy(x, zeta)
+    y = meeting.solve_meeting(x, zeta)
     if t_o < x - ANGLE_TOL:
         raise TraceInvalidError("labeled partner should have found the exit first")
 
     if t_o <= y:
         # The partner reaches the other exit before any catch completes;
         # chasing is hopeless, so both exit where they are headed.
-        f.partner_legs.append(ArcLeg(f.start, other_arc, Direction.CW))
-        return f.done("FL-2" if f.side == "behind" else "FL-4", x, t_o)
+        f.sweep_partner(other_arc)
+        return f.outcome("FL-2" if f.side == "behind" else "FL-4", x, t_o)
     _, m_pos = f.meet_on_circle(y)
     return f.joint_hop("FL-1" if f.side == "behind" else "FL-3", m_pos, y,
                        [(f.x_arc, chord_length(x + y + zeta)),
@@ -444,32 +398,23 @@ def _outcome_f2f_labeled(scn: Scenario) -> Outcome:
 # simultaneous discovery (mirror-symmetric layouts)
 # ---------------------------------------------------------------------------
 
-def _sim_outcome(scn: Scenario, kind: str) -> Outcome:
-    b = scn.zeta / 2.0
-    (t1, f1, o1), (t2, f2, _) = first_hits(scn)
-    x = t1
-    r1_exit = ArcPos(f1)
-    r2_exit = ArcPos(f2)
-    leg1 = [ArcLeg(ArcPos(b), r1_exit, Direction.CCW)]
-    leg2 = [ArcLeg(ArcPos(-b), r2_exit, Direction.CW)]
-
-    moving = None
-    if kind == "labeled":
-        tag = "FL-4" if angle_close(o1, normalize_angle(f1 + scn.d)) else "FL-2"
-    else:
-        tag = "F0-sim" if kind == "same" else "Fd-sim"
-        # Zero travel, or both robots stepped onto the same exit together:
-        # both exit in place.
-        if not (x <= ANGLE_TOL or angle_close(f1, f2)):
-            moving = _sim_first_action(scn, kind, x, f1, o1)
+def _sim_outcome(f: _Frame, kind: str) -> Outcome:
+    tag = "F0-sim" if kind == "same" else "Fd-sim"
+    # Zero travel, or both robots stepped onto the same exit together:
+    # both exit in place.
+    if f.x <= ANGLE_TOL or angle_close(f.found, f.r2_find):
+        return f.in_place(tag)
+    moving = _sim_first_action(f, kind)
     if moving is None:
-        return Outcome(x, tag, True, x, x, leg1, leg2)
-    # Both robots run the mirror-image maneuver and collide on the x-axis.
-    t_leg = x
+        return f.in_place(tag)
+    # Both robots run the mirror-image maneuver and collide on the x-axis;
+    # a leg ending on the axis (rounding may leave it a hair short) meets there.
+    leg1 = f.finder_legs
+    t_leg = f.x
     for leg in moving:
         y0, y1 = leg.p0[1], leg.p1[1]
         seg = point_distance(leg.p0, leg.p1)
-        if seg <= ANGLE_TOL or y0 * y1 > 0.0:
+        if seg <= ANGLE_TOL or (y0 * y1 > 0.0 and abs(y1) > ANGLE_TOL):
             t_leg += seg
             leg1.append(leg)
             continue
@@ -477,50 +422,42 @@ def _sim_outcome(scn: Scenario, kind: str) -> Outcome:
         cross = (leg.p0[0] + u * (leg.p1[0] - leg.p0[0]), 0.0)
         tau = t_leg + u * seg
         leg1.append(ChordLeg(leg.p0, cross))
-        e_a, e_b = cartesian(r1_exit), cartesian(r2_exit)
-        w_a, w_b = point_distance(cross, e_a), point_distance(cross, e_b)
-        target = r1_exit if w_a <= w_b else r2_exit
+        r2_exit = ArcPos(f.r2_find)
+        w_a, w_b = point_distance(cross, f.x_pos), point_distance(cross, cartesian(r2_exit))
+        target = f.x_arc if w_a <= w_b else r2_exit
         leg1.append(ChordLeg(cross, cartesian(target)))
         time = tau + min(w_a, w_b)
         # the meeting point lies on the symmetry axis, its own mirror image
-        return Outcome(x, tag, True, time, time, leg1, mirror_plan(leg1), [cross])
+        return Outcome(f.x, tag, True, time, time, leg1, mirror_plan(leg1), [cross])
     raise TraceInvalidError("symmetric maneuvers never crossed the axis")
 
 
-def _sim_first_action(scn: Scenario, kind: str, x: float, found: float, other: float):
+def _sim_first_action(f: _Frame, kind: str):
     """Moving legs (if any) of R1's dispatch for a simultaneous find."""
-    d = scn.d
-    x_pos = cartesian(ArcPos(found))
+    d, x, x_pos = f.d, f.x, f.x_pos
+    t_a = f.partner_time(f.found + d)
     if kind == "same":
-        y = solve_meeting_xy(x, 0.0)
-        t_a = normalize_angle(-(found + d))
+        y = meeting.solve_meeting(x, 0.0)
         if x + y <= d or (x <= d / 2.0 and y <= t_a) or (x >= d and y < t_a):
-            return [ChordLeg(x_pos, cartesian(ArcPos(-y)))]
+            return [ChordLeg(x_pos, cartesian(f.partner_at(y)))]
         if d / 2.0 < x < d:
             res = _case3_same(x, d, trailing_is_exit=False)
             if res.branch == "chase":
-                return [ChordLeg(x_pos, cartesian(ArcPos(-res.y)))]
+                return [ChordLeg(x_pos, cartesian(f.partner_at(res.y)))]
             if res.branch in ("pmeet", "nn", "nmeet"):
                 legs = [ChordLeg(x_pos, res.n_point)]
                 if res.p is not None:
-                    legs.append(ChordLeg(res.n_point, cartesian(ArcPos(-res.p))))
+                    legs.append(ChordLeg(res.n_point, cartesian(f.partner_at(res.p))))
                 return legs
         return None
     # kind == "diff"
-    b = d / 2.0
-    y = solve_meeting_xy(x, d)
-    t_a = normalize_angle(-b - (found + d))
-    t_x = normalize_angle(-b - found)
+    y = meeting.solve_meeting(x, d)
     if x >= d:
-        return [ChordLeg(x_pos, cartesian(ArcPos(-b - y)))] if y < min(t_a, t_x) else None
+        t_x = f.partner_time(f.found)
+        return [ChordLeg(x_pos, cartesian(f.partner_at(y)))] if y < min(t_a, t_x) else None
     if t_a > y:
-        return [ChordLeg(x_pos, cartesian(ArcPos(-b - y)))]
-    seg = chord_length(d)
-    s = min(max((t_a + seg - x) / 2.0, 0.0), seg)
-    ca_pos = cartesian(ArcPos(found + d))
-    ux, uy = (ca_pos[0] - x_pos[0]) / seg, (ca_pos[1] - x_pos[1]) / seg
-    n_point = (x_pos[0] + s * ux, x_pos[1] + s * uy)
-    return [ChordLeg(x_pos, n_point)]
+        return [ChordLeg(x_pos, cartesian(f.partner_at(y)))]
+    return [ChordLeg(x_pos, f.n_on_chord(t_a)[0])]
 
 
 # ---------------------------------------------------------------------------

@@ -21,21 +21,19 @@ stopped after MAX_ITER steps, is bisected on its initial bracket down to
 that width.  Where the derivative is tiny at the root (catch-up: offset
 0 and x below about 1e-12; P catch: N on the circle next to the partner)
 the sign change is that of the computed residual, and the true error is
-its rounding noise over the derivative.  The catch-up `tol` is a
-separate residual gate: a root with |f| >= tol raises SolverError.
+its rounding noise over the derivative.  A separate residual gate
+follows: a catch-up root with |f| >= GATE_TOL raises SolverError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import TWO_PI
 
-DEFAULT_TOL = 1e-6
-GATE_TOL = 1e-12  # residual gate of solve_meeting_xy/_arr unless told otherwise
+GATE_TOL = 1e-12  # residual gate of solve_meeting and solve_meeting_arr
 MAX_ITER = 200
 ROOT_TOL = 1e-12  # enforced bound on |root - returned root|
 _BRACKET_SLACK = 1e-12
@@ -51,33 +49,6 @@ class SolverError(RuntimeError):
     """A catch-up root failed its residual gate."""
 
 
-@dataclass(frozen=True)
-class MeetQuery:
-    """One catch-up equation instance.
-
-    x is the arc already traveled by the discovering robot, offset the
-    additive separation inside the sine (0, d or zeta), tol the residual
-    gate.
-    """
-
-    x: float
-    offset: float
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        if not self.x >= 0.0:
-            raise RegimeError(f"x must be nonnegative, got {self.x}")
-        if not (0.0 <= self.offset <= math.pi + 1e-12):
-            raise RegimeError(f"offset {self.offset} outside [0, pi]")
-        if not self.tol > 0.0:
-            raise RegimeError("tol must be positive")
-        if self.x + self.offset > 2.0 * math.pi + 1e-9:
-            raise RegimeError(
-                f"x + offset = {self.x + self.offset} beyond 2*pi: chord "
-                "geometry no longer applies"
-            )
-
-
 def residual(x: float, offset: float, y: float) -> float:
     return x + 2.0 * math.sin((x + y + offset) / 2.0) - y
 
@@ -86,20 +57,29 @@ def _residual_arr(x, offset, y):
     return x + 2.0 * np.sin((x + y + offset) / 2.0) - y
 
 
-def solve_meeting(q: MeetQuery) -> float:
-    """Root of the catch-up equation within ROOT_TOL, residual below q.tol.
+def solve_meeting(x: float, offset: float) -> float:
+    """Root of the catch-up equation within ROOT_TOL, residual below GATE_TOL.
 
-    Scalar twin of solve_meeting_arr: the same operations in the same
-    order, so both return identical roots.
+    x is the arc already traveled by the discovering robot, offset the
+    additive separation inside the sine (0, d or zeta).  Scalar twin of
+    solve_meeting_arr: the same operations in the same order, so both
+    return identical roots.
     """
-    x, offset = q.x, q.offset
+    if not x >= 0.0:
+        raise RegimeError(f"x must be nonnegative, got {x}")
+    if not (0.0 <= offset <= math.pi + 1e-12):
+        raise RegimeError(f"offset {offset} outside [0, pi]")
+    if x + offset > 2.0 * math.pi + 1e-9:
+        raise RegimeError(
+            f"x + offset = {x + offset} beyond 2*pi: chord geometry no longer applies"
+        )
     f_lo = residual(x, offset, x)
     if f_lo < -_BRACKET_SLACK:
         raise RegimeError(
             f"no catch-up root at or beyond x={x} (offset={offset}): "
             "bracket endpoints do not straddle a root"
         )
-    if residual(x, offset, x + ROOT_TOL) <= 0.0 and abs(f_lo) < q.tol:
+    if residual(x, offset, x + ROOT_TOL) <= 0.0 and abs(f_lo) < GATE_TOL:
         return x
     y0 = min(x + 2.0, TWO_PI - x - offset)
     y = y0
@@ -118,16 +98,13 @@ def solve_meeting(q: MeetQuery) -> float:
             and residual(x, offset, y + ROOT_TOL) <= 0.0):
         y = float(_bisect(lambda m: _residual_arr(x, offset, m) > 0.0,
                           np.array([x]), np.array([y0]))[0])
-    if not abs(residual(x, offset, y)) < q.tol:
-        raise SolverError(f"residual gate {q.tol} not met at y={y} for {q}")
+    if not abs(residual(x, offset, y)) < GATE_TOL:
+        raise SolverError(f"residual gate {GATE_TOL} not met at y={y} "
+                          f"for x={x}, offset={offset}")
     return y
 
 
-def solve_meeting_xy(x: float, offset: float, tol: float = GATE_TOL) -> float:
-    return solve_meeting(MeetQuery(x, offset, tol))
-
-
-def solve_meeting_arr(x, offset, tol: float = GATE_TOL):
+def solve_meeting_arr(x, offset):
     """Vectorized solve_meeting over an array of x values (shared offset).
 
     Each point runs the scalar iteration; converged points leave the
@@ -139,7 +116,7 @@ def solve_meeting_arr(x, offset, tol: float = GATE_TOL):
     f_lo = _residual_arr(x, offset, x)
     valid = f_lo >= -_BRACKET_SLACK
     early = (valid & (_residual_arr(x, offset, x + ROOT_TOL) <= 0.0)
-             & (np.abs(f_lo) < tol))
+             & (np.abs(f_lo) < GATE_TOL))
     y = np.where(early, x, np.nan)
     newton = np.flatnonzero(valid & ~early)
     xn = x[newton]
@@ -167,8 +144,8 @@ def solve_meeting_arr(x, offset, tol: float = GATE_TOL):
         xb = xn[bad]
         y[newton[bad]] = _bisect(lambda m: _residual_arr(xb, offset, m) > 0.0,
                                  xb, y0[bad])
-    if not np.all(np.abs(_residual_arr(xn, offset, y[newton])) < tol):
-        raise SolverError(f"residual gate {tol} not met")
+    if not np.all(np.abs(_residual_arr(xn, offset, y[newton])) < GATE_TOL):
+        raise SolverError(f"residual gate {GATE_TOL} not met")
     return y.reshape(shape)
 
 

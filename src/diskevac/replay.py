@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .geometry import ArcPos, Direction, arc_between, cartesian, point_distance
 from .plans import ArcLeg, Leg, Point
-from .scenarios import CommModel, Scenario, TraceInvalidError, plan
+from .scenarios import CommModel, Scenario, TraceInvalidError, evaluate
 
 POS_TOL = 1e-9  # a robot stands on a point: meets, exits, leg joints
 EVENT_TIME_TOL = 1e-9  # both sides of a meet or a message agree in time
@@ -90,7 +90,7 @@ def _arrival(tr: Trajectory, point: Point) -> Segment:
 
 def replay(scn: Scenario):
     """Reconstruct both trajectories; returns (traj1, traj2, makespan)."""
-    out = plan(scn)
+    out = evaluate(scn)
     trs = (_integrate(out.r1_plan), _integrate(out.r2_plan))
     for point in out.meets:
         for tr in trs:

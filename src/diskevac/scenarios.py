@@ -1,4 +1,5 @@
-"""Problem instances, their regime and the dispatch to the policy modules."""
+"""Problem instances, their regime, the dispatch to the policy modules and
+the first-finder frame both communication models build their plans in."""
 
 from __future__ import annotations
 
@@ -7,11 +8,18 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .geometry import ANGLE_TOL, TWO_PI, ArcPos, normalize_angle
-from .plans import Outcome
+from .geometry import (
+    ANGLE_TOL,
+    TWO_PI,
+    ArcPos,
+    Direction,
+    angle_close,
+    cartesian,
+    normalize_angle,
+)
+from .plans import ArcLeg, Outcome, mirror_plan, mirror_point
 
 _EPS = 1e-12
-SIM_TOL = 1e-12  # first-hit times this close make one simultaneous find
 
 
 class CommModel(Enum):
@@ -120,15 +128,6 @@ def evaluate(scn: Scenario) -> Outcome:
     return getattr(face_to_face, f"eval_f2f_{regime.value}")(scn)
 
 
-def plan(scn: Scenario) -> Outcome:
-    """Outcome of scn with its plans, for the replay oracle."""
-    from . import face_to_face, wireless
-
-    if scn.regime is Regime.WIRELESS:
-        return wireless.plan_wireless(scn)
-    return face_to_face.plan_f2f(scn)
-
-
 def resolve_zeta(policy, d: float) -> float:
     """Map a zeta policy ('0', 'd', 'd/2' or a number) to a value for d."""
     if isinstance(policy, (int, float)):
@@ -143,27 +142,93 @@ def resolve_zeta(policy, d: float) -> float:
     return float(text)
 
 
-def _hit_ccw(start: float, exit_theta: float) -> float:
-    t = normalize_angle(exit_theta - start)
-    # an exit within angular tolerance behind the start point counts as
-    # sitting on it, not a full lap away
-    return 0.0 if t >= TWO_PI - ANGLE_TOL else t
+def _first_hit(start: float, ccw: bool, exits):
+    """(t, found, other): a robot sweeping from start meets its first exit.
+
+    An exit within ANGLE_TOL behind the start counts as sitting on it, not
+    a full lap away; an exit found at time 0 is found on the start point
+    itself, so the sweep leg to it is empty, not a rounded full lap.
+    """
+    hits = []
+    for e in exits:
+        t = normalize_angle(e - start if ccw else start - e)
+        if t >= TWO_PI - ANGLE_TOL:
+            t = 0.0
+        hits.append((t, start if t == 0.0 else e))
+    i = 0 if hits[0][0] <= hits[1][0] else 1
+    return hits[i][0], hits[i][1], exits[1 - i]
 
 
-def _hit_cw(start: float, exit_theta: float) -> float:
-    t = normalize_angle(start - exit_theta)
-    return 0.0 if t >= TWO_PI - ANGLE_TOL else t
+class Frame:
+    """A scenario seen by its first finder, with both robots' plans under way.
 
+    Both robots leave +-b (b = zeta/2) at time 0, R1 sweeping counter-
+    clockwise and R2 clockwise; the first to step on an exit is the finder.
+    When R2 finds first the frame is mirrored across the x-axis, so the
+    finder always starts at +b and sweeps counterclockwise to its find X,
+    reached at time x, while the partner starts at -b and stands at -b - t
+    at time t.  Finds within ANGLE_TOL of each other are one simultaneous
+    find (`sim`), which no first finder breaks: the frame is then R1's and
+    `r2_time`, `r2_find` hold R2's own find.  The candidate exits d either
+    side of X (`ca`, `cb` and their points) exist for unlabeled exits only.
+    `outcome` maps the plans back.
+    """
 
-def first_hits(scn: Scenario):
-    """Per-robot first exit hit: (t, found_theta, other_theta) twice."""
-    b = scn.zeta / 2.0
-    exits = (scn.e1.theta, scn.e2.theta)
-    t1_per = [_hit_ccw(b, e) for e in exits]
-    t2_per = [_hit_cw(-b, e) for e in exits]
-    i1 = 0 if t1_per[0] <= t1_per[1] else 1
-    i2 = 0 if t2_per[0] <= t2_per[1] else 1
-    return (
-        (t1_per[i1], exits[i1], exits[1 - i1]),
-        (t2_per[i2], exits[i2], exits[1 - i2]),
-    )
+    def __init__(self, scn: Scenario):
+        self.d = scn.d
+        self.b = b = scn.zeta / 2.0
+        exits = (scn.e1.theta, scn.e2.theta)
+        t1, f1, o1 = _first_hit(b, True, exits)
+        t2, f2, o2 = _first_hit(0.0 - b, False, exits)  # no negative zero at b = 0
+        self.sim = abs(t1 - t2) <= ANGLE_TOL
+        self.mirrored = not self.sim and t2 < t1
+        if self.mirrored:
+            self.x, self.found, self.other = t2, normalize_angle(-f2), normalize_angle(-o2)
+        else:
+            self.x, self.found, self.other = t1, f1, o1
+        self.r2_time, self.r2_find = t2, f2
+        self.start = ArcPos(0.0 - b)  # the partner's
+        self.x_arc = ArcPos(self.found)
+        self.x_pos = cartesian(self.x_arc)
+        if not scn.labeled:  # labeled policies never weigh the candidates
+            self.ca = ArcPos(self.found + self.d)  # candidate counterclockwise of X
+            self.cb = ArcPos(self.found - self.d)  # candidate clockwise of X
+            self.ca_pos, self.cb_pos = cartesian(self.ca), cartesian(self.cb)
+        self.finder_legs: list = [ArcLeg(ArcPos(b), self.x_arc, Direction.CCW)]
+        self.partner_legs: list = []
+        self.meets: list = []
+
+    @property
+    def side(self) -> str:
+        """'ahead' when the other exit is d counterclockwise of X, else 'behind'."""
+        if angle_close(self.other, self.found + self.d):
+            return "ahead"
+        if angle_close(self.other, self.found - self.d):
+            return "behind"
+        raise TraceInvalidError("other exit is not at arc distance d from the find")
+
+    def partner_at(self, t: float) -> ArcPos:
+        """Where the partner's clockwise sweep stands at time t."""
+        return ArcPos(-self.b - t)
+
+    def partner_time(self, theta: float) -> float:
+        """When the partner's clockwise sweep reaches angle theta."""
+        return normalize_angle(-self.b - theta)
+
+    def sweep_partner(self, end: ArcPos) -> None:
+        """The partner sweeps clockwise from its start to end."""
+        self.partner_legs.append(ArcLeg(self.start, end, Direction.CW))
+
+    def outcome(self, tag: str, f_time: float, p_time: float) -> Outcome:
+        """Outcome of the plans so far, with R1 and R2 back in place."""
+        f_legs, p_legs = self.finder_legs, self.partner_legs
+        if self.mirrored:
+            return Outcome(self.x, tag, False, p_time, f_time, mirror_plan(p_legs),
+                           mirror_plan(f_legs), [mirror_point(m) for m in self.meets])
+        return Outcome(self.x, tag, False, f_time, p_time, f_legs, p_legs, self.meets)
+
+    def in_place(self, tag: str) -> Outcome:
+        """Simultaneous find: each robot exits where its sweep ends."""
+        r2_sweep = ArcLeg(self.start, ArcPos(self.r2_find), Direction.CW)
+        return Outcome(self.x, tag, True, self.x, self.r2_time,
+                       self.finder_legs, [r2_sweep])

@@ -5,7 +5,8 @@ points.  The first robot to step on an exit broadcasts; the receiver
 reconstructs the finder's position from speed symmetry, classifies the
 two probable exit positions against the already-swept arcs, and walks the
 shortest guaranteed chord route.  Messages are instantaneous and
-reliable.
+reliable.  The route is planned in the first finder's frame
+(scenarios.Frame, shared with the face-to-face model).
 """
 
 from __future__ import annotations
@@ -14,20 +15,18 @@ from .geometry import (
     ANGLE_TOL,
     TWO_PI,
     ArcPos,
-    Direction,
     angle_close,
     cartesian,
     chord_length,
     normalize_angle,
 )
-from .plans import ArcLeg, ChordLeg, Outcome, mirror_plan
+from .plans import ChordLeg, Outcome
 from .scenarios import (
-    SIM_TOL,
+    Frame,
     Regime,
     Scenario,
     TraceInvalidError,
     WrongEvaluatorError,
-    first_hits,
     resolve_zeta,
 )
 
@@ -38,27 +37,16 @@ TAG_L1, TAG_L2 = "WL-L1", "WL-L2"
 
 
 def _wireless_outcome(scn: Scenario) -> Outcome:
-    b = scn.zeta / 2.0
-    (t1, found1, other1), (t2, found2, other2) = first_hits(scn)
-
-    if abs(t1 - t2) <= SIM_TOL:
-        return Outcome(t1, TAG_SIM, True, t1, t1,
-                       [ArcLeg(ArcPos(b), ArcPos(found1), Direction.CCW)],
-                       [ArcLeg(ArcPos(-b), ArcPos(found2), Direction.CW)])
-
-    mirrored = t2 < t1
-    if mirrored:
-        x, found, other = t2, normalize_angle(-found2), normalize_angle(-other2)
-    else:
-        x, found, other = t1, found1, other1
-
-    # Frame: finder starts at +b and sweeps CCW; receiver starts at -b,
-    # sweeps CW, and sits at D when the message arrives.
-    X = found
-    D = normalize_angle(-b - x)
+    f = Frame(scn)
+    if f.sim:
+        return f.in_place(TAG_SIM)
+    # The receiver sits at D when the message arrives, at the finder's time x.
+    b, x, X, other, d = f.b, f.x, f.found, f.other, scn.d
+    D = f.partner_at(x)
+    f.sweep_partner(D)
 
     def chord_from_d(theta: float) -> float:
-        return chord_length(normalize_angle(theta - D))
+        return chord_length(normalize_angle(theta - D.theta))
 
     def swept_by_finder(c: float) -> bool:
         return normalize_angle(c - b) <= x + ANGLE_TOL
@@ -70,46 +58,28 @@ def _wireless_outcome(scn: Scenario) -> Outcome:
         u = normalize_angle(c + b)
         return ANGLE_TOL < u < scn.zeta - ANGLE_TOL
 
-    finder_legs = [ArcLeg(ArcPos(b), ArcPos(X), Direction.CCW)]
-    receiver_legs: list = [ArcLeg(ArcPos(-b), ArcPos(D), Direction.CW)]
+    def walk(*stops: float) -> None:
+        """The receiver's chords from D through the stops, in order."""
+        at = cartesian(D)
+        for theta in stops:
+            nxt = cartesian(ArcPos(theta))
+            f.partner_legs.append(ChordLeg(at, nxt))
+            at = nxt
 
     if scn.labeled:
-        w_x = chord_from_d(X)
-        w_o = chord_from_d(other)
         if swept_by_finder(other) and not angle_close(other, X):
             raise TraceInvalidError("labeled other exit inside a swept arc")
-        if w_x <= w_o:
-            target, length = X, w_x
-        else:
-            target, length = other, w_o
-        receiver_legs.append(ChordLeg(cartesian(ArcPos(D)), cartesian(ArcPos(target))))
-        receiver_time = x + length
-        tag = TAG_L2 if in_gap(other) else TAG_L1
-    else:
-        receiver_time, tag = _unlabeled_route(
-            scn, x, X, D, other, chord_from_d, swept_by_finder,
-            swept_by_receiver, in_gap, receiver_legs,
-        )
-
-    if mirrored:
-        return Outcome(x, tag, False, receiver_time, x,
-                       mirror_plan(receiver_legs), mirror_plan(finder_legs))
-    return Outcome(x, tag, False, x, receiver_time, finder_legs, receiver_legs)
-
-
-def _unlabeled_route(scn, x, X, D, other, chord_from_d, swept_by_finder,
-                     swept_by_receiver, in_gap, receiver_legs):
-    """Receiver route choice, appended to receiver_legs: (exit time, tag)."""
-    d = scn.d
-    d_pos = cartesian(ArcPos(D))
+        w_x, w_o = chord_from_d(X), chord_from_d(other)
+        target, length = (X, w_x) if w_x <= w_o else (other, w_o)
+        walk(target)
+        return f.outcome(TAG_L2 if in_gap(other) else TAG_L1, x, x + length)
 
     if d < ANGLE_TOL:
         # Coincident exits: both candidates equal X, which is certain.
-        receiver_legs.append(ChordLeg(d_pos, cartesian(ArcPos(X))))
-        return x + chord_from_d(X), TAG_W3B
+        walk(X)
+        return f.outcome(TAG_W3B, x, x + chord_from_d(X))
 
-    cb = normalize_angle(X - d)  # clockwise-side candidate
-    ca = normalize_angle(X + d)  # counterclockwise-side candidate
+    cb, ca = f.cb.theta, f.ca.theta
 
     def ruled_out(c: float) -> bool:
         if angle_close(c, X):
@@ -119,48 +89,38 @@ def _unlabeled_route(scn, x, X, D, other, chord_from_d, swept_by_finder,
     ruled_b, ruled_a = ruled_out(cb), ruled_out(ca)
     if ruled_b and ruled_a:
         raise TraceInvalidError("both probable exits ruled out; no layout does this")
-
     w_x = chord_from_d(X)
-    between = chord_length(min(2.0 * d, TWO_PI))  # chord E1'E2', 2*sin(d)
 
     if not ruled_b and not ruled_a:
+        between = chord_length(min(2.0 * d, TWO_PI))  # chord E1'E2', 2*sin(d)
         w_b = chord_from_d(cb) + between
         w_a = chord_from_d(ca) + between
-        best = min(w_x, w_b, w_a)
-        if best == w_x:
-            receiver_legs.append(ChordLeg(d_pos, cartesian(ArcPos(X))))
+        if min(w_x, w_b, w_a) == w_x:
+            walk(X)
             time = x + w_x
         else:
             first, second = (cb, ca) if w_b <= w_a else (ca, cb)
-            receiver_legs.append(ChordLeg(d_pos, cartesian(ArcPos(first))))
             if angle_close(other, first):
+                walk(first)
                 time = x + chord_from_d(first)
             else:
-                receiver_legs.append(
-                    ChordLeg(cartesian(ArcPos(first)), cartesian(ArcPos(second)))
-                )
+                walk(first, second)
                 time = x + chord_from_d(first) + between
         gap_b, gap_a = in_gap(cb), in_gap(ca)
         if not gap_b and not gap_a:
-            tag = TAG_W1A
-        elif gap_b and gap_a:
-            tag = TAG_W1C
-        else:
-            tag = TAG_W1B
-        return time, tag
+            return f.outcome(TAG_W1A, x, time)
+        return f.outcome(TAG_W1C if gap_b and gap_a else TAG_W1B, x, time)
 
     certain = cb if ruled_a else ca
     if not angle_close(other, certain):
         raise TraceInvalidError("ruled-out candidate still holds the exit")
     w_c = chord_from_d(certain)
-    target = X if w_x <= w_c else certain
-    receiver_legs.append(ChordLeg(d_pos, cartesian(ArcPos(target))))
-    time = x + min(w_x, w_c)
+    walk(X if w_x <= w_c else certain)
     if ruled_a:
         tag = TAG_W2
     else:
         tag = TAG_W3A if swept_by_receiver(cb) else TAG_W3B
-    return time, tag
+    return f.outcome(tag, x, x + min(w_x, w_c))
 
 
 def _check(scn: Scenario, labeled: bool):

@@ -218,3 +218,36 @@ def test_sweep_with_zeta_at_most_every_d_runs(capsys):
     assert rc == 0
     assert rows[0].startswith("0.500000,0.5,wireless,0,")
     assert len(rows) == 12  # 0.5 .. 3.0 step 0.25, plus the pi endpoint
+
+
+def test_verify_reports_a_policy_error(monkeypatch, capsys):
+    from diskevac import face_to_face
+    from diskevac.scenarios import TraceInvalidError
+
+    def broken(scn):
+        raise TraceInvalidError("injected policy failure")
+
+    monkeypatch.setattr(face_to_face, "eval_f2f_same", broken)
+    rc = main(["verify", "--samples", "20", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert rc == 3
+    assert "FAIL:" in out and "TraceInvalidError: injected policy failure" in out
+    assert "verification failures" in out
+
+
+def test_verify_reports_a_deviation_above_tol(monkeypatch, capsys):
+    import dataclasses
+
+    from diskevac import cli, scenarios
+
+    def late(scn):
+        out = scenarios.evaluate(scn)
+        return dataclasses.replace(out, r1_exit_time=out.r1_exit_time + 1e-3,
+                                   r2_exit_time=out.r2_exit_time + 1e-3)
+
+    monkeypatch.setattr(cli, "evaluate", late)  # the replay keeps the real policy
+    rc = main(["verify", "--samples", "20", "--seed", "0", "--tol", "1e-4"])
+    out = capsys.readouterr().out
+    assert rc == 3
+    assert "max |policy - replay| = 1.000e-03" in out
+    assert out.count("FAIL:") == 20 and "vs replay" in out

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diskevac.meeting import (
-    MeetQuery,
+    GATE_TOL,
     RegimeError,
     residual,
     solve_meeting,
     solve_meeting_arr,
-    solve_meeting_xy,
 )
 
 
@@ -31,16 +30,16 @@ def fixed_point_oracle(x, offset, tol=1e-8, max_iter=100000):
 
 
 def test_trivial_root_at_origin():
-    assert solve_meeting(MeetQuery(0.0, 0.0)) == 0.0
+    assert solve_meeting(0.0, 0.0) == 0.0
 
 
 def test_derived_examples():
     # frozen values recomputed with the independent fixed-point oracle
-    assert solve_meeting_xy(1.0, 0.0) == pytest.approx(2.8692, abs=5e-4)
-    assert solve_meeting_xy(0.5, 1.0) == pytest.approx(2.3691, abs=5e-4)
-    assert solve_meeting_xy(1.0, 0.0) == pytest.approx(
+    assert solve_meeting(1.0, 0.0) == pytest.approx(2.8692, abs=5e-4)
+    assert solve_meeting(0.5, 1.0) == pytest.approx(2.3691, abs=5e-4)
+    assert solve_meeting(1.0, 0.0) == pytest.approx(
         fixed_point_oracle(1.0, 0.0), abs=1e-5)
-    assert solve_meeting_xy(0.5, 1.0) == pytest.approx(
+    assert solve_meeting(0.5, 1.0) == pytest.approx(
         fixed_point_oracle(0.5, 1.0), abs=1e-5)
 
 
@@ -49,7 +48,7 @@ def test_agrees_with_fixed_point_on_random_queries():
     for _ in range(100):
         offset = rng.uniform(0.0, math.pi)
         x = rng.uniform(0.0, (2.0 * math.pi - offset) / 2.0)
-        y = solve_meeting(MeetQuery(x, offset))
+        y = solve_meeting(x, offset)
         assert y == pytest.approx(fixed_point_oracle(x, offset), abs=1e-5)
 
 
@@ -57,10 +56,9 @@ def test_agrees_with_fixed_point_on_random_queries():
        st.floats(min_value=0.0, max_value=math.pi))
 def test_residual_below_tolerance(offset, frac):
     x = frac * (2.0 * math.pi - offset) / 2.0 / math.pi
-    q = MeetQuery(x, offset)
-    y = solve_meeting(q)
-    assert abs(residual(q.x, q.offset, y)) < q.tol
-    assert y >= q.x
+    y = solve_meeting(x, offset)
+    assert abs(residual(x, offset, y)) < GATE_TOL
+    assert y >= x
 
 
 def test_monotone_in_x():
@@ -68,7 +66,7 @@ def test_monotone_in_x():
         prev = -1.0
         for k in range(0, 200):
             x = k * (2.0 * math.pi - offset) / 2.0 / 200.0
-            y = solve_meeting(MeetQuery(x, offset, tol=1e-10))
+            y = solve_meeting(x, offset)
             assert y >= prev - 1e-9
             prev = y
 
@@ -76,15 +74,13 @@ def test_monotone_in_x():
 def test_regime_error_outside_bracket():
     # 2x + offset beyond 2*pi puts the root below x
     with pytest.raises(RegimeError):
-        solve_meeting(MeetQuery(3.2, 0.1))
+        solve_meeting(3.2, 0.1)
     with pytest.raises(RegimeError):
-        MeetQuery(-0.1, 0.0)
+        solve_meeting(-0.1, 0.0)
     with pytest.raises(RegimeError):
-        MeetQuery(1.0, -0.2)
+        solve_meeting(1.0, -0.2)
     with pytest.raises(RegimeError):
-        MeetQuery(1.0, 0.0, tol=0.0)
-    with pytest.raises(RegimeError):
-        MeetQuery(6.0, 1.0)
+        solve_meeting(6.0, 1.0)
 
 
 def test_vector_matches_scalar():
@@ -93,7 +89,7 @@ def test_vector_matches_scalar():
         xs = rng.uniform(0.0, (2.0 * math.pi - offset) / 2.0, size=300)
         ys = solve_meeting_arr(xs, offset)
         for x, y in zip(xs, ys):
-            assert y == solve_meeting(MeetQuery(float(x), offset))
+            assert y == solve_meeting(float(x), offset)
 
 
 def test_vector_flags_invalid_regime():

@@ -1,10 +1,11 @@
-"""One classifier routes every scenario: evaluate, plan and sweep agree."""
+"""One classifier routes every scenario: evaluate, replay and sweep agree."""
 
 import pytest
 
 from diskevac import scenarios
 from diskevac.cli import run_verification
 from diskevac.geometry import ArcPos
+from diskevac.replay import replay
 from diskevac.scenarios import (
     CommModel,
     Regime,
@@ -12,7 +13,6 @@ from diskevac.scenarios import (
     WrongEvaluatorError,
     classify,
     evaluate,
-    plan,
 )
 from diskevac.sweep import SeriesSpec, SweepConfig, run_sweep
 
@@ -48,8 +48,9 @@ def test_every_path_routes_alike(model, labeled, d, zeta, regime):
     assert classify(model, labeled, d, zeta) is regime
     scn = Scenario(model, labeled, d, zeta, ArcPos(2.0))
     assert scn.regime is regime
-    assert _family(evaluate(scn).case_tag) is regime
-    assert _family(plan(scn).case_tag) is regime
+    out = evaluate(scn)
+    assert _family(out.case_tag) is regime
+    assert replay(scn)[2] == pytest.approx(out.time_from_perimeter, abs=1e-9)
     (record,) = _one_cell(model, labeled, d, zeta)
     assert _family(record.case_tag) is regime
 
@@ -57,15 +58,16 @@ def test_every_path_routes_alike(model, labeled, d, zeta, regime):
 def test_unlabeled_f2f_between_0_and_d_is_refused_everywhere():
     # the scenario itself is valid; only the routing refuses it
     scn = Scenario(F2F, False, 1.0, 0.5, ArcPos(2.0))
-    for route in (lambda: scn.regime, lambda: evaluate(scn), lambda: plan(scn),
+    for route in (lambda: scn.regime, lambda: evaluate(scn), lambda: replay(scn),
                   lambda: _one_cell(F2F, False, 1.0, 0.5)):
         with pytest.raises(WrongEvaluatorError, match=r"\{0, d\}"):
             route()
 
 
 def test_each_scenario_is_classified_once(monkeypatch):
-    # evaluate, the evaluator's own check, plan and plan_f2f/plan_wireless
-    # all ask scn.regime; the scenario classifies itself on the first ask
+    # evaluate (once for the policy time, once inside replay) and the
+    # evaluator's own check all ask scn.regime; the scenario classifies
+    # itself on the first ask
     calls = []
     real = scenarios.classify
     monkeypatch.setattr(scenarios, "classify",

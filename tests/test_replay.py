@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from diskevac.cli import random_scenarios
+from diskevac import _batch
+from diskevac.cli import main, random_scenarios
 from diskevac.geometry import TWO_PI, ArcPos, Direction, cartesian
 from diskevac.plans import ArcLeg, ChordLeg
 from diskevac.replay import Event, dump_trace, replay, verify_agreement
-from diskevac.scenarios import CommModel, Scenario, TraceInvalidError, evaluate
+from diskevac.scenarios import CommModel, Regime, Scenario, TraceInvalidError, evaluate
 
 replay_mod = importlib.import_module("diskevac.replay")  # the package exports a replay()
 
@@ -53,8 +54,8 @@ def test_mutated_trace_fails_agreement():
 
 def _flagged(monkeypatch, scn, mutate) -> bool:
     """Replay scn with mutate applied to its outcome; True if anything objects."""
-    real = replay_mod.plan
-    monkeypatch.setattr(replay_mod, "plan", lambda s: mutate(real(s)))
+    real = replay_mod.evaluate
+    monkeypatch.setattr(replay_mod, "evaluate", lambda s: mutate(real(s)))
     try:
         tr1, tr2, _ = replay(scn)
     except TraceInvalidError:
@@ -167,3 +168,49 @@ def test_exit_positions_are_true_exits():
         for tr in (tr1, tr2):
             final = np.array(tr.final_pos)
             assert min(np.linalg.norm(final - e) for e in exits) < 1e-7
+
+
+def _batch_outcome(scn):
+    """(time, case tag) of the vectorized kernel at scn's one placement."""
+    e1s = np.array([scn.e1.theta])
+    if scn.regime is Regime.WIRELESS:
+        times, codes = _batch.batch_wireless(scn.d, scn.zeta, scn.labeled, e1s)
+    elif scn.regime is Regime.F2F_LABELED:
+        times, codes = _batch.batch_f2f_labeled(scn.d, scn.zeta, e1s)
+    elif scn.regime is Regime.F2F_DIFF:
+        times, codes = _batch.batch_f2f_diff(scn.d, e1s)
+    else:
+        times, codes = _batch.batch_f2f_same(scn.d, e1s)
+    return float(times[0]), _batch.decode_tag(codes[0])
+
+
+REGIMES = [("wireless", False), ("wireless", True), ("f2f", True), ("f2f", False)]
+
+
+@pytest.mark.parametrize("model, labeled", REGIMES)
+@pytest.mark.parametrize("d, zeta, e1", [
+    # E2 1e-10 clockwise of R1's start, E1 1e-10 ahead of R2's
+    (1.0, 1.0, 5.783185307079586),
+    # both robots start on exits (zeta = d, e1 = -d/2); rounding puts E2
+    # an ulp behind R1's start
+    (0.1, 0.1, -0.05),
+    (0.6, 0.6, -0.3),
+    # only R1 starts (1e-10 past) on an exit; R2 finds much later
+    (1.0, 1.0, 0.5 - 1e-10),
+    (2.0, 2.0, -1.0 - 1e-10),
+])
+def test_exit_just_behind_a_start_is_found_in_place(model, labeled, d, zeta, e1, capsys):
+    args = ["eval", "--model", model, "--d", repr(d), "--zeta", repr(zeta), "--e1", repr(e1)]
+    assert main(args + (["--labeled"] if labeled else [])) == 0
+    m = CommModel.WIRELESS if model == "wireless" else CommModel.FACE_TO_FACE
+    scn = Scenario(m, labeled, d, zeta, ArcPos(e1))
+    res = evaluate(scn)
+    tr1, tr2, makespan = replay(scn)
+    assert abs(makespan - res.time_from_perimeter) < 1e-9
+    report = verify_agreement(scn, tr1, tr2)
+    assert report.passed, report.issues
+    # the robot on the exit never sweeps a lap
+    assert min(tr1.segments[0].t1, tr2.segments[0].t1) < 1e-9
+    t_batch, tag_batch = _batch_outcome(scn)
+    assert t_batch == pytest.approx(res.time_from_perimeter, abs=1e-9)
+    assert tag_batch == res.case_tag

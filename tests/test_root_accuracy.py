@@ -10,7 +10,6 @@ from diskevac import _batch
 from diskevac.face_to_face import catch_on_circle_from
 from diskevac.meeting import (
     ROOT_TOL,
-    MeetQuery,
     catch_on_circle_arr,
     residual,
     solve_meeting,
@@ -56,9 +55,9 @@ def _grid(offset):
 @pytest.mark.parametrize("offset", OFFSETS)
 def test_catch_up_root_within_root_tol(offset):
     xs = _grid(offset)
-    ys = solve_meeting_arr(np.array(xs), offset, 1e-12)
+    ys = solve_meeting_arr(np.array(xs), offset)
     for x, y_arr in zip(xs, ys):
-        y = solve_meeting(MeetQuery(x, offset, 1e-12))
+        y = solve_meeting(x, offset)
         assert y == y_arr
         # the enforced bound: the residual changes sign within ROOT_TOL
         assert residual(x, offset, y - ROOT_TOL) >= 0.0
@@ -74,7 +73,7 @@ def test_catch_up_flat_root_error_is_rounding_over_slope(x):
     # residual's rounding noise (a few ulp of y) over |f'| bounds the error,
     # not ROOT_TOL.  Measured: 5.8e-11, 9.0e-12, 1.1e-12; a residual-only
     # stop at 1e-12 lands 1.7e-5, 7.8e-5 and 2.8e-6 away.
-    y = solve_meeting(MeetQuery(x, 0.0, 1e-12))
+    y = solve_meeting(x, 0.0)
     ref = catch_up_reference(x, 0.0)
     slope = 2.0 * math.sin(float(ref) / 4.0) ** 2
     bound = ROOT_TOL + 4.0 * np.finfo(float).eps * float(ref) / slope
@@ -83,17 +82,18 @@ def test_catch_up_flat_root_error_is_rounding_over_slope(x):
 
 
 def test_catch_up_early_return_needs_a_sign_change():
-    # |f(x)| is far below 1e-6 at x = 1e-9, but the root is 3.6e-3 away
-    y = solve_meeting(MeetQuery(1e-9, 0.0))
-    assert abs(y - catch_up_reference(1e-9, 0.0)) <= ROOT_TOL
+    # |f(x)| = 2e-13 is below the 1e-12 residual gate at x = 1e-13, but the
+    # root is 1.7e-4 away
+    y = solve_meeting(1e-13, 0.0)
+    assert abs(y - catch_up_reference(1e-13, 0.0)) <= ROOT_TOL
 
 
 def test_catch_up_unsettled_newton_falls_back_to_bisection():
     # at x = 4.7e-24, offset 0 the computed residual is rounding noise
     # within 1e-8 of the root, so Newton steps never drop below 1e-9
     x = 4.695471382493421e-24
-    y = solve_meeting(MeetQuery(x, 0.0, 1e-12))
-    assert y == solve_meeting_arr(np.array([x]), 0.0, 1e-12)[0]
+    y = solve_meeting(x, 0.0)
+    assert y == solve_meeting_arr(np.array([x]), 0.0)[0]
     assert residual(x, 0.0, y - ROOT_TOL) >= 0.0
     assert residual(x, 0.0, y + ROOT_TOL) <= 0.0
     assert abs(y - catch_up_reference(x, 0.0)) < 1e-7

@@ -74,6 +74,19 @@ def test_diff_symmetric_placement():
     _check(scn, res)
 
 
+def test_diff_symmetric_meet_on_the_chord():
+    # e1 = pi - d/2 with pi/2 < d < pi: each robot finds an exit at
+    # x = pi - d < d and heads for N, the midpoint of chord X-E2', which
+    # lies on the x-axis; rounding can leave N's y a hair on X's side of it
+    for k in range(1, 200):
+        d = math.pi / 2 + k * (math.pi / 2) / 200
+        scn = Scenario(CommModel.FACE_TO_FACE, False, d, d, ArcPos(math.pi - d / 2))
+        res = eval_f2f_diff(scn)
+        assert res.simultaneous and res.case_tag == "Fd-sim"
+        assert res.time_from_perimeter > math.pi - d
+        _check(scn, res)
+
+
 def test_wireless_symmetric_both_exit_in_place():
     d = 1.0
     scn = Scenario(CommModel.WIRELESS, False, d, 0.0, ArcPos(math.pi - d / 2))

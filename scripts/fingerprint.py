@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Fingerprint every placement of a fixed corpus, one line per scenario.
+
+Each line holds the scenario, `repr` of the policy's time, its case tag and
+a short hash of the replayed segments and events.  Run it on two source
+trees and `diff` the outputs to see exactly which placements a change
+touches:
+
+    PYTHONPATH=src python3 scripts/fingerprint.py > after.txt
+
+The corpus: `random_scenarios` seeds 7 and 11 (6,000 each); every 11th
+point of the 0.001 exit grid at seven values of d for each regime family;
+and the two mirror-symmetric simultaneous families (face-to-face zeta = 0
+with exits at +-x, zeta = d with e1 = pi - d/2).  Only the public API is
+used, so older trees run it too.
+"""
+
+import hashlib
+import math
+
+from diskevac.cli import random_scenarios
+from diskevac.geometry import TWO_PI, ArcPos
+from diskevac.meeting import SolverError
+from diskevac.replay import replay
+from diskevac.scenarios import CommModel, Scenario, TraceInvalidError, evaluate
+
+GRID_D = (0.0, 0.3, 0.9, 1.4, 2.0, 2.6, math.pi)
+EXIT_STEP = 0.001
+FAMILIES = (  # (model, labeled, zeta as a function of d)
+    (CommModel.FACE_TO_FACE, False, lambda d: 0.0),
+    (CommModel.FACE_TO_FACE, False, lambda d: d),
+    (CommModel.FACE_TO_FACE, True, lambda d: d / 2.0),
+    (CommModel.WIRELESS, False, lambda d: d / 2.0),
+    (CommModel.WIRELESS, False, lambda d: d),
+    (CommModel.WIRELESS, True, lambda d: d / 3.0),
+)
+SYMMETRIC = 2000  # placements per symmetric family
+
+
+def symmetric_scenarios(n: int):
+    """Face-to-face placements where both robots find an exit at once."""
+    out = []
+    for k in range(1, n):  # zeta = 0, exits at +-x
+        x = math.pi * k / n
+        d, e1 = (2.0 * x, TWO_PI - x) if x <= math.pi / 2.0 else (TWO_PI - 2.0 * x, x)
+        out.append(Scenario(CommModel.FACE_TO_FACE, False, d, 0.0, ArcPos(e1)))
+    for k in range(1, n + 1):  # zeta = d, exits at pi -+ d/2
+        d = math.pi * k / n
+        out.append(Scenario(CommModel.FACE_TO_FACE, False, d, d, ArcPos(math.pi - d / 2.0)))
+    return out
+
+
+def corpus():
+    scenarios = random_scenarios(7, 6000) + random_scenarios(11, 6000)
+    n_exits = int(math.floor(TWO_PI / EXIT_STEP - 1e-9)) + 1
+    for model, labeled, zeta in FAMILIES:
+        for d in GRID_D:
+            scenarios += [Scenario(model, labeled, d, zeta(d), ArcPos(k * EXIT_STEP))
+                          for k in range(0, n_exits, 11)]
+    return scenarios + symmetric_scenarios(SYMMETRIC)
+
+
+def fingerprint(scenarios):
+    """One line per scenario: scenario, repr(time), tag, replay hash."""
+    for scn in scenarios:
+        head = (f"{scn.model.value} labeled={scn.labeled} d={scn.d!r} "
+                f"zeta={scn.zeta!r} e1={scn.e1.theta!r}")
+        try:
+            out = evaluate(scn)
+            tr1, tr2, _ = replay(scn)
+        except (TraceInvalidError, SolverError, ValueError) as exc:  # a fingerprint too
+            yield f"{head} {type(exc).__name__}: {exc}"
+            continue
+        trace = repr([(tr.segments, tr.events) for tr in (tr1, tr2)])
+        digest = hashlib.sha1(trace.encode()).hexdigest()[:12]
+        yield f"{head} {out.time_from_perimeter!r} {out.case_tag} {digest}"
+
+
+def main():
+    for line in fingerprint(corpus()):
+        print(line)
+
+
+if __name__ == "__main__":
+    main()

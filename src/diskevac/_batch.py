@@ -62,7 +62,12 @@ def _hit(arc):
 
 
 def _frame(d: float, zeta: float, e1s: np.ndarray):
-    """First-finder frame: x, found/other angles, simultaneity mask."""
+    """First-finder frame: x, found/other angles, simultaneity mask.
+
+    x is the first find's time, except at a simultaneous find: there each
+    robot exits where its own sweep ends, so x is the later find, as in the
+    scalar Frame.in_place.
+    """
     b = zeta / 2.0
     e2s = np.mod(e1s + d, TWO_PI)
     t1a = _hit(e1s - b)
@@ -80,7 +85,7 @@ def _frame(d: float, zeta: float, e1s: np.ndarray):
     # co-located, so they exchange and leave immediately.
     sim_trivial = sim & (_close(found1, found2) | (t1 <= ANGLE_TOL))
     mirrored = t2 < t1
-    x = np.minimum(t1, t2)
+    x = np.where(sim, np.maximum(t1, t2), np.minimum(t1, t2))
     found = np.where(mirrored, np.mod(-found2, TWO_PI), found1)
     other = np.where(mirrored, np.mod(-other2, TWO_PI), other1)
     return x, found, other, sim, sim_trivial
@@ -196,11 +201,11 @@ def _hop(px, py, t, theta_a, theta_b):
 
 
 def _case3_arr(a, d, m=None, slack=0.0):
-    """Vector twin of face_to_face._case3_same, up to the interception at N.
+    """Vector twin of face_to_face._case3_same.
 
     A dancer found an exit at arc a (own frame, d/2 < a < d).  Returns go
-    (False: the 'exit' branch, M comes too late), hit (N is reached in
-    time, else a miss), N = (nx, ny) and its time tn.  m, the catch-up
+    (False: M comes too late, the dancer exits in place), hit (N is reached
+    in time, else a miss), N = (nx, ny) and its time tn.  m, the catch-up
     root at phi = d - a, is solved for unless the caller already holds it.
     """
     phi = d - a

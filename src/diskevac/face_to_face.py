@@ -8,6 +8,12 @@ first finder's frame (scenarios.Frame, shared with the wireless model):
 scenarios where R2 finds first are mirrored across the x-axis and mapped
 back afterwards.
 
+Until it first meets its partner, an unlabeled first finder knows only x,
+d, zeta, its find X and the two candidates d either side of X.  One
+function of exactly that, `_finder_plan`, decides its moves; the two
+dispatchers and the simultaneous-find outcome all draw from it, and only
+the partner's moves and what both do after meeting read the true layout.
+
 Realized times for the actual exit layout are returned, not per-case
 worst-case expressions; worst cases emerge from the sweep module.
 """
@@ -94,87 +100,84 @@ def catch_on_circle_from(point, t0: float, b: float) -> float:
     return float(p[0])
 
 
-@dataclass
-class _Case3:
-    branch: str  # 'exit' | 'chase' | 'nmeet' | 'pmeet' | 'nn'
-    y: float | None = None
-    m: float | None = None
-    n_point: tuple | None = None
-    t_n: float | None = None
-    p: float | None = None
-
-
-def _case3_same(a: float, d: float, trailing_is_exit: bool) -> _Case3:
-    """zeta = 0 case-3 machinery in the dancer's own frame (d/2 < a < d).
+def _case3_same(a: float, d: float, m: float | None = None, slack: float = 0.0):
+    """zeta = 0 case 3 in the dancer's own frame (d/2 < a < d): go, hit.
 
     The dancer found an exit at arc a.  Its trailing candidate sits at
     partner-arc d - a; had the partner found an exit there, it would now
-    be chasing the dancer along the chord toward the on-circle point M'.
-    The dancer aims for the equal-elapsed point N on that chord, then
-    falls back to the on-circle catch P when nobody shows up.
+    be chasing the dancer along the chord toward the on-circle point M'
+    (catch-up root m, solved for unless the caller already holds it).
+    go is False when M' comes too late for that chase; then hit is None.
+    Otherwise hit is the dancer's interception (N, t_N, s) of that chase,
+    or None on a miss.  Twin of _batch._case3_arr.
     """
     phi = d - a
-    t_a = TWO_PI - a - d
-    m = meeting.solve_meeting(phi, 0.0)
+    if m is None:
+        m = meeting.solve_meeting(phi, 0.0)
     if m >= TWO_PI - 2.0 * d + a:
-        return _Case3("exit")
-    q = cartesian(ArcPos(a))
-    p0 = cartesian(ArcPos(-phi))
-    p1 = cartesian(ArcPos(m))
-    slack = 1e-7 if trailing_is_exit else 0.0
-    hit = intercept_moving_target(q, a, p0, phi, p1, slack=slack)
-    if hit is None:
-        y = meeting.solve_meeting(a, 0.0)
-        if y < t_a:
-            return _Case3("chase", y=y, m=m)
-        return _Case3("exit")
-    n_point, t_n, _ = hit
-    if trailing_is_exit:
-        return _Case3("nmeet", m=m, n_point=n_point, t_n=t_n)
-    p = catch_on_circle_from(n_point, t_n, 0.0)
-    if p < t_a:
-        return _Case3("pmeet", m=m, n_point=n_point, t_n=t_n, p=p)
-    return _Case3("nn", m=m, n_point=n_point, t_n=t_n, p=p)
+        return False, None
+    return True, intercept_moving_target(cartesian(ArcPos(a)), a, cartesian(ArcPos(-phi)),
+                                         phi, cartesian(ArcPos(m)), slack)
 
 
 def _second_finder_same(a: float, d: float):
     """Exit time and legs of a second finder (zeta = 0) in its own frame.
 
-    A second finder never meets anyone: its chase/P gates compare against
-    the partner's arrival at the ahead candidate, which already happened.
-    Only the case-3 dance with its guaranteed miss at N moves it off its
-    find; a <= d/2 happens for a second finder on degenerate boundaries
-    only, and it exits in place there.
+    Twin of _batch._second_exit_arr.  A second finder never meets anyone:
+    in its case-3 dance it finds nobody at N and heads for the nearer of
+    its own exit and the candidate ahead of it; otherwise it exits in
+    place.  Its chase and P gates, which compare against the partner's
+    arrival at the candidate ahead, never open: that arrival already
+    happened (a test checks this on the 0.001 exit grid).
     """
     legs: list = [ArcLeg(ArcPos(0.0), ArcPos(a), Direction.CCW)]
     if d / 2.0 < a < d - ANGLE_TOL:
-        res = _case3_same(a, d, trailing_is_exit=False)
-        if res.branch == "nn":
-            (own, w_own), (ca, w_ca) = _by_distance(res.n_point, ArcPos(a), ArcPos(a + d))
+        _, hit = _case3_same(a, d)
+        if hit:
+            n_point, t_n, _ = hit
+            (own, w_own), (ca, w_ca) = _by_distance(n_point, ArcPos(a), ArcPos(a + d))
             target, hop = (own, w_own) if w_own <= w_ca else (ca, w_ca)
-            legs += [ChordLeg(cartesian(own), res.n_point),
-                     ChordLeg(res.n_point, cartesian(target))]
-            return res.t_n + hop, legs
-        if res.branch != "exit":
-            raise TraceInvalidError(f"second finder reached branch {res.branch}")
+            legs += [ChordLeg(cartesian(own), n_point), ChordLeg(n_point, cartesian(target))]
+            return t_n + hop, legs
     return a, legs
 
 
 # ---------------------------------------------------------------------------
-# face-to-face meetings in the first finder's frame
+# the first finder's plan, from what it knows
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Plan:
+    """A first finder's moves after its find X, up to its first meeting.
+
+    It walks X -> stops[0] -> stops[1] ..., each stop a (point, arrival
+    time).  With `meet` set the partner is due on the circle at the last
+    stop; otherwise the last stop is an exit, and no stops means it exits
+    in place.  `tag` names the policy case the walk follows.
+    """
+
+    tag: str
+    stops: tuple = ()
+    meet: bool = False
+
 
 class _Frame(Frame):
     """The shared first-finder frame plus the face-to-face meeting moves."""
 
-    def meet_on_circle(self, t_meet: float):
-        """The finder cuts straight to the partner's spot at t_meet (catch M)."""
-        m_arc = self.partner_at(t_meet)
-        m_pos = cartesian(m_arc)
-        self.finder_legs.append(ChordLeg(self.x_pos, m_pos))
-        self.sweep_partner(m_arc)
-        self.meets.append(m_pos)
-        return m_arc, m_pos
+    def walk(self, stops):
+        """The finder walks X -> each stop; returns the last (point, time)."""
+        at = self.x_pos
+        for point, _ in stops:
+            self.finder_legs.append(ChordLeg(at, point))
+            at = point
+        return stops[-1]
+
+    def meet(self, stops):
+        """The finder walks the stops; the partner sweeps on to the last, where both meet."""
+        point, t = self.walk(stops)
+        self.sweep_partner(self.partner_at(t))
+        self.meets.append(point)
+        return point, t
 
     def meet_at_n(self, n_point, via: ArcPos) -> None:
         """The finder runs X -> N; the partner sweeps to `via`, then cuts to N."""
@@ -182,15 +185,6 @@ class _Frame(Frame):
         self.sweep_partner(via)
         self.partner_legs.append(ChordLeg(cartesian(via), n_point))
         self.meets.append(n_point)
-
-    def meet_at_p(self, n_point, p: float):
-        """The finder runs X -> N -> P; the partner sweeps on to P."""
-        p_arc = self.partner_at(p)
-        p_pos = cartesian(p_arc)
-        self.finder_legs += [ChordLeg(self.x_pos, n_point), ChordLeg(n_point, p_pos)]
-        self.sweep_partner(p_arc)
-        self.meets.append(p_pos)
-        return p_pos
 
     def n_on_chord(self, t_a: float):
         """(N, s, chord): N sits s along chord X-E2', where a partner that
@@ -228,6 +222,68 @@ def _by_distance(point, *targets: ArcPos):
     return [(t, point_distance(point, cartesian(t))) for t in targets]
 
 
+def _finder_plan(f: _Frame, same: bool) -> _Plan:
+    """The unlabeled first finder's moves (zeta = 0 if same, else zeta = d).
+
+    Decided from x, d, zeta, X and the candidates `ca`, `cb` alone: the
+    other exit, and so `f.other` and `f.side`, stay unread.  A layout with
+    the other exit at the other candidate gets the same moves; there a
+    partner who knows more may only meet the finder sooner, on its way.
+    """
+    d, x = f.d, f.x
+    t_a = f.partner_time(f.ca.theta)  # partner's arrival at the ahead candidate
+    y = meeting.solve_meeting(x, 0.0 if same else d)
+
+    def catch(tag: str) -> _Plan:
+        """Cut straight to the partner's spot at y (catch M)."""
+        return _Plan(tag, ((cartesian(f.partner_at(y)), y),), True)
+
+    if not same:
+        t_x = f.partner_time(f.x_arc.theta)
+        if x >= d:  # Case 2: own sweep rules the trailing candidate out
+            # 2c: catch the partner before it reaches any exit; 2b: exit
+            return catch("Fd-2c") if y < min(t_a, t_x) else _Plan("Fd-2b")
+        # Case 1: x < d, the trailing candidate hides in the never-swept gap
+        if y < t_a:  # 1a: E2' is not inside arc CM; catch and return to X
+            return catch("Fd-1a")
+        # 1b / 1c: E2' lies within the partner's pre-catch sweep; N sits on
+        # the chord X-E2' where the partner, back from E2', would meet the
+        # finder.  Nobody there: the exit is the gap candidate; catch at P.
+        n_point, s, _ = f.n_on_chord(t_a)
+        if s <= ANGLE_TOL:  # the partner swept past E2' long ago: plain catch
+            return catch("Fd-1c")
+        t_n = x + s
+        p = catch_on_circle_from(n_point, t_n, f.b)
+        p_pos = cartesian(f.partner_at(p))
+        stops = ((n_point, t_n), (p_pos, p))
+        if p <= t_x:
+            return _Plan("Fd-1c", stops, True)
+        # Defensive corner: the partner reaches X (a real exit) before P
+        # and leaves; the finder carries on alone from P to the closest exit.
+        target, time = _joint_hop(p_pos, p, _by_distance(p_pos, f.x_arc, f.cb))
+        return _Plan("Fd-1c", stops + ((cartesian(target), time),))
+
+    if x + y <= d:  # Case 1: catch before the trailing candidate
+        return catch("F0-1")
+    if x <= d / 2.0:  # Case 2: chase if it is viable (2a), else exit (2b)
+        return catch("F0-2a") if y <= t_a else _Plan("F0-2b")
+    if x < d:  # Case 3: the trailing candidate may already be explored
+        go, hit = _case3_same(x, d)
+        if not go:
+            return _Plan("F0-3b")
+        if hit:  # nobody at N: catch the partner at P, else the nearer exit
+            n_point, t_n, _ = hit
+            p = catch_on_circle_from(n_point, t_n, 0.0)
+            if p < t_a:
+                return _Plan("F0-3a", ((n_point, t_n), (cartesian(f.partner_at(p)), p)), True)
+            target, time = _joint_hop(n_point, t_n, _by_distance(n_point, f.x_arc, f.ca))
+            return _Plan("F0-3a", ((n_point, t_n), (cartesian(target), time)))
+        tags = ("F0-3a", "F0-3b")  # missed N: chase on the circle, or exit
+    else:  # Case 4: the trailing candidate is in the finder's own swept arc
+        tags = ("F0-4a", "F0-4c" if t_a >= d - ANGLE_TOL else "F0-4b")
+    return catch(tags[0]) if y < t_a else _Plan(tags[1])
+
+
 # ---------------------------------------------------------------------------
 # zeta = 0, unlabeled
 # ---------------------------------------------------------------------------
@@ -236,77 +292,50 @@ def _outcome_f2f_same(scn: Scenario) -> Outcome:
     d = scn.d
     f = _Frame(scn)
     if f.sim:
-        return _sim_outcome(f, "same")
+        return _sim_outcome(f, True)
     x = f.x
-    t_a = f.partner_time(f.ca.theta)  # partner's arrival at the ahead candidate
-    y = meeting.solve_meeting(x, 0.0)
+    t_a = f.partner_time(f.ca.theta)
+    plan = _finder_plan(f, True)
+    behind = f.side == "behind"
 
-    def catch(tag: str, t: float) -> Outcome:
-        """Catch the partner on the circle at t, then the nearer of X and E2'."""
-        _, m_pos = f.meet_on_circle(t)
-        return f.joint_hop(tag, m_pos, t, [(f.x_arc, chord_length(x + t)),
-                                           (f.ca, chord_length(t_a - t))])
-
-    def separately(tag: str, f_time: float, s_arc: float) -> Outcome:
+    def separately(f_time: float, s_arc: float) -> Outcome:
         """The partner evacuates alone as a second finder at its arc s_arc."""
         s_time, s_legs = _second_finder_same(s_arc, d)
         f.partner_legs = mirror_plan(s_legs)
-        return f.outcome(tag, f_time, s_time)
+        return f.outcome(plan.tag, f_time, s_time)
 
-    if x + y <= d:  # Case 1: catch before the trailing candidate
-        m_arc, m_pos = f.meet_on_circle(y)
-        if angle_close(m_arc.theta, f.other):
-            return f.outcome("F0-1", y, y)
-        w_x = chord_length(x + y)
-        hop_cb = chord_length((d - x) - y)
-        between = chord_length(min(2.0 * d, TWO_PI))
-        if w_x <= hop_cb + between:
-            return f.joint("F0-1", m_pos, f.x_arc, y + w_x)
-        if f.side == "behind":
-            return f.joint("F0-1", m_pos, f.cb, y + hop_cb)
-        f.finder_legs.append(ChordLeg(m_pos, f.cb_pos))
-        f.partner_legs.append(ChordLeg(m_pos, f.cb_pos))
-        return f.joint("F0-1", f.cb_pos, f.ca, y + hop_cb + between)
-
-    if x <= d / 2.0:  # Case 2
-        if y <= t_a:  # 2a: the chase is viable
-            if f.side == "ahead":
-                return catch("F0-2a", y)
-            # exit at the trailing candidate: the partner finds it first and
-            # intercepts this chase at N (its own case 3a)
-            res = _case3_same(d - x, d, trailing_is_exit=True)
-            if res.branch != "nmeet":
-                raise TraceInvalidError("partner failed to intercept a live chase")
-            n_f = mirror_point(res.n_point)
-            f.meet_at_n(n_f, f.cb)
-            return f.joint_hop("F0-3a", n_f, res.t_n, _by_distance(n_f, f.x_arc, f.cb))
-        # 2b: no viable chase, both evacuate separately
-        return separately("F0-2b", x, d - x if f.side == "behind" else t_a)
-
-    if x < d:  # Case 3: the trailing candidate may already be explored
-        if f.side != "ahead":
-            raise TraceInvalidError("first finder in case 3 with a trailing exit")
-        res = _case3_same(x, d, trailing_is_exit=False)
-        if res.branch == "exit":
-            return separately("F0-3b", x, t_a)
-        if res.branch == "chase":
-            return catch("F0-3a", res.y)
-        if res.branch == "pmeet":
-            p_pos = f.meet_at_p(res.n_point, res.p)
-            return f.joint_hop("F0-3a", p_pos, res.p, _by_distance(p_pos, f.x_arc, f.ca))
-        # 'nn': nobody at N and P is out of reach; head for the closest exit
-        f.finder_legs.append(ChordLeg(f.x_pos, res.n_point))
-        target, f_time = _joint_hop(res.n_point, res.t_n,
-                                    _by_distance(res.n_point, f.x_arc, f.ca))
-        f.finder_legs.append(ChordLeg(res.n_point, cartesian(target)))
-        return separately("F0-3a", f_time, t_a)
-
-    # Case 4: the trailing candidate is in the finder's own swept arc
-    if f.side != "ahead":
-        raise TraceInvalidError("first finder in case 4 with a trailing exit")
-    if y < t_a:
-        return catch("F0-4a", y)
-    return separately("F0-4c" if t_a >= d - ANGLE_TOL else "F0-4b", x, t_a)
+    if not plan.stops:  # exit in place
+        return separately(x, d - x if behind else t_a)
+    if not plan.meet:  # nobody at N and P out of reach: the nearer exit
+        return separately(f.walk(plan.stops)[1], t_a)
+    if behind and plan.tag == "F0-2a":
+        # exit at the trailing candidate: the partner finds it first and
+        # intercepts this chase at N (its own case 3, with this chase's root)
+        _, hit = _case3_same(d - x, d, m=plan.stops[0][1], slack=1e-7)
+        if hit is None:
+            raise TraceInvalidError("partner failed to intercept a live chase")
+        n_f = mirror_point(hit[0])
+        f.meet_at_n(n_f, f.cb)
+        return f.joint_hop("F0-3a", n_f, hit[1], _by_distance(n_f, f.x_arc, f.cb))
+    point, t = f.meet(plan.stops)
+    if len(plan.stops) > 1:  # met at P: the nearer of X and E2'
+        return f.joint_hop(plan.tag, point, t, _by_distance(point, f.x_arc, f.ca))
+    if plan.tag != "F0-1":  # met at M: the nearer of X and E2'
+        return f.joint_hop(plan.tag, point, t, [(f.x_arc, chord_length(x + t)),
+                                                (f.ca, chord_length(t_a - t))])
+    # Case 1: met before the trailing candidate; X or the candidate tour
+    if angle_close(f.partner_at(t).theta, f.other):
+        return f.outcome("F0-1", t, t)
+    w_x = chord_length(x + t)
+    hop_cb = chord_length((d - x) - t)
+    between = chord_length(min(2.0 * d, TWO_PI))
+    if w_x <= hop_cb + between:
+        return f.joint("F0-1", point, f.x_arc, t + w_x)
+    if behind:
+        return f.joint("F0-1", point, f.cb, t + hop_cb)
+    f.finder_legs.append(ChordLeg(point, f.cb_pos))
+    f.partner_legs.append(ChordLeg(point, f.cb_pos))
+    return f.joint("F0-1", f.cb_pos, f.ca, t + hop_cb + between)
 
 
 # ---------------------------------------------------------------------------
@@ -317,54 +346,30 @@ def _outcome_f2f_diff(scn: Scenario) -> Outcome:
     d = scn.d
     f = _Frame(scn)
     if f.sim:
-        return _sim_outcome(f, "diff")
+        return _sim_outcome(f, False)
     x = f.x
     t_a = f.partner_time(f.ca.theta)
     t_x = f.partner_time(f.x_arc.theta)
-    y = meeting.solve_meeting(x, d)
+    plan = _finder_plan(f, False)
 
-    if x >= d:  # Case 2: own sweep rules the trailing candidate out
-        if f.side != "ahead":
-            raise TraceInvalidError("case 2 with an exit at the ruled-out candidate")
+    if not plan.stops:  # 2b: the partner will deduce the layout on its own
         t_stop = min(t_a, t_x)
-        if y < t_stop:  # 2c: catch the partner before it reaches any exit
-            _, m_pos = f.meet_on_circle(y)
-            return f.joint_hop("Fd-2c", m_pos, y, _by_distance(m_pos, f.x_arc, f.ca))
-        # 2b: the partner will deduce the layout on its own; exit separately
         f.sweep_partner(f.partner_at(t_stop))
         return f.outcome("Fd-2b", x, t_stop)
-
-    # Case 1: x < d, the trailing candidate hides in the never-swept gap
-    if t_a > y:  # 1a: E2' is not inside arc CM; catch and return to X
-        _, m_pos = f.meet_on_circle(y)
-        return f.joint("Fd-1a", m_pos, f.x_arc, y + chord_length(d + x + y))
-    # 1b / 1c: E2' lies within the partner's pre-catch sweep; N sits on the
-    # chord X-E2' where the partner, coming back from E2', meets the finder
-    n_point, s, seg = f.n_on_chord(t_a)
-    t_n = x + s
-    if f.side == "ahead":  # 1b: both converge on the chord X-E2'
+    if plan.tag == "Fd-1c" and f.side == "ahead":
+        # 1b: the partner found E2' and, coming back, meets the finder at N
+        n_point, s, seg = f.n_on_chord(t_a)
         f.meet_at_n(n_point, f.ca)
-        return f.joint_hop("Fd-2a" if t_a >= d - ANGLE_TOL else "Fd-1b", n_point, t_n,
+        return f.joint_hop("Fd-2a" if t_a >= d - ANGLE_TOL else "Fd-1b", n_point, x + s,
                            [(f.x_arc, s), (f.ca, seg - s)])
-    # other exit is the gap candidate; E2' will turn out empty
-    if s <= ANGLE_TOL:
-        # the partner swept past E2' long ago; fall back to the plain catch
-        if y >= t_x - ANGLE_TOL:
-            raise TraceInvalidError("catch point behind the partner's own find")
-        _, m_pos = f.meet_on_circle(y)
-        return f.joint_hop("Fd-1c", m_pos, y, _by_distance(m_pos, f.x_arc, f.cb))
-    p = catch_on_circle_from(n_point, t_n, f.b)
-    if p <= t_x:
-        p_pos = f.meet_at_p(n_point, p)
-        return f.joint_hop("Fd-1c", p_pos, p, _by_distance(p_pos, f.x_arc, f.cb))
-    # Defensive corner: the partner reaches X (a real exit) before P and
-    # leaves; the finder carries on alone from P to the closest exit.
-    p_pos = cartesian(f.partner_at(p))
-    f.finder_legs += [ChordLeg(f.x_pos, n_point), ChordLeg(n_point, p_pos)]
-    target, f_time = _joint_hop(p_pos, p, _by_distance(p_pos, f.x_arc, f.cb))
-    f.finder_legs.append(ChordLeg(p_pos, cartesian(target)))
-    f.sweep_partner(f.x_arc)
-    return f.outcome("Fd-1c", f_time, t_x)
+    if not plan.meet:  # the partner reached X before P and left
+        f.sweep_partner(f.x_arc)
+        return f.outcome("Fd-1c", f.walk(plan.stops)[1], t_x)
+    point, t = f.meet(plan.stops)
+    if plan.tag == "Fd-1a":  # E2' may still be ahead of the partner: back to X
+        return f.joint("Fd-1a", point, f.x_arc, t + chord_length(d + x + t))
+    other = f.ca if plan.tag == "Fd-2c" else f.cb
+    return f.joint_hop(plan.tag, point, t, _by_distance(point, f.x_arc, other))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +393,7 @@ def _outcome_f2f_labeled(scn: Scenario) -> Outcome:
         # chasing is hopeless, so both exit where they are headed.
         f.sweep_partner(other_arc)
         return f.outcome("FL-2" if f.side == "behind" else "FL-4", x, t_o)
-    _, m_pos = f.meet_on_circle(y)
+    m_pos, _ = f.meet(((cartesian(f.partner_at(y)), y),))
     return f.joint_hop("FL-1" if f.side == "behind" else "FL-3", m_pos, y,
                        [(f.x_arc, chord_length(x + y + zeta)),
                         (other_arc, point_distance(m_pos, cartesian(other_arc)))])
@@ -398,30 +403,31 @@ def _outcome_f2f_labeled(scn: Scenario) -> Outcome:
 # simultaneous discovery (mirror-symmetric layouts)
 # ---------------------------------------------------------------------------
 
-def _sim_outcome(f: _Frame, kind: str) -> Outcome:
-    tag = "F0-sim" if kind == "same" else "Fd-sim"
+def _sim_outcome(f: _Frame, same: bool) -> Outcome:
+    tag = "F0-sim" if same else "Fd-sim"
     # Zero travel, or both robots stepped onto the same exit together:
     # both exit in place.
     if f.x <= ANGLE_TOL or angle_close(f.found, f.r2_find):
         return f.in_place(tag)
-    moving = _sim_first_action(f, kind)
-    if moving is None:
+    plan = _finder_plan(f, same)
+    if not plan.stops:
         return f.in_place(tag)
-    # Both robots run the mirror-image maneuver and collide on the x-axis;
-    # a leg ending on the axis (rounding may leave it a hair short) meets there.
-    leg1 = f.finder_legs
-    t_leg = f.x
-    for leg in moving:
-        y0, y1 = leg.p0[1], leg.p1[1]
-        seg = point_distance(leg.p0, leg.p1)
+    # Each robot follows its own plan, the mirror image of the other's, so
+    # they meet where the plan first crosses the x-axis; a leg ending on the
+    # axis (rounding may leave it a hair short) meets there.
+    leg1, at, t_leg = f.finder_legs, f.x_pos, f.x
+    for point, _ in plan.stops:
+        y0, y1 = at[1], point[1]
+        seg = point_distance(at, point)
         if seg <= ANGLE_TOL or (y0 * y1 > 0.0 and abs(y1) > ANGLE_TOL):
             t_leg += seg
-            leg1.append(leg)
+            leg1.append(ChordLeg(at, point))
+            at = point
             continue
         u = abs(y0) / (abs(y0) + abs(y1)) if (abs(y0) + abs(y1)) > 0 else 0.0
-        cross = (leg.p0[0] + u * (leg.p1[0] - leg.p0[0]), 0.0)
+        cross = (at[0] + u * (point[0] - at[0]), 0.0)
         tau = t_leg + u * seg
-        leg1.append(ChordLeg(leg.p0, cross))
+        leg1.append(ChordLeg(at, cross))
         r2_exit = ArcPos(f.r2_find)
         w_a, w_b = point_distance(cross, f.x_pos), point_distance(cross, cartesian(r2_exit))
         target = f.x_arc if w_a <= w_b else r2_exit
@@ -429,35 +435,11 @@ def _sim_outcome(f: _Frame, kind: str) -> Outcome:
         time = tau + min(w_a, w_b)
         # the meeting point lies on the symmetry axis, its own mirror image
         return Outcome(f.x, tag, True, time, time, leg1, mirror_plan(leg1), [cross])
-    raise TraceInvalidError("symmetric maneuvers never crossed the axis")
-
-
-def _sim_first_action(f: _Frame, kind: str):
-    """Moving legs (if any) of R1's dispatch for a simultaneous find."""
-    d, x, x_pos = f.d, f.x, f.x_pos
-    t_a = f.partner_time(f.found + d)
-    if kind == "same":
-        y = meeting.solve_meeting(x, 0.0)
-        if x + y <= d or (x <= d / 2.0 and y <= t_a) or (x >= d and y < t_a):
-            return [ChordLeg(x_pos, cartesian(f.partner_at(y)))]
-        if d / 2.0 < x < d:
-            res = _case3_same(x, d, trailing_is_exit=False)
-            if res.branch == "chase":
-                return [ChordLeg(x_pos, cartesian(f.partner_at(res.y)))]
-            if res.branch in ("pmeet", "nn", "nmeet"):
-                legs = [ChordLeg(x_pos, res.n_point)]
-                if res.p is not None:
-                    legs.append(ChordLeg(res.n_point, cartesian(f.partner_at(res.p))))
-                return legs
-        return None
-    # kind == "diff"
-    y = meeting.solve_meeting(x, d)
-    if x >= d:
-        t_x = f.partner_time(f.found)
-        return [ChordLeg(x_pos, cartesian(f.partner_at(y)))] if y < min(t_a, t_x) else None
-    if t_a > y:
-        return [ChordLeg(x_pos, cartesian(f.partner_at(y)))]
-    return [ChordLeg(x_pos, f.n_on_chord(t_a)[0])]
+    if plan.meet:
+        raise TraceInvalidError("symmetric maneuvers never crossed the axis")
+    # the plan ends on an exit on the finder's side: each leaves there alone
+    time = plan.stops[-1][1]
+    return Outcome(f.x, tag, True, time, time, leg1, mirror_plan(leg1))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ sweep ends on a true exit and lands when the receiver's sweep ends.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .geometry import ArcPos, Direction, arc_between, cartesian, point_distance
@@ -140,10 +139,9 @@ def verify_agreement(scn: Scenario, tr1: Trajectory, tr2: Trajectory) -> Agreeme
             dur = seg.t1 - seg.t0
             if seg.kind == "chord":
                 length = point_distance(seg.p0, seg.p1)
-            else:
-                sweep = (seg.theta1 - seg.theta0) % (2.0 * math.pi) if seg.ccw \
-                    else (seg.theta0 - seg.theta1) % (2.0 * math.pi)
-                length = sweep
+            else:  # priced as _integrate prices it
+                length = arc_between(ArcPos(seg.theta0), ArcPos(seg.theta1),
+                                     Direction.CCW if seg.ccw else Direction.CW)
             if abs(dur - length) > SPEED_TOL + 1e-9 * max(1.0, length):
                 issues.append(f"{name}: segment duration {dur} != length {length}")
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from diskevac import _batch
+from diskevac import _batch, face_to_face
 from diskevac.face_to_face import (
     catch_on_circle_from,
     eval_f2f_diff,
@@ -12,8 +12,10 @@ from diskevac.face_to_face import (
     intercept_moving_target,
     worst_f2f,
 )
-from diskevac.geometry import TWO_PI, ArcPos, cartesian, point_distance
-from diskevac.scenarios import CommModel, Scenario, WrongEvaluatorError
+from diskevac.geometry import ANGLE_TOL, TWO_PI, ArcPos, angle_close, cartesian, point_distance
+from diskevac.meeting import solve_meeting
+from diskevac.replay import POS_TOL, replay
+from diskevac.scenarios import CommModel, Frame, Scenario, WrongEvaluatorError, evaluate
 
 SQRT2 = math.sqrt(2.0)
 
@@ -230,3 +232,116 @@ def test_worst_f2f_d0_cross_check():
     t_diff, _, _ = worst_f2f(0.0, "diff", 0.002)
     assert t_same + 1.0 == pytest.approx(5.739, abs=5e-3)
     assert t_diff == pytest.approx(t_same, abs=1e-6)
+
+
+def test_near_simultaneous_labeled_batch_matches_scalar():
+    # exits symmetric about the x-axis, then E1 moved gap/2, so the finds
+    # lie gap apart; each robot exits where its own sweep ends, and batch and
+    # scalar both report the later find
+    for d in (0.4, 1.0, 2.0, 3.0):
+        zeta = 0.3 * d
+        for gap in (5e-11, -5e-11, 5e-10, -5e-10):
+            e1 = math.pi - d / 2.0 + gap / 2.0
+            times, codes = _batch.batch_f2f_labeled(d, zeta, np.array([e1]))
+            scn = f2f(d, zeta, e1, labeled=True)
+            res = eval_f2f_labeled(scn)
+            assert res.simultaneous
+            assert res.time_from_perimeter == float(times[0]), (d, gap)
+            assert res.case_tag == _batch.decode_tag(codes[0])
+            assert replay(scn)[2] == pytest.approx(res.time_from_perimeter, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# what the robots know
+# ---------------------------------------------------------------------------
+
+def test_second_finder_chase_and_p_gates_stay_shut(monkeypatch):
+    # A second finder's partner has stopped sweeping, so a case-3 chase on
+    # the circle or a catch at P would aim at nobody: _second_finder_same
+    # (like _batch._second_exit_arr) never tests those gates.  Every second
+    # finder the zeta = 0 policy builds on the 0.001 exit grid must sit where
+    # they are shut: P (after a hit at N) or the chase root (after a miss)
+    # at or beyond its own t_a.  Only placements whose partner can be a
+    # second finder in the case-3 dance are evaluated.
+    calls = []
+    real = face_to_face._second_finder_same
+    monkeypatch.setattr(face_to_face, "_second_finder_same",
+                        lambda a, d: calls.append((a, d)) or real(a, d))
+    grid = _batch.exit_grid(0.001)
+    apart = [_batch.encode_tag(t) for t in ("F0-2b", "F0-3a", "F0-3b", "F0-4b", "F0-4c")]
+    for d in (0.3, 0.9, 1.4, 2.0, 2.6, math.pi):
+        x, found, *_ = _batch._f2f_frame(d, 0.0, grid)
+        _, codes = _batch.batch_f2f_same(d, grid)
+        dance = [(a > d / 2.0) & (a < d - ANGLE_TOL)
+                 for a in (np.mod(-(found + d), TWO_PI), d - x)]
+        for e1 in grid[np.isin(codes, apart) & (dance[0] | dance[1])]:
+            eval_f2f_same(f2f(d, 0.0, float(e1)))
+    checked = 0
+    for a, d in calls:
+        if not d / 2.0 < a < d - ANGLE_TOL:
+            continue
+        go, hit = face_to_face._case3_same(a, d)
+        t_a = TWO_PI - a - d
+        if hit:
+            assert catch_on_circle_from(hit[0], hit[1], 0.0) >= t_a, (a, d)
+        elif go:
+            assert solve_meeting(a, 0.0) >= t_a, (a, d)
+        checked += 1
+    assert checked > 5000
+
+
+def _moved(scn):
+    """scn with the other exit moved to the other candidate beside the find,
+    or None when that changes who finds first or when, or is simultaneous."""
+    f = Frame(scn)
+    if f.sim:
+        return None
+    sign = -1.0 if f.mirrored else 1.0  # frame angles back to the disk's
+    step = -scn.d if angle_close(f.other, f.found + scn.d) else scn.d
+    found, moved = sign * f.found, sign * (f.found + step)
+    e1 = moved if angle_close(moved + scn.d, found) else found
+    twin = Scenario(scn.model, False, scn.d, scn.zeta, ArcPos(e1))
+    g = Frame(twin)
+    if g.sim or g.mirrored != f.mirrored or abs(g.x - f.x) > 1e-12:
+        return None
+    return twin
+
+
+def _position(tr, t):
+    """Where a replayed robot stands at time t."""
+    for seg in tr.segments:
+        if t <= seg.t1:
+            break
+    else:
+        return tr.final_pos
+    if seg.kind == "arc":
+        return cartesian(ArcPos(seg.theta0 + (t - seg.t0 if seg.ccw else seg.t0 - t)))
+    u = (t - seg.t0) / (seg.t1 - seg.t0) if seg.t1 > seg.t0 else 1.0
+    return (seg.p0[0] + u * (seg.p1[0] - seg.p0[0]), seg.p0[1] + u * (seg.p1[1] - seg.p0[1]))
+
+
+@pytest.mark.parametrize("zeta_is_d", [False, True])
+def test_first_finder_acts_only_on_what_it_knows(zeta_is_d):
+    # Until it meets its partner, a first finder cannot tell its layout from
+    # the one with the other exit at the other candidate.  Replayed in both,
+    # it must stand in the same spot at every leg breakpoint of either, up to
+    # its first meet in either (a partner who knows more may intercept it).
+    rng = np.random.RandomState(1)
+    tag_pairs = set()
+    for _ in range(1500):
+        d = rng.uniform(0.0, math.pi)
+        scn = f2f(d, d if zeta_is_d else 0.0, rng.uniform(0.0, TWO_PI))
+        twin = _moved(scn)
+        if twin is None:
+            continue
+        finder = 1 if Frame(scn).mirrored else 0
+        trs = [replay(s)[finder] for s in (scn, twin)]
+        until = min(min((ev.time for ev in tr.events if ev.kind == "meet"),
+                        default=tr.final_time) for tr in trs)
+        for t in sorted({seg.t1 for tr in trs for seg in tr.segments if seg.t1 < until}
+                        | {until}):
+            assert math.dist(_position(trs[0], t), _position(trs[1], t)) <= POS_TOL, \
+                (scn, twin, t)
+        tag_pairs.add((evaluate(scn).case_tag, evaluate(twin).case_tag))
+    # the pairs include layouts that part ways: a chase intercepted at N
+    assert (("Fd-1b", "Fd-1c") if zeta_is_d else ("F0-2a", "F0-3a")) in tag_pairs

@@ -112,6 +112,17 @@ def test_leg_starting_away_from_the_robot_is_flagged(monkeypatch):
     assert _flagged(monkeypatch, WL_SCN, _receiver_mutated(jump))
 
 
+def test_arc_one_ulp_short_of_a_lap_is_priced_once(monkeypatch):
+    # a counterclockwise arc leg ending one ulp clockwise of its own start:
+    # the replay prices it 0 (normalize_angle snaps the rounded 2*pi), and
+    # the agreement check must price it the same way, not as a full lap
+    def mutate(out):
+        end = out.r1_plan[-1].end
+        leg = ArcLeg(end, ArcPos(math.nextafter(end.theta, 0.0)), Direction.CCW)
+        return dataclasses.replace(out, r1_plan=[*out.r1_plan, leg])
+    assert not _flagged(monkeypatch, WL_SCN, mutate)
+
+
 def test_wireless_message_causality():
     scn = Scenario(CommModel.WIRELESS, False, 2.0, 1.0, ArcPos(1.3))
     tr1, tr2, _ = replay(scn)

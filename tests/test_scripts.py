@@ -1,10 +1,12 @@
 """Smoke runs of the experiment scripts on a coarse grid."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from diskevac.cli import random_scenarios
 from diskevac.sweep import ALL_SERIES, CSV_HEADER
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,3 +36,16 @@ def test_reproduce_table1_prints_six_rows():
     header, *rows = proc.stdout.splitlines()
     assert header.split() == ["zeta", "exits", "min", "time", "at", "d"]
     assert len(rows) == 6
+
+
+def test_fingerprint_is_repeatable():
+    spec = importlib.util.spec_from_file_location("fingerprint",
+                                                  ROOT / "scripts" / "fingerprint.py")
+    fp = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fp)
+    corpus = random_scenarios(7, 60) + fp.symmetric_scenarios(20)
+    first = list(fp.fingerprint(corpus))
+    assert first == list(fp.fingerprint(corpus))
+    assert len(first) == len(corpus) == 99
+    for line in first:  # model, labeled, d, zeta, e1, time, tag, hash
+        assert len(line.split()) == 8, line

@@ -8,10 +8,13 @@ crossing.
 
 import math
 
+import numpy as np
 import pytest
 
+from diskevac import _batch
 from diskevac.face_to_face import eval_f2f_diff, eval_f2f_same
-from diskevac.geometry import TWO_PI, ArcPos
+from diskevac.geometry import TWO_PI, ArcPos, cartesian
+from diskevac.meeting import catch_on_circle_arr
 from diskevac.replay import replay, verify_agreement
 from diskevac.scenarios import CommModel, Scenario
 from diskevac.wireless import eval_wireless_unlabeled
@@ -45,6 +48,31 @@ def test_same_symmetric_wrapped_arc(x):
     res = eval_f2f_same(scn)
     assert res.simultaneous
     _check(scn, res)
+
+
+def test_same_symmetric_case3_finder_takes_the_nearer_exit():
+    # exits at +-x with d = 2*pi - 2x and pi/2 < x < 2*pi/3, so each robot is
+    # a case-3 finder (d/2 < x < d).  Where it reaches N (above the axis,
+    # so nobody is met on the way), finds nobody there and P out of reach,
+    # its own policy walks from N to the nearer exit: X, or E2' = -x.
+    checked = 0
+    for k in range(1, 1000):
+        x = math.pi / 2.0 + k * (math.pi / 6.0) / 1000
+        d = TWO_PI - 2.0 * x
+        go, hit, nx, ny, tn = _batch._case3_arr(np.array([x]), d)
+        p = catch_on_circle_arr(nx, ny, tn, 0.0)
+        if not (go[0] and hit[0] and p[0] >= TWO_PI - x - d and ny[0] > 0.0):
+            continue
+        n = (float(nx[0]), float(ny[0]))
+        expected = float(tn[0]) + min(math.dist(n, cartesian(ArcPos(x))),
+                                      math.dist(n, cartesian(ArcPos(x + d))))
+        scn = Scenario(CommModel.FACE_TO_FACE, False, d, 0.0, ArcPos(x))
+        res = eval_f2f_same(scn)
+        assert res.simultaneous and res.case_tag == "F0-sim"
+        assert res.time_from_perimeter == pytest.approx(expected, abs=1e-12), x
+        _check(scn, res)
+        checked += 1
+    assert checked >= 200
 
 
 def test_same_symmetric_exit_in_place_takes_own_exit():

@@ -132,16 +132,18 @@ def test_batch_matches_scalar():
     # Near-simultaneous finds: the exits sit symmetric about the x-axis, so
     # both robots find at the same time, then E1 moves gap/2 (probes with
     # finds 1e-12 < |t1 - t2| <= 1e-9 apart once raised in both kernels).
-    for d in (0.4, 1.0, 2.0, 3.0):
-        zeta = 0.3 * d
-        for gap in (5e-11, -5e-11, 5e-10, -5e-10):
-            e1 = math.pi - d / 2.0 + gap / 2.0
-            times, codes = _batch.batch_wireless(d, zeta, False, np.array([e1]))
-            scn = wl(d, zeta, e1)
-            res = eval_wireless_unlabeled(scn)
-            assert res.time_from_perimeter == pytest.approx(float(times[0]), abs=1e-9)
-            assert res.case_tag == _batch.decode_tag(codes[0]) == "W-sim"
-            assert replay(scn)[2] == pytest.approx(res.time_from_perimeter, abs=1e-12)
+    # Each robot exits where its own sweep ends, so both report the later find.
+    for labeled, fn in ((False, eval_wireless_unlabeled), (True, eval_wireless_labeled)):
+        for d in (0.4, 1.0, 2.0, 3.0):
+            zeta = 0.3 * d
+            for gap in (5e-11, -5e-11, 5e-10, -5e-10):
+                e1 = math.pi - d / 2.0 + gap / 2.0
+                times, codes = _batch.batch_wireless(d, zeta, labeled, np.array([e1]))
+                scn = wl(d, zeta, e1, labeled=labeled)
+                res = fn(scn)
+                assert res.time_from_perimeter == float(times[0]), (labeled, d, gap)
+                assert res.case_tag == _batch.decode_tag(codes[0]) == "W-sim"
+                assert replay(scn)[2] == pytest.approx(res.time_from_perimeter, abs=1e-12)
 
 
 @pytest.mark.parametrize("d, zeta, e1", [(1.1, 0.55, 1.375), (0.93, 0.93, 1.395)])

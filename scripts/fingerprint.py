@@ -12,7 +12,8 @@ The corpus: `random_scenarios` seeds 7 and 11 (6,000 each); every 11th
 point of the 0.001 exit grid at seven values of d for each regime family;
 and the two mirror-symmetric simultaneous families (face-to-face zeta = 0
 with exits at +-x, zeta = d with e1 = pi - d/2).  Only the public API is
-used, so older trees run it too.
+used, so older trees run it too once `replay(scn, out)` is read as
+`replay(scn)`, the form from before `replay` took the held outcome.
 """
 
 import hashlib
@@ -67,7 +68,7 @@ def fingerprint(scenarios):
                 f"zeta={scn.zeta!r} e1={scn.e1.theta!r}")
         try:
             out = evaluate(scn)
-            tr1, tr2, _ = replay(scn)
+            tr1, tr2, _ = replay(scn, out)
         except (TraceInvalidError, SolverError, ValueError) as exc:  # a fingerprint too
             yield f"{head} {type(exc).__name__}: {exc}"
             continue

@@ -44,6 +44,13 @@ def _positive_finite(text: str) -> float:
     return value
 
 
+def _nonnegative_finite(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"{text} is not finite and >= 0")
+    return value
+
+
 def _count(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -110,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--exit-step", type=float, default=0.001)
     p_cmp.add_argument("--d-min", type=float, default=0.0)
     p_cmp.add_argument("--jobs", type=int, default=1)
-    p_cmp.add_argument("--slack", type=float, default=0.0,
+    p_cmp.add_argument("--slack", type=_nonnegative_finite, default=0.0,
                        help="ignore excesses up to this value (grid noise)")
     p_cmp.add_argument("--expect-a-below-b", action="store_true",
                        help="exit 3 unless series a never exceeds series b")
@@ -134,7 +141,7 @@ def _cmd_eval(args) -> int:
           f"r2_exit {res.r2_exit_time + extra:.6f} x {res.discovery_arc_x:.6f} "
           f"simultaneous {int(res.simultaneous)}")
     if args.trace:
-        tr1, tr2, _ = replay(scn)
+        tr1, tr2, _ = replay(scn, res)
         dump_trace(tr1, tr2, args.trace)
     return 0
 
@@ -161,10 +168,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_bounds(args) -> int:
     res = f2f_lower_bound(args.d)
+    gap = None if args.zeta is None else wireless_gap_bound(args.zeta)
     print(f"f2f_lower_bound({args.d:.6f}) = {res.value:.6f} "
           f"[{res.regime.value}: {res.formula_text}]")
-    if args.zeta is not None:
-        gap = wireless_gap_bound(args.zeta)
+    if gap is not None:
         print(f"wireless_gap_bound({args.zeta:.6f}) = {gap.value:.6f} "
               f"[{gap.formula_text}]")
     return 0
@@ -205,7 +212,7 @@ def run_verification(samples: int, seed: int, tol: float):
     for scn in random_scenarios(seed, samples):
         try:
             res = evaluate(scn)
-            tr1, tr2, makespan = replay(scn)
+            tr1, tr2, makespan = replay(scn, res)
         except (TraceInvalidError, RegimeError, SolverError) as exc:
             issues.append(f"{scn}: {type(exc).__name__}: {exc}")
             continue

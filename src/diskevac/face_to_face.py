@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import meeting
 from .geometry import (
     ANGLE_TOL,
@@ -92,12 +90,10 @@ def intercept_moving_target(chaser_q, chaser_t0, target_p0, target_t0, target_p1
 def catch_on_circle_from(point, t0: float, b: float) -> float:
     """Re-aimed on-circle catch: smallest p with p - t0 = |point -> partner(p)|.
 
-    One point through meeting.catch_on_circle_arr, the kernel the batch
-    evaluators use, so scalar and batch catches agree by construction.
+    meeting.catch_on_circle, the scalar twin of the kernel the batch
+    evaluators use, so scalar and batch catches are identical.
     """
-    p = meeting.catch_on_circle_arr(np.array([point[0]]), np.array([point[1]]),
-                                    np.array([t0]), b)
-    return float(p[0])
+    return meeting.catch_on_circle(point[0], point[1], t0, b)
 
 
 def _case3_same(a: float, d: float, m: float | None = None, slack: float = 0.0):

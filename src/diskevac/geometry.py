@@ -67,11 +67,14 @@ def chord_length(arc: float) -> float:
     return 2.0 * math.sin(arc / 2.0)
 
 
+def arc_length(theta0: float, theta1: float, ccw: bool) -> float:
+    """Arc length traveled from angle theta0 to theta1, in [0, 2*pi)."""
+    return normalize_angle(theta1 - theta0 if ccw else theta0 - theta1)
+
+
 def arc_between(a: ArcPos, b: ArcPos, direction: Direction) -> float:
     """Arc length traveled from a to b in the stated direction, in [0, 2*pi)."""
-    if direction is Direction.CCW:
-        return normalize_angle(b.theta - a.theta)
-    return normalize_angle(a.theta - b.theta)
+    return arc_length(a.theta, b.theta, direction is Direction.CCW)
 
 
 def cartesian(p: ArcPos) -> tuple[float, float]:

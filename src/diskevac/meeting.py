@@ -23,6 +23,13 @@ that width.  Where the derivative is tiny at the root (catch-up: offset
 the sign change is that of the computed residual, and the true error is
 its rounding noise over the derivative.  A separate residual gate
 follows: a catch-up root with |f| >= GATE_TOL raises SolverError.
+
+Each kernel has a scalar twin for one point: solve_meeting beside
+solve_meeting_arr, catch_on_circle beside catch_on_circle_arr.  A twin
+runs the same operations in the same order on floats (math's sin and cos;
+numpy's hypot, since math.hypot rounds differently), the same ROOT_TOL
+sign check and the same bisection fallback on length-1 arrays, so it
+returns the kernel's roots bit for bit without numpy's per-call cost.
 """
 
 from __future__ import annotations
@@ -161,13 +168,55 @@ def _bisect(left_of_root, lo, hi):
         hi = np.where(active & ~left, mid, hi)
 
 
-def _catch_g(nx, ny, t0, b, p):
+def _catch_g(nx: float, ny: float, t0: float, b: float, p: float):
+    """Scalar _catch_g_arr: g(p) with dx, dy, sin a, cos a, dist for g'(p)."""
+    a = -b - p
+    ca, sa = math.cos(a), math.sin(a)
+    dx, dy = nx - ca, ny - sa
+    dist = float(np.hypot(dx, dy))
+    return p - t0 - dist, dx, dy, sa, ca, dist
+
+
+def _catch_g_arr(nx, ny, t0, b, p):
     """P-catch residual g(p), with dx, dy, sin a, cos a, dist for g'(p)."""
     a = -b - p
     ca, sa = np.cos(a), np.sin(a)
     dx, dy = nx - ca, ny - sa
     dist = np.hypot(dx, dy)
     return p - t0 - dist, dx, dy, sa, ca, dist
+
+
+def catch_on_circle(nx: float, ny: float, t0: float, b: float) -> float:
+    """Re-aimed on-circle catch P for one point N = (nx, ny) left at t0.
+
+    Scalar twin of catch_on_circle_arr: the same operations in the same
+    order, so both return identical catches; non-finite input gives NaN.
+    """
+    if not math.isfinite(nx + ny + t0):
+        return math.nan
+    p, lo, hi = t0, t0, t0 + 2.0 + 1e-9
+    for _ in range(MAX_ITER):
+        gv, dx, dy, sa, ca, dist = _catch_g(nx, ny, t0, b, p)
+        if gv > 0.0:
+            hi = p
+        else:
+            lo = p
+        try:
+            newton = p - gv / (1.0 + (dx * sa - dy * ca) / dist)
+        except ZeroDivisionError:  # the kernel's inf or NaN: a bisection step
+            newton = math.nan
+        nxt = newton if lo <= newton <= hi else 0.5 * (lo + hi)
+        done = abs(nxt - p) < _NEWTON_STOP
+        p = nxt
+        if done:
+            break
+    else:
+        p = math.nan  # unsettled after MAX_ITER steps: bisect below
+    if not (_catch_g(nx, ny, t0, b, p - ROOT_TOL)[0] <= 0.0
+            and _catch_g(nx, ny, t0, b, p + ROOT_TOL)[0] >= 0.0):
+        p = float(_bisect(lambda m: _catch_g_arr(nx, ny, t0, b, m)[0] <= 0.0,
+                          np.array([t0]), np.array([t0 + 2.0 + 1e-9]))[0])
+    return p
 
 
 def catch_on_circle_arr(nx, ny, t0, b: float):
@@ -190,7 +239,7 @@ def catch_on_circle_arr(nx, ny, t0, b: float):
         for _ in range(MAX_ITER):
             if idx.size == 0:
                 break
-            gv, dx, dy, sa, ca, dist = _catch_g(nxa, nya, ta, b, p)
+            gv, dx, dy, sa, ca, dist = _catch_g_arr(nxa, nya, ta, b, p)
             right = gv > 0.0
             lo = np.where(right, lo, p)
             hi = np.where(right, p, hi)
@@ -206,10 +255,10 @@ def catch_on_circle_arr(nx, ny, t0, b: float):
                 p, lo, hi = p[keep], lo[keep], hi[keep]
     p_out[idx] = np.nan  # unsettled after MAX_ITER steps: bisect below
 
-    g_pm = _catch_g(nx, ny, t0, b, p_out + _PLUS_MINUS)[0]
+    g_pm = _catch_g_arr(nx, ny, t0, b, p_out + _PLUS_MINUS)[0]
     bad = ~((g_pm[0] <= 0.0) & (g_pm[1] >= 0.0))
     if bad.any():
         nb, yb, tb = nx[bad], ny[bad], t0[bad]
-        p_out[bad] = _bisect(lambda m: _catch_g(nb, yb, tb, b, m)[0] <= 0.0,
+        p_out[bad] = _bisect(lambda m: _catch_g_arr(nb, yb, tb, b, m)[0] <= 0.0,
                              tb, tb + 2.0 + 1e-9)
     return p_out

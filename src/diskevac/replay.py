@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .geometry import ArcPos, Direction, arc_between, cartesian, point_distance
-from .plans import ArcLeg, Leg, Point
+from .geometry import ArcPos, Direction, arc_between, arc_length, cartesian, point_distance
+from .plans import ArcLeg, Leg, Outcome, Point
 from .scenarios import CommModel, Scenario, TraceInvalidError, evaluate
 
 POS_TOL = 1e-9  # a robot stands on a point: meets, exits, leg joints
@@ -87,9 +87,14 @@ def _arrival(tr: Trajectory, point: Point) -> Segment:
     raise TraceInvalidError(f"planned meeting at {point} is off a robot's path")
 
 
-def replay(scn: Scenario):
-    """Reconstruct both trajectories; returns (traj1, traj2, makespan)."""
-    out = evaluate(scn)
+def replay(scn: Scenario, out: Outcome | None = None):
+    """Reconstruct both trajectories; returns (traj1, traj2, makespan).
+
+    `out` is scn's evaluated outcome, for a caller that already holds it;
+    without it the scenario is evaluated here.
+    """
+    if out is None:
+        out = evaluate(scn)
     trs = (_integrate(out.r1_plan), _integrate(out.r2_plan))
     for point in out.meets:
         for tr in trs:
@@ -140,8 +145,7 @@ def verify_agreement(scn: Scenario, tr1: Trajectory, tr2: Trajectory) -> Agreeme
             if seg.kind == "chord":
                 length = point_distance(seg.p0, seg.p1)
             else:  # priced as _integrate prices it
-                length = arc_between(ArcPos(seg.theta0), ArcPos(seg.theta1),
-                                     Direction.CCW if seg.ccw else Direction.CW)
+                length = arc_length(seg.theta0, seg.theta1, seg.ccw)
             if abs(dur - length) > SPEED_TOL + 1e-9 * max(1.0, length):
                 issues.append(f"{name}: segment duration {dur} != length {length}")
 

@@ -173,7 +173,7 @@ def test_criterion_6_oracle_equivalence():
         kind = (scn.regime, scn.labeled)
         per_kind[kind] = per_kind.get(kind, 0) + 1
         res = evaluate(scn)
-        tr1, tr2, makespan = replay(scn)
+        tr1, tr2, makespan = replay(scn, res)
         dev = abs(makespan - res.time_from_perimeter)
         max_dev = max(max_dev, dev)
         if dev >= 1e-4:

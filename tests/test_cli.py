@@ -100,6 +100,24 @@ def test_compare_dominance_holds(capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("slack, expect", [("0", 3), ("nan", 2), ("inf", 2),
+                                           ("-0.01", 2)])
+def test_compare_slack_must_be_finite_and_nonnegative(slack, expect, capsys):
+    # zeta = d exceeds zeta = 0 on this grid; a NaN slack used to hide that
+    rc = main(["compare", "--model-a", "wireless", "--zeta-a", "d",
+               "--model-b", "wireless", "--d-step", "0.5", "--exit-step", "0.1",
+               "--slack", slack, "--expect-a-below-b"])
+    out = capsys.readouterr().out
+    assert rc == expect
+    assert "never exceeds" not in out
+
+
+def test_bounds_checks_zeta_before_printing(capsys):
+    rc = main(["bounds", "--d", "1", "--zeta", "nan"])
+    assert rc == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_table1_coarse(capsys):
     rc = main(["table1", "--d-step", "0.2", "--exit-step", "0.02"])
     out = capsys.readouterr().out
@@ -245,7 +263,7 @@ def test_verify_reports_a_deviation_above_tol(monkeypatch, capsys):
         return dataclasses.replace(out, r1_exit_time=out.r1_exit_time + 1e-3,
                                    r2_exit_time=out.r2_exit_time + 1e-3)
 
-    monkeypatch.setattr(cli, "evaluate", late)  # the replay keeps the real policy
+    monkeypatch.setattr(cli, "evaluate", late)  # the replay integrates the unchanged plans
     rc = main(["verify", "--samples", "20", "--seed", "0", "--tol", "1e-4"])
     out = capsys.readouterr().out
     assert rc == 3

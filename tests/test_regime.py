@@ -2,7 +2,7 @@
 
 import pytest
 
-from diskevac import scenarios
+from diskevac import face_to_face, scenarios, wireless
 from diskevac.cli import run_verification
 from diskevac.geometry import ArcPos
 from diskevac.replay import replay
@@ -65,9 +65,9 @@ def test_unlabeled_f2f_between_0_and_d_is_refused_everywhere():
 
 
 def test_each_scenario_is_classified_once(monkeypatch):
-    # evaluate (once for the policy time, once inside replay) and the
-    # evaluator's own check all ask scn.regime; the scenario classifies
-    # itself on the first ask
+    # evaluate and the evaluator's own check both ask scn.regime (the
+    # replay takes the evaluated outcome); the scenario classifies itself
+    # on the first ask
     calls = []
     real = scenarios.classify
     monkeypatch.setattr(scenarios, "classify",
@@ -75,3 +75,16 @@ def test_each_scenario_is_classified_once(monkeypatch):
     _, issues = run_verification(200, 0, 1e-4)
     assert not issues
     assert len(calls) == 200
+
+
+def test_verification_evaluates_each_scenario_once(monkeypatch):
+    # the replay integrates the outcome run_verification already holds
+    calls = []
+    for module in (face_to_face, wireless):
+        for name in [n for n in dir(module) if n.startswith("eval_")]:
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda scn, real=real: calls.append(scn) or real(scn))
+    _, issues = run_verification(5000, 0, 1e-4)
+    assert not issues
+    assert len(calls) == 5000

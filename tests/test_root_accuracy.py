@@ -1,4 +1,5 @@
-"""Root accuracy of the two catch kernels against 60-digit mpmath roots."""
+"""Root accuracy of the two catch kernels against 60-digit mpmath roots,
+and their scalar twins' bit-for-bit agreement with them."""
 
 import math
 
@@ -6,15 +7,18 @@ import mpmath
 import numpy as np
 import pytest
 
-from diskevac import _batch
+from diskevac import _batch, meeting
+from diskevac.cli import random_scenarios
 from diskevac.face_to_face import catch_on_circle_from
 from diskevac.meeting import (
     ROOT_TOL,
+    catch_on_circle,
     catch_on_circle_arr,
     residual,
     solve_meeting,
     solve_meeting_arr,
 )
+from diskevac.scenarios import evaluate
 
 mpmath.mp.dps = 60
 
@@ -122,12 +126,65 @@ def test_p_catch_root_within_root_tol(b):
         assert catch_on_circle_from((x, y), t, b) == p
 
 
+def _twin_mismatches(nx, ny, t0, b, ps):
+    """Queries where the scalar twin's catch is not the kernel's bit for bit."""
+    return [(x, y, t) for x, y, t, p in zip(nx.tolist(), ny.tolist(), t0.tolist(),
+                                            ps.tolist())
+            if catch_on_circle(x, y, t, b) != p]
+
+
+@pytest.mark.parametrize("b", [0.0, 0.4, 1.3])
+def test_p_catch_twin_matches_kernel_on_random_queries(b):
+    nx, ny, t0 = _random_p_queries(20000, 100 + int(10 * b))
+    assert not _twin_mismatches(nx, ny, t0, b, catch_on_circle_arr(nx, ny, t0, b))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_p_catch_twin_matches_kernel_on_verify_scenarios(monkeypatch, seed):
+    # every P catch the scalar evaluators solve in a 5,000-scenario verify
+    calls = []
+    real = meeting.catch_on_circle
+
+    def spy(*args):
+        p = real(*args)
+        calls.append((args, p))
+        return p
+
+    monkeypatch.setattr(meeting, "catch_on_circle", spy)
+    for scn in random_scenarios(seed, 5000):
+        evaluate(scn)
+    assert len(calls) > 300
+    for (nx, ny, t0, b), p in calls:
+        kernel = catch_on_circle_arr(np.array([nx]), np.array([ny]), np.array([t0]), b)
+        assert p == kernel[0], (nx, ny, t0, b)
+
+
 def test_p_catch_flat_root_at_the_partner():
     # N on the circle at the partner's position: g(p) ~ (p - t0)**3 / 24,
     # so double precision fixes the root at t0 only to about 3e-5
     t0 = np.array([0.7, 2.0, 4.1])
-    p = catch_on_circle_arr(np.cos(-0.3 - t0), np.sin(-0.3 - t0), t0, 0.3)
+    nx, ny = np.cos(-0.3 - t0), np.sin(-0.3 - t0)
+    p = catch_on_circle_arr(nx, ny, t0, 0.3)
     assert np.all((p >= t0) & (p - t0 < 1e-4))
+    assert not _twin_mismatches(nx, ny, t0, 0.3, p)
+
+
+def test_p_catch_twin_matches_kernel_in_the_bisect_fallback(monkeypatch):
+    # one Newton step settles none of these points, so both fall back to
+    # bisection on [t0, t0 + 2 + 1e-9]
+    bisects = []
+    real = meeting._bisect
+    monkeypatch.setattr(meeting, "MAX_ITER", 1)
+    monkeypatch.setattr(meeting, "_bisect",
+                        lambda *args: bisects.append(args) or real(*args))
+    nx, ny, t0 = _random_p_queries(50, 3)
+    ps = catch_on_circle_arr(nx, ny, t0, 0.4)
+    assert len(bisects) == 1 and bisects[0][1].size == 50
+    assert not _twin_mismatches(nx, ny, t0, 0.4, ps)
+    assert len(bisects) == 51
+    for x, y, t, p in zip(nx, ny, t0, ps):
+        assert _p_residual(x, y, t, 0.4, p - ROOT_TOL) <= 0.0
+        assert _p_residual(x, y, t, 0.4, p + ROOT_TOL) >= 0.0
 
 
 def test_p_catch_batch_name_is_the_shared_kernel():
@@ -139,3 +196,6 @@ def test_p_catch_non_finite_input_gives_nan():
                             np.array([1.0, 1.0]), 0.0)
     assert math.isfinite(p[0])
     assert math.isnan(p[1])
+    assert catch_on_circle(0.1, 0.2, 1.0, 0.0) == p[0]
+    for query in ((math.nan, 0.0, 1.0), (0.1, math.inf, 1.0), (0.1, 0.2, -math.inf)):
+        assert math.isnan(catch_on_circle(*query, 0.0))

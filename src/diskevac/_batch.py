@@ -4,6 +4,13 @@ Each function evaluates one (d, zeta) cell over a whole grid of exit
 positions with numpy.  The branch structure mirrors the scalar
 dispatchers leg for leg; tests assert pointwise agreement between the two
 implementations, which is what makes the duplication safe.
+
+Input domain: finite exit angles e1s in [0, 2*pi) and 0 <= zeta <= d <= pi
+(with the 1e-12 slack Scenario allows); anything else raises ValueError.
+On it each angle reduction is a conditional +-2*pi that equals np.mod(a,
+2*pi) bit for bit, -0.0 -> +0.0 included, on the range written at its call
+site.  Ranges holding a catch-up root y use x + y + offset <= 2*pi and
+y <= pi + 1, the bounds of solve_meeting_arr's Newton start.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import numpy as np
 from .geometry import ANGLE_TOL, TWO_PI
 from .meeting import catch_on_circle_arr as _catch_p_arr  # module name perfbench wraps
 from .meeting import solve_meeting_arr
-from .scenarios import TraceInvalidError
+from .scenarios import Regime, TraceInvalidError
 
 TAG_LIST = (
     "W-sim", "W1a", "W1b", "W1c", "W2", "W3a", "W3b", "WL-L1", "WL-L2",
@@ -40,24 +47,47 @@ def exit_grid(step: float) -> np.ndarray:
     return np.arange(n, dtype=float) * step
 
 
-def _norm(a):
-    """np.mod into [0, 2*pi), snapping a rounded 2*pi to 0 as normalize_angle does."""
-    t = np.mod(a, TWO_PI)
+# Where no wrap is due a wrap adds +0.0, which turns -0.0 into +0.0 as np.mod does.
+
+def _up(a):
+    """np.mod(a, 2*pi) for a in [-2*pi, 2*pi): one conditional + 2*pi."""
+    t = (a < 0.0) * TWO_PI
+    t += a
+    return t
+
+
+def _up2(a):
+    """np.mod(a, 2*pi) for a in [-4*pi, 2*pi): an exact (Sterbenz) + 2*pi, then _up."""
+    t = (a < -TWO_PI) * TWO_PI
+    t += a
+    return _up(t)
+
+
+def _down(a):
+    """np.mod(a, 2*pi) for a in [0, 4*pi): a - 2*pi is exact (Sterbenz)."""
+    t = np.where(a >= TWO_PI, -TWO_PI, 0.0)  # not a product: 0 * -2*pi is -0.0
+    t += a
+    return t
+
+
+def _norm(t):
+    """Snap a wrapped angle that rounded to 2*pi to 0, as normalize_angle does."""
     return np.where(t >= TWO_PI, 0.0, t)
 
 
-def _ch(arc):
-    """Chord of an arc, tolerant of mod-2*pi wrapping."""
-    return 2.0 * np.sin(np.mod(arc, TWO_PI) / 2.0)
+def _ch(t):
+    """Chord of a wrapped arc t in [0, 2*pi]."""
+    return 2.0 * np.sin(t / 2.0)
 
 
 def _close(a, b, tol=ANGLE_TOL):
-    return np.abs(np.mod(a - b + math.pi, TWO_PI) - math.pi) <= tol
+    """Same circle point within tol.  _up(_down(u)) is np.mod(u, 2*pi) on [-2*pi,
+    4*pi), which holds u = a - b + pi up to a few ulps, where both are far from pi."""
+    return np.abs(_up(_down(a - b + math.pi)) - math.pi) <= tol
 
 
-def _hit(arc):
-    """Travel time to an exit; near-2*pi wraps snap to 'on the start point'."""
-    t = np.mod(arc, TWO_PI)
+def _hit(t):
+    """Travel time to an exit from a wrapped arc; near 2*pi snaps to 'on the start'."""
     return np.where(t >= TWO_PI - ANGLE_TOL, 0.0, t)
 
 
@@ -68,26 +98,32 @@ def _frame(d: float, zeta: float, e1s: np.ndarray):
     robot exits where its own sweep ends, so x is the later find, as in the
     scalar Frame.in_place.
     """
+    if not (0.0 <= d <= math.pi + 1e-12 and 0.0 <= zeta <= d + 1e-12  # where wraps are exact
+            and np.all((e1s >= 0.0) & (e1s < TWO_PI))):
+        raise ValueError("kernel needs 0 <= zeta <= d <= pi and finite exits in "
+                         f"[0, 2*pi), got d={d}, zeta={zeta}")
     b = zeta / 2.0
-    e2s = np.mod(e1s + d, TWO_PI)
-    t1a = _hit(e1s - b)
-    t1b = _hit(e2s - b)
-    t2a = _hit(-b - e1s)
-    t2b = _hit(-b - e2s)
+    e2s = _down(e1s + d)  # [0, 3*pi]
+    t1a = _hit(_up(e1s - b))  # [-pi/2, 2*pi), and so is e2s - b
+    t1b = _hit(_up(e2s - b))
+    t2a = _hit(_up2(-b - e1s))  # (-5*pi/2, 0], and so is -b - e2s
+    t2b = _hit(_up2(-b - e2s))
+    first1 = t1a <= t1b
     t1 = np.minimum(t1a, t1b)
-    found1 = np.where(t1a <= t1b, e1s, e2s)
-    other1 = np.where(t1a <= t1b, e2s, e1s)
+    found1 = np.where(first1, e1s, e2s)
+    other1 = np.where(first1, e2s, e1s)
+    first2 = t2a <= t2b
     t2 = np.minimum(t2a, t2b)
-    found2 = np.where(t2a <= t2b, e1s, e2s)
-    other2 = np.where(t2a <= t2b, e2s, e1s)
+    found2 = np.where(first2, e1s, e2s)
+    other2 = np.where(first2, e2s, e1s)
     sim = np.abs(t1 - t2) <= ANGLE_TOL
     # Simultaneous finds where both robots stand on the same exit point:
     # co-located, so they exchange and leave immediately.
     sim_trivial = sim & (_close(found1, found2) | (t1 <= ANGLE_TOL))
     mirrored = t2 < t1
     x = np.where(sim, np.maximum(t1, t2), np.minimum(t1, t2))
-    found = np.where(mirrored, np.mod(-found2, TWO_PI), found1)
-    other = np.where(mirrored, np.mod(-other2, TWO_PI), other1)
+    found = np.where(mirrored, _up(-found2), found1)  # (-2*pi, 0], and so is -other2
+    other = np.where(mirrored, _up(-other2), other1)
     return x, found, other, sim, sim_trivial
 
 
@@ -99,18 +135,19 @@ def batch_wireless(d: float, zeta: float, labeled: bool, e1s: np.ndarray):
     b = zeta / 2.0
     x, found, other, sim, _ = _frame(d, zeta, e1s)
     n = e1s.size
-    big_d = np.mod(-b - x, TWO_PI)  # receiver position when the message lands
+    big_d = _up2(-b - x)  # (-5*pi/2, 0]: receiver position when the message lands
+    reach = x + ANGLE_TOL
 
     def chord_from_d(c):
-        return _ch(np.mod(c - big_d, TWO_PI))
+        return _ch(_norm(_up(c - big_d)))  # [-2*pi, 2*pi)
 
     def swept(c):
-        by_finder = _norm(c - b) <= x + ANGLE_TOL
-        by_receiver = _norm(-b - c) <= x + ANGLE_TOL
+        by_finder = _norm(_up(c - b)) <= reach  # [-pi/2, 2*pi)
+        by_receiver = _norm(_up2(-b - c)) <= reach  # (-5*pi/2, 0]
         return by_finder, by_receiver
 
     def in_gap(c):
-        u = _norm(c + b)
+        u = _down(c + b)  # [0, 5*pi/2): below 2*pi after the wrap
         return (u > ANGLE_TOL) & (u < zeta - ANGLE_TOL)
 
     if labeled:
@@ -122,8 +159,8 @@ def batch_wireless(d: float, zeta: float, labeled: bool, e1s: np.ndarray):
         times = x + chord_from_d(found)
         codes = np.full(n, encode_tag("W3b"), dtype=np.int16)
     else:
-        cb = _norm(found - d)
-        ca = _norm(found + d)
+        cb = _norm(_up(found - d))  # [-pi, 2*pi)
+        ca = _down(found + d)  # [0, 3*pi]: below 2*pi after the wrap
         f_b, r_b = swept(cb)
         f_a, r_a = swept(ca)
         ruled_b = (f_b | r_b) & ~_close(cb, found)
@@ -131,21 +168,19 @@ def batch_wireless(d: float, zeta: float, labeled: bool, e1s: np.ndarray):
         if np.any(ruled_b & ruled_a & ~sim):
             raise TraceInvalidError("wireless: both candidates ruled out")
         w_x = chord_from_d(found)
-        between = _ch(np.minimum(2.0 * d, TWO_PI))
-        w_b = chord_from_d(cb) + between
-        w_a = chord_from_d(ca) + between
+        w_cb = chord_from_d(cb)
+        w_ca = chord_from_d(ca)
+        between = _ch(_down(np.minimum(2.0 * d, TWO_PI)))  # [0, 2*pi]
+        w_b = w_cb + between
+        w_a = w_ca + between
 
+        # X, or the nearer candidate first and on to the other if no exit is there
         go_x = w_x <= np.minimum(w_b, w_a)
         first_cb = ~go_x & (w_b <= w_a)
+        t_first = x + np.where(first_cb, w_cb, w_ca)
         t_open = np.where(
             go_x, x + w_x,
-            np.where(
-                first_cb,
-                np.where(_close(other, cb), x + chord_from_d(cb),
-                         x + chord_from_d(cb) + between),
-                np.where(_close(other, ca), x + chord_from_d(ca),
-                         x + chord_from_d(ca) + between),
-            ),
+            np.where(_close(other, np.where(first_cb, cb, ca)), t_first, t_first + between),
         )
         gap_b, gap_a = in_gap(cb), in_gap(ca)
         c_open = np.where(
@@ -153,9 +188,7 @@ def batch_wireless(d: float, zeta: float, labeled: bool, e1s: np.ndarray):
             np.where(gap_b & gap_a, encode_tag("W1c"), encode_tag("W1b")),
         )
 
-        certain = np.where(ruled_a, cb, ca)
-        w_c = chord_from_d(certain)
-        t_cert = x + np.minimum(w_x, w_c)
+        t_cert = x + np.minimum(w_x, np.where(ruled_a, w_cb, w_ca))
         c_cert = np.where(
             ruled_a, encode_tag("W2"),
             np.where(r_b, encode_tag("W3a"), encode_tag("W3b")),
@@ -194,10 +227,13 @@ def _intercept_arr(qx, qy, tq, p0x, p0y, t0, p1x, p1y, slack=0.0):
     return ok, nx, ny, t0 + s
 
 
-def _hop(px, py, t, theta_a, theta_b):
-    """t plus the distance from (px, py) to the nearer of two perimeter points."""
-    return t + np.minimum(np.hypot(px - np.cos(theta_a), py - np.sin(theta_a)),
-                          np.hypot(px - np.cos(theta_b), py - np.sin(theta_b)))
+def _point(theta):
+    return np.cos(theta), np.sin(theta)
+
+
+def _hop(px, py, t, pa, pb):
+    """t plus the distance from (px, py) to the nearer of the points pa and pb."""
+    return t + np.minimum(np.hypot(px - pa[0], py - pa[1]), np.hypot(px - pb[0], py - pb[1]))
 
 
 def _case3_arr(a, d, m=None, slack=0.0):
@@ -212,8 +248,7 @@ def _case3_arr(a, d, m=None, slack=0.0):
     if m is None:
         m = solve_meeting_arr(phi, 0.0)
     go = m < TWO_PI - 2.0 * d + a
-    hit, nx, ny, tn = _intercept_arr(np.cos(a), np.sin(a), a, np.cos(-phi), np.sin(-phi),
-                                     phi, np.cos(m), np.sin(m), slack)
+    hit, nx, ny, tn = _intercept_arr(*_point(a), a, *_point(-phi), phi, *_point(m), slack)
     return go, hit, nx, ny, tn
 
 
@@ -230,7 +265,7 @@ def _second_exit_arr(a_s, d):
         return out
     a = a_s[dance]
     go, hit, nx, ny, tn = _case3_arr(a, d)
-    out[dance] = np.where(go & hit, _hop(nx, ny, tn, a, a + d), a)
+    out[dance] = np.where(go & hit, _hop(nx, ny, tn, _point(a), _point(a + d)), a)
     return out
 
 
@@ -254,7 +289,7 @@ def batch_f2f_same(d: float, e1s: np.ndarray):
     x, found, sim, ahead, behind = _f2f_frame(d, 0.0, e1s)
     n = e1s.size
     y = solve_meeting_arr(x, 0.0)
-    t_a = np.mod(-(found + d), TWO_PI)
+    t_a = _up2(-(found + d))  # [-3*pi, 0]
 
     c1 = x + y <= d
     c2 = ~c1 & (x <= d / 2.0)
@@ -264,14 +299,14 @@ def batch_f2f_same(d: float, e1s: np.ndarray):
         raise TraceInvalidError("first finder in case 3/4 with a trailing exit")
 
     # catch the partner on the circle at y, then the nearer of X and E2'
-    t_catch = y + np.minimum(_ch(x + y), _ch(t_a - y))
+    w_x = _ch(_down(x + y))  # [0, 2*pi]
+    t_catch = y + np.minimum(w_x, _ch(_up(_down(t_a - y))))  # [-pi - 1, 2*pi]
     # evacuate separately: the partner is a second finder at arc t_a
     t_apart = np.maximum(x, _second_exit_arr(t_a, d))
 
     # case 1
-    w_x = _ch(x + y)
-    hop_cb = _ch(np.maximum(d - x - y, 0.0))
-    between = _ch(np.minimum(2.0 * d, TWO_PI))
+    hop_cb = _ch(_down(np.maximum(d - x - y, 0.0)))  # [0, pi]
+    between = _ch(_down(np.minimum(2.0 * d, TWO_PI)))  # [0, 2*pi]
     t_c1 = np.where(
         w_x <= hop_cb + between, y + w_x,
         np.where(behind, y + hop_cb, y + hop_cb + between),
@@ -288,7 +323,7 @@ def batch_f2f_same(d: float, e1s: np.ndarray):
         _, hit, nx, ny, tn = _case3_arr(a_s, d, m=y[m2], slack=1e-7)
         if not np.all(hit):
             raise TraceInvalidError("partner failed to intercept a live chase")
-        t_2a_behind[m2] = _hop(nx, ny, tn, a_s, a_s - d)
+        t_2a_behind[m2] = _hop(nx, ny, tn, _point(a_s), _point(a_s - d))
     t_2b = np.where(behind, np.maximum(x, d - x), t_apart)
 
     # case 3 (exit always ahead here)
@@ -297,10 +332,11 @@ def batch_f2f_same(d: float, e1s: np.ndarray):
     if np.any(c3):
         xi, yi, tai = x[c3], y[c3], t_a[c3]
         go, hit, nx, ny, tn = _case3_arr(xi, d)
+        pa, pb = _point(xi), _point(xi + d)  # X and E2', the two hops' targets
         p = _catch_p_arr(nx, ny, tn, 0.0)
-        t_nn = np.maximum(_hop(nx, ny, tn, xi, xi + d), t_apart[c3])
+        t_nn = np.maximum(_hop(nx, ny, tn, pa, pb), t_apart[c3])
         t_c3[c3] = np.where(
-            go & hit & (p < tai), _hop(np.cos(-p), np.sin(-p), p, xi, xi + d),
+            go & hit & (p < tai), _hop(*_point(-p), p, pa, pb),
             np.where(go & hit, t_nn,
                      np.where(go & ~hit & (yi < tai), t_catch[c3], t_apart[c3])),
         )
@@ -334,8 +370,8 @@ def batch_f2f_diff(d: float, e1s: np.ndarray):
     n = e1s.size
 
     y = solve_meeting_arr(x, d)
-    t_a = np.mod(-b - (found + d), TWO_PI)
-    t_x = np.mod(-b - found, TWO_PI)
+    t_a = _up2(-b - (found + d))  # [-7*pi/2, 0]
+    t_x = _up2(-b - found)  # (-5*pi/2, 0]
 
     c2 = x >= d
     if np.any(c2 & behind & ~sim):
@@ -344,13 +380,14 @@ def batch_f2f_diff(d: float, e1s: np.ndarray):
     # case 2
     t_stop = np.minimum(t_a, t_x)
     g2c = y < t_stop
-    t_2c = y + np.minimum(_ch(x + y + d), _ch(np.mod(x + y + 2.0 * d, TWO_PI)))
+    w_1a = _ch(_down(x + y + d))  # [0, 2*pi]
+    t_2c = y + np.minimum(w_1a, _ch(_down(x + y + 2.0 * d)))  # [0, 3*pi]
     t_2b = np.maximum(x, t_stop)
 
     # case 1
     g1a = t_a > y
-    t_1a = y + _ch(x + y + d)
-    seg = _ch(np.full(n, d))
+    t_1a = y + w_1a
+    seg = _ch(_down(d))  # [0, pi]
     s = np.clip((t_a + seg - x) / 2.0, 0.0, seg)
     t_1b = x + s + np.minimum(s, seg - s)
     c_1b = np.where(t_a >= d - ANGLE_TOL, encode_tag("Fd-2a"), encode_tag("Fd-1b"))
@@ -363,19 +400,14 @@ def batch_f2f_diff(d: float, e1s: np.ndarray):
         xi, yi = x[idx], y[idx]
         fi = found[idx]
         si = s[idx]
-        seg_i = seg[idx]
-        xpx, xpy = np.cos(fi), np.sin(fi)
-        capx, capy = np.cos(fi + d), np.sin(fi + d)
-        cbpx, cbpy = np.cos(fi - d), np.sin(fi - d)
-        t_chase = yi + np.minimum(_ch(xi + yi + d), _ch(xi + yi))
-        ux, uy = (capx - xpx) / seg_i, (capy - xpy) / seg_i
+        xpx, xpy = xp = _point(fi)
+        capx, capy = _point(fi + d)
+        t_chase = yi + np.minimum(w_1a[idx], _ch(_down(xi + yi)))  # [0, 2*pi]
+        ux, uy = (capx - xpx) / seg, (capy - xpy) / seg
         nx, ny = xpx + si * ux, xpy + si * uy
         tn = xi + si
         p = _catch_p_arr(nx, ny, tn, b)
-        ppx, ppy = np.cos(-b - p), np.sin(-b - p)
-        hop = np.minimum(np.hypot(ppx - xpx, ppy - xpy),
-                         np.hypot(ppx - cbpx, ppy - cbpy))
-        t_pm = p + hop
+        t_pm = _hop(*_point(-b - p), p, xp, _point(fi - d))
         t_def = np.maximum(t_pm, t_x[idx])
         t_1c[idx] = np.where(si <= ANGLE_TOL, t_chase,
                              np.where(p <= t_x[idx], t_pm, t_def))
@@ -399,10 +431,11 @@ def batch_f2f_labeled(d: float, zeta: float, e1s: np.ndarray):
     x, found, other, sim, _ = _frame(d, zeta, e1s)
     ahead = _close(other, found + d)
     y = solve_meeting_arr(x, zeta)
-    t_o = np.mod(-b - other, TWO_PI)
+    t_o = _up2(-b - other)  # (-5*pi/2, 0]
 
     chase = t_o > y
-    t_chase = y + np.minimum(_ch(x + y + zeta), _ch(t_o - y))
+    t_chase = y + np.minimum(_ch(_down(x + y + zeta)),  # [0, 2*pi]
+                             _ch(_up(_down(t_o - y))))  # [-pi - 1, 2*pi]
     t_exit = np.maximum(x, t_o)
     times = np.where(chase & ~sim, t_chase, np.where(sim, x, t_exit))
     codes = np.where(
@@ -411,3 +444,14 @@ def batch_f2f_labeled(d: float, zeta: float, e1s: np.ndarray):
         np.where(ahead, encode_tag("FL-4"), encode_tag("FL-2")),
     ).astype(np.int16)
     return times, codes
+
+
+def batch_cell(regime: Regime, d: float, zeta: float, e1s: np.ndarray, labeled=False):
+    """(times, codes) over e1s from the kernel of regime; only wireless reads labeled."""
+    if regime is Regime.WIRELESS:
+        return batch_wireless(d, zeta, labeled, e1s)
+    if regime is Regime.F2F_SAME:
+        return batch_f2f_same(d, e1s)
+    if regime is Regime.F2F_DIFF:
+        return batch_f2f_diff(d, e1s)
+    return batch_f2f_labeled(d, zeta, e1s)

@@ -481,14 +481,9 @@ def worst_f2f(d: float, variant: str, exit_step: float, zeta_policy="0"):
 
     if exit_step <= 0.0:
         raise ValueError("exit_step must be positive")
-    grid = _batch.exit_grid(exit_step)
-    if variant == "same":
-        times, codes = _batch.batch_f2f_same(d, grid)
-    elif variant == "diff":
-        times, codes = _batch.batch_f2f_diff(d, grid)
-    elif variant == "labeled":
-        times, codes = _batch.batch_f2f_labeled(d, resolve_zeta(zeta_policy, d), grid)
-    else:
+    if variant not in ("same", "diff", "labeled"):
         raise ValueError(f"unknown face-to-face variant {variant!r}")
+    times, codes = _batch.batch_cell(Regime(variant), d, resolve_zeta(zeta_policy, d),
+                                     _batch.exit_grid(exit_step))
     i = int(times.argmax())
     return float(times[i]), ArcPos(i * exit_step), _batch.decode_tag(codes[i])

@@ -156,6 +156,7 @@ def worst_wireless(d: float, zeta_policy, labeled: bool, exit_step: float):
     if exit_step <= 0.0:
         raise ValueError("exit_step must be positive")
     zeta = resolve_zeta(zeta_policy, d)
-    times, codes = _batch.batch_wireless(d, zeta, labeled, _batch.exit_grid(exit_step))
+    times, codes = _batch.batch_cell(Regime.WIRELESS, d, zeta, _batch.exit_grid(exit_step),
+                                     labeled)
     i = int(times.argmax())
     return float(times[i]), ArcPos(i * exit_step), _batch.decode_tag(codes[i])

@@ -10,7 +10,7 @@ from diskevac.cli import main, random_scenarios
 from diskevac.geometry import TWO_PI, ArcPos, Direction, cartesian
 from diskevac.plans import ArcLeg, ChordLeg
 from diskevac.replay import Event, dump_trace, replay, verify_agreement
-from diskevac.scenarios import CommModel, Regime, Scenario, TraceInvalidError, evaluate
+from diskevac.scenarios import CommModel, Scenario, TraceInvalidError, evaluate
 
 replay_mod = importlib.import_module("diskevac.replay")  # the package exports a replay()
 
@@ -183,15 +183,8 @@ def test_exit_positions_are_true_exits():
 
 def _batch_outcome(scn):
     """(time, case tag) of the vectorized kernel at scn's one placement."""
-    e1s = np.array([scn.e1.theta])
-    if scn.regime is Regime.WIRELESS:
-        times, codes = _batch.batch_wireless(scn.d, scn.zeta, scn.labeled, e1s)
-    elif scn.regime is Regime.F2F_LABELED:
-        times, codes = _batch.batch_f2f_labeled(scn.d, scn.zeta, e1s)
-    elif scn.regime is Regime.F2F_DIFF:
-        times, codes = _batch.batch_f2f_diff(scn.d, e1s)
-    else:
-        times, codes = _batch.batch_f2f_same(scn.d, e1s)
+    times, codes = _batch.batch_cell(scn.regime, scn.d, scn.zeta, np.array([scn.e1.theta]),
+                                     scn.labeled)
     return float(times[0]), _batch.decode_tag(codes[0])
 
 

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from diskevac.cli import random_scenarios
-from diskevac.sweep import ALL_SERIES, CSV_HEADER
+from diskevac.sweep import ALL_SERIES, CSV_HEADER, SweepConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 COARSE = ["--d-step", "0.5", "--exit-step", "0.05"]
@@ -36,6 +36,18 @@ def test_reproduce_table1_prints_six_rows():
     header, *rows = proc.stdout.splitlines()
     assert header.split() == ["zeta", "exits", "min", "time", "at", "d"]
     assert len(rows) == 6
+
+
+def test_kernel_digest_prints_one_line_per_series():
+    proc = _run("kernel_digest.py", *COARSE)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 11
+    cells = len(SweepConfig(d_step=0.5, exit_step=0.05).d_grid())
+    for line, series in zip(lines, ALL_SERIES):
+        key, n, digest = line.split()
+        assert (key, int(n), len(digest)) == (series.key, cells, 64)
+    assert proc.stdout == _run("kernel_digest.py", *COARSE).stdout
 
 
 def test_fingerprint_is_repeatable():

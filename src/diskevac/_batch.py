@@ -163,8 +163,10 @@ def batch_wireless(d: float, zeta: float, labeled: bool, e1s: np.ndarray):
         ca = _down(found + d)  # [0, 3*pi]: below 2*pi after the wrap
         f_b, r_b = swept(cb)
         f_a, r_a = swept(ca)
-        ruled_b = (f_b | r_b) & ~_close(cb, found)
-        ruled_a = (f_a | r_a) & ~_close(ca, found)
+        ruled_b, ruled_a = f_b | r_b, f_a | r_a
+        if d < 2.0 * ANGLE_TOL:  # else a candidate d away cannot be the find
+            ruled_b &= ~_close(cb, found)
+            ruled_a &= ~_close(ca, found)
         if np.any(ruled_b & ruled_a & ~sim):
             raise TraceInvalidError("wireless: both candidates ruled out")
         w_x = chord_from_d(found)
@@ -301,8 +303,13 @@ def batch_f2f_same(d: float, e1s: np.ndarray):
     # catch the partner on the circle at y, then the nearer of X and E2'
     w_x = _ch(_down(x + y))  # [0, 2*pi]
     t_catch = y + np.minimum(w_x, _ch(_up(_down(t_a - y))))  # [-pi - 1, 2*pi]
-    # evacuate separately: the partner is a second finder at arc t_a
-    t_apart = np.maximum(x, _second_exit_arr(t_a, d))
+    # evacuate separately: the partner is a second finder at arc t_a (solved
+    # only where a case below reads it: 2b with the exit ahead, 3, 4b and 4c)
+    g2a = y <= t_a
+    g4a = y < t_a
+    apart = ~sim & ((c2 & ~g2a & ahead) | c3 | (c4 & ~g4a))
+    t_apart = np.full(n, np.nan)
+    t_apart[apart] = np.maximum(x[apart], _second_exit_arr(t_a[apart], d))
 
     # case 1
     hop_cb = _ch(_down(np.maximum(d - x - y, 0.0)))  # [0, pi]
@@ -313,7 +320,6 @@ def batch_f2f_same(d: float, e1s: np.ndarray):
     )
 
     # case 2
-    g2a = y <= t_a
     # 2a with the exit behind: the partner found it and intercepts at N
     t_2a_behind = np.full(n, np.nan)
     m2 = c2 & g2a & behind
@@ -332,19 +338,19 @@ def batch_f2f_same(d: float, e1s: np.ndarray):
     if np.any(c3):
         xi, yi, tai = x[c3], y[c3], t_a[c3]
         go, hit, nx, ny, tn = _case3_arr(xi, d)
-        pa, pb = _point(xi), _point(xi + d)  # X and E2', the two hops' targets
-        p = _catch_p_arr(nx, ny, tn, 0.0)
-        t_nn = np.maximum(_hop(nx, ny, tn, pa, pb), t_apart[c3])
-        t_c3[c3] = np.where(
-            go & hit & (p < tai), _hop(*_point(-p), p, pa, pb),
-            np.where(go & hit, t_nn,
-                     np.where(go & ~hit & (yi < tai), t_catch[c3], t_apart[c3])),
-        )
+        t3 = np.where(go & ~hit & (yi < tai), t_catch[c3], t_apart[c3])
+        gh = go & hit  # N reached in time: catch the partner at P
+        if np.any(gh):
+            xg, nx, ny, tn = xi[gh], nx[gh], ny[gh], tn[gh]
+            pa, pb = _point(xg), _point(xg + d)  # X and E2', the two hops' targets
+            p = _catch_p_arr(nx, ny, tn, 0.0)
+            t_nn = np.maximum(_hop(nx, ny, tn, pa, pb), t_apart[c3][gh])
+            t3[gh] = np.where(p < tai[gh], _hop(*_point(-p), p, pa, pb), t_nn)
+        t_c3[c3] = t3
         c_c3[c3] = np.where(go & (hit | (yi < tai)),
                             encode_tag("F0-3a"), encode_tag("F0-3b"))
 
     # case 4
-    g4a = y < t_a
     t_c4 = np.where(g4a, t_catch, t_apart)
     c_c4 = np.where(g4a, encode_tag("F0-4a"),
                     np.where(t_a >= d - ANGLE_TOL, encode_tag("F0-4c"),

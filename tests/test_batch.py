@@ -90,3 +90,31 @@ def test_no_kernel_returns_negative_zero():
                 assert not np.any(np.signbit(times)), (name, d, zeta)
                 checked += times.size
     assert checked >= 50 * grid.size
+
+
+def test_f2f_same_solves_only_what_its_cases_read(monkeypatch):
+    # the second-finder dance runs only where t_apart is read (2b with the
+    # exit ahead, 3, 4 without a catch), the P catch only on case-3 points
+    # that reach N in time
+    sizes = {"_second_exit_arr": [], "_catch_p_arr": []}
+    for name, calls in sizes.items():
+        real = getattr(_batch, name)
+        monkeypatch.setattr(_batch, name, lambda a, *rest, real=real, calls=calls:
+                            calls.append(a.size) or real(a, *rest))
+    grid = _batch.exit_grid(0.001)
+    for d in (0.8, 1.6, 2.4, 3.1):
+        for calls in sizes.values():
+            calls.clear()
+        _batch.batch_f2f_same(d, grid)
+        x, found, sim, ahead, _ = _batch._f2f_frame(d, 0.0, grid)
+        y = _batch.solve_meeting_arr(x, 0.0)
+        t_a = _batch._up2(-(found + d))
+        c1 = x + y <= d
+        c2 = ~c1 & (x <= d / 2.0)
+        c3 = ~c1 & ~c2 & (x < d)
+        c4 = ~c1 & ~c2 & ~c3
+        read = ~sim & ((c2 & (y > t_a) & ahead) | c3 | (c4 & (y >= t_a)))
+        go, hit, *_ = _batch._case3_arr(x[c3], d)
+        assert sizes["_second_exit_arr"] == [np.count_nonzero(read)], d
+        assert sum(sizes["_catch_p_arr"]) == np.count_nonzero(go & hit), d
+        assert np.count_nonzero(read) < np.count_nonzero(~sim), d

@@ -5,7 +5,7 @@ import pytest
 
 from diskevac import _batch
 from diskevac.geometry import TWO_PI, ArcPos
-from diskevac.scenarios import CommModel, Scenario, UnsupportedRegimeError
+from diskevac.scenarios import CommModel, Scenario, UnsupportedRegimeError, evaluate
 from diskevac.replay import replay
 from diskevac.wireless import (
     eval_wireless_labeled,
@@ -207,3 +207,23 @@ def test_geometric_dispatch_matches_case_inequalities():
         assert cond, (res.case_tag, d, zeta, e1, x)
         checked += 1
     assert checked > 1000
+
+
+@pytest.mark.parametrize("d", [
+    pytest.param(1e-9, marks=pytest.mark.xfail(
+        raises=_batch.TraceInvalidError, strict=True,
+        reason="at d = ANGLE_TOL rounding decides whether a candidate is the "
+               "find, and the two evaluators round differently")),
+    1.5e-9, 2e-9, 3e-9,
+])
+def test_batch_matches_scalar_when_d_is_near_angle_tol(d):
+    # a candidate d away from the find can be the find itself only while d
+    # is within rounding of ANGLE_TOL; the kernel checks for it below 2e-9
+    e1s = np.concatenate([_batch.exit_grid(0.05),
+                          np.random.RandomState(5).uniform(0.0, TWO_PI, 60)])
+    for zeta in (0.0, d / 2.0, d):
+        times, codes = _batch.batch_wireless(d, zeta, False, e1s)
+        for e1, t, c in zip(e1s, times, codes):
+            res = evaluate(wl(d, zeta, float(e1)))
+            assert res.time_from_perimeter == pytest.approx(float(t), abs=1e-9)
+            assert res.case_tag == _batch.decode_tag(c), (d, zeta, e1)

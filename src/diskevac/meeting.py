@@ -1,35 +1,41 @@
-"""Safeguarded Newton kernels for the two catch equations.
+"""Root kernels for the two catch equations.
 
 Catch-up: y = x + 2*sin((x + y + offset)/2).  The residual
 f(y) = x + 2*sin(s) - y, s = (x + y + offset)/2, has
 f'(y) = cos(s) - 1 = -2*sin(s/2)**2 <= 0, so the root on [x, x + 2] is
 unique.  f(x) = 2*sin((2x + offset)/2) >= 0 holds whenever
-2x + offset <= 2*pi.  Newton starts at y0 = min(x + 2, 2*pi - x - offset),
-where f(y0) <= 0 and s <= pi: f is concave and decreasing on [root, y0],
-so the iterates fall monotonically onto the root with no bracket to keep.
+2x + offset <= 2*pi.  With u = s the equation reads u - sin u = c,
+c = x + offset/2 in [0, pi]: Kepler's equation at eccentricity 1.  It is
+solved with no loop (Markley, Celest. Mech. Dyn. Astron. 63, 1995):
+a starter within 3.6e-4 of u, then one fifth-order correction step,
+which needs only sin u and sin(u/2) since 1 - cos u = 2*sin(u/2)**2;
+the root is y = 2u - x - offset.  Below u = 0.25, u - sin u comes from
+its series, as the difference cancels there.
 
 P catch: the smallest p >= t0 with p - t0 = |N - partner(p)|, the partner
 at angle -b - p.  g(p) = p - t0 - dist is nondecreasing (|d dist/dp| <= 1)
-with g(t0) = -dist <= 0 and g(t0 + 2) >= 0 for N in the disk; Newton steps
-that leave the current bracket are replaced by bisection.
+with g(t0) = -dist <= 0 and g(t0 + 2) >= 0 for N in the disk.  Newton
+runs from t0; steps that leave the current bracket are replaced by
+bisection, and a point stops at its first step below 1e-9.
 
-Both kernels stop on root accuracy, not on the residual.  A point stops
-at its first step below 1e-9 (the catch-up kernel takes one polishing
-step after it), and its residual must then change sign within ROOT_TOL
-on either side of the root.  A point that fails, or that has not
-stopped after MAX_ITER steps, is bisected on its initial bracket down to
-that width.  Where the derivative is tiny at the root (catch-up: offset
-0 and x below about 1e-12; P catch: N on the circle next to the partner)
-the sign change is that of the computed residual, and the true error is
-its rounding noise over the derivative.  A separate residual gate
-follows: a catch-up root with |f| >= GATE_TOL raises SolverError.
+Both kernels stop on root accuracy, not on the residual: the residual
+must change sign within ROOT_TOL on either side of the returned root.
+A point that fails, or a P catch not stopped after MAX_ITER steps, is
+bisected on its initial bracket ([x, min(x + 2, 2*pi - x - offset)],
+[t0, t0 + 2 + 1e-9]) down to that width.  Where the derivative is tiny
+at the root (catch-up: offset 0 and x below about 1e-12; P catch: N on
+the circle next to the partner) the sign change is that of the computed
+residual, and the true error is its rounding noise over the derivative.
+A separate residual gate follows: a catch-up root with |f| >= GATE_TOL
+raises SolverError.
 
 Each kernel has a scalar twin for one point: solve_meeting beside
 solve_meeting_arr, catch_on_circle beside catch_on_circle_arr.  A twin
-runs the same operations in the same order on floats (math's sin and cos;
-numpy's hypot, since math.hypot rounds differently), the same ROOT_TOL
-sign check and the same bisection fallback on length-1 arrays, so it
-returns the kernel's roots bit for bit without numpy's per-call cost.
+runs the same operations in the same order on floats (math's sin, cos
+and sqrt; numpy's hypot and cbrt, since math's round differently), the
+same ROOT_TOL sign check and the same bisection fallback on length-1
+arrays, so it returns the kernel's roots bit for bit without numpy's
+per-call cost.
 """
 
 from __future__ import annotations
@@ -46,6 +52,9 @@ ROOT_TOL = 1e-12  # enforced bound on |root - returned root|
 _BRACKET_SLACK = 1e-12
 _NEWTON_STOP = 1e-9  # a point stops at its first step below this
 _PLUS_MINUS = np.array([[-ROOT_TOL], [ROOT_TOL]])  # rows: root - tol, root + tol
+# Markley's starter at e = 1: alpha = (3.8*pi^2 - 0.8*pi*c)/(pi^2 - 6)
+_ALPHA_0, _ALPHA_1, _ALPHA_2 = 3.8 * math.pi * math.pi, 0.8 * math.pi, math.pi * math.pi - 6.0
+_SERIES_BELOW = 0.25  # u - sin u from its series below this u, where it cancels
 
 
 class RegimeError(ValueError):
@@ -62,6 +71,57 @@ def residual(x: float, offset: float, y: float) -> float:
 
 def _residual_arr(x, offset, y):
     return x + 2.0 * np.sin((x + y + offset) / 2.0) - y
+
+
+def _kepler(c: float) -> float:
+    """Scalar _kepler_arr: the same operations in the same order."""
+    alpha = (_ALPHA_0 - _ALPHA_1 * c) / _ALPHA_2
+    c2 = c * c
+    q = -c2
+    r = 3.0 * (alpha * alpha * alpha) * c + c2 * c
+    k = float(np.cbrt(r + math.sqrt(r * r - c2 * c2 * c2)))
+    w = k * k
+    u = (2.0 * r * w / (w * w + w * q + q * q) + c) / alpha
+    s, h = math.sin(u), math.sin(u / 2.0)
+    v = u * u
+    if u < _SERIES_BELOW:
+        g = u * v / 6.0 * (1.0 - v / 20.0 * (1.0 - v / 42.0 * (1.0 - v / 72.0 * (
+            1.0 - v / 110.0 * (1.0 - v / 156.0)))))
+    else:
+        g = u - s
+    return u + _fifth_order_step(g - c, s, h)
+
+
+def _kepler_arr(c):
+    """u in [0, pi] with u - sin u = c, for each c in [0, pi].
+
+    Markley's starter at e = 1 (within 3.6e-4 of the root), then one
+    fifth-order correction step.
+    """
+    alpha = (_ALPHA_0 - _ALPHA_1 * c) / _ALPHA_2
+    c2 = c * c
+    q = -c2
+    r = 3.0 * (alpha * alpha * alpha) * c + c2 * c
+    k = np.cbrt(r + np.sqrt(r * r - c2 * c2 * c2))
+    w = k * k
+    u = (2.0 * r * w / (w * w + w * q + q * q) + c) / alpha
+    s, h = np.sin(u), np.sin(u / 2.0)
+    v = u * u
+    g = np.where(u < _SERIES_BELOW,
+                 u * v / 6.0 * (1.0 - v / 20.0 * (1.0 - v / 42.0 * (1.0 - v / 72.0 * (
+                     1.0 - v / 110.0 * (1.0 - v / 156.0))))),
+                 u - s)
+    return u + _fifth_order_step(g - c, s, h)
+
+
+def _fifth_order_step(f0, s, h):
+    """Markley's fifth-order step for f(u) = u - sin u - c from f0 = f(u),
+    s = sin u and h = sin(u/2): f' = 2h^2 (= 1 - cos u), f'' = s, f''' = 1 - f'."""
+    f1 = 2.0 * h * h
+    f3 = 1.0 - f1
+    d3 = -f0 / (f1 - 0.5 * f0 * s / f1)
+    d4 = -f0 / (f1 + 0.5 * d3 * s + d3 * d3 * f3 / 6.0)
+    return -f0 / (f1 + 0.5 * d4 * s + d4 * d4 * f3 / 6.0 - d4 * d4 * d4 * s / 24.0)
 
 
 def solve_meeting(x: float, offset: float) -> float:
@@ -86,23 +146,12 @@ def solve_meeting(x: float, offset: float) -> float:
             f"no catch-up root at or beyond x={x} (offset={offset}): "
             "bracket endpoints do not straddle a root"
         )
-    if residual(x, offset, x + ROOT_TOL) <= 0.0 and abs(f_lo) < GATE_TOL:
+    if abs(f_lo) < GATE_TOL and residual(x, offset, x + ROOT_TOL) <= 0.0:
         return x
-    y0 = min(x + 2.0, TWO_PI - x - offset)
-    y = y0
-    polish = False
-    for _ in range(MAX_ITER):
-        s = (x + y + offset) / 2.0
-        h = math.sin(s / 2.0)
-        step = (x + 2.0 * math.sin(s) - y) / (-2.0 * h * h)
-        y = y - step
-        if polish:
-            break
-        polish = abs(step) < _NEWTON_STOP
-    else:
-        y = math.nan  # rounding noise outweighs f' (x near 0): bisect below
+    y = 2.0 * _kepler(x + offset / 2.0) - x - offset
     if not (residual(x, offset, y - ROOT_TOL) >= 0.0
             and residual(x, offset, y + ROOT_TOL) <= 0.0):
+        y0 = min(x + 2.0, TWO_PI - x - offset)
         y = float(_bisect(lambda m: _residual_arr(x, offset, m) > 0.0,
                           np.array([x]), np.array([y0]))[0])
     if not abs(residual(x, offset, y)) < GATE_TOL:
@@ -114,45 +163,29 @@ def solve_meeting(x: float, offset: float) -> float:
 def solve_meeting_arr(x, offset):
     """Vectorized solve_meeting over an array of x values (shared offset).
 
-    Each point runs the scalar iteration; converged points leave the
-    active set.  Entries outside the valid regime (f(x) < 0) come back
-    as NaN.
+    Entries outside the valid regime (f(x) < 0) come back as NaN.
     """
     shape = np.shape(x)
     x = np.asarray(x, dtype=float).ravel()
     f_lo = _residual_arr(x, offset, x)
     valid = f_lo >= -_BRACKET_SLACK
-    early = (valid & (_residual_arr(x, offset, x + ROOT_TOL) <= 0.0)
-             & (np.abs(f_lo) < GATE_TOL))
+    early = valid & (np.abs(f_lo) < GATE_TOL)
+    xe = x[early]
+    early[early] = _residual_arr(xe, offset, xe + ROOT_TOL) <= 0.0  # and a sign change
     y = np.where(early, x, np.nan)
-    newton = np.flatnonzero(valid & ~early)
-    xn = x[newton]
-    y0 = np.minimum(xn + 2.0, TWO_PI - xn - offset)
+    solve = np.flatnonzero(valid & ~early)
+    xs = x[solve]
+    ys = 2.0 * _kepler_arr(xs + offset / 2.0) - xs - offset
 
-    idx, xa, ya = newton, xn, y0
-    polish = np.zeros(idx.size, dtype=bool)
-    for _ in range(MAX_ITER):
-        if idx.size == 0:
-            break
-        s = (xa + ya + offset) / 2.0
-        h = np.sin(s / 2.0)
-        step = (xa + 2.0 * np.sin(s) - ya) / (-2.0 * h * h)
-        ya = ya - step
-        if polish.any():
-            y[idx[polish]] = ya[polish]
-            keep = ~polish
-            idx, xa, ya, step = idx[keep], xa[keep], ya[keep], step[keep]
-        polish = np.abs(step) < _NEWTON_STOP
-    y[idx] = np.nan  # rounding noise outweighs f' (x near 0): bisect below
-
-    f_pm = _residual_arr(xn, offset, y[newton] + _PLUS_MINUS)
+    f_pm = _residual_arr(xs, offset, ys + _PLUS_MINUS)
     bad = ~((f_pm[0] >= 0.0) & (f_pm[1] <= 0.0))
     if bad.any():
-        xb = xn[bad]
-        y[newton[bad]] = _bisect(lambda m: _residual_arr(xb, offset, m) > 0.0,
-                                 xb, y0[bad])
-    if not np.all(np.abs(_residual_arr(xn, offset, y[newton])) < GATE_TOL):
+        xb = xs[bad]
+        ys[bad] = _bisect(lambda m: _residual_arr(xb, offset, m) > 0.0,
+                          xb, np.minimum(xb + 2.0, TWO_PI - xb - offset))
+    if not np.all(np.abs(_residual_arr(xs, offset, ys)) < GATE_TOL):
         raise SolverError(f"residual gate {GATE_TOL} not met")
+    y[solve] = ys
     return y.reshape(shape)
 
 

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from diskevac import _batch
+from diskevac import _batch, meeting
 from diskevac.bounds import f2f_lower_bound
 from diskevac.cli import random_scenarios
 from diskevac.face_to_face import DISCREPANCY_NOTES
@@ -206,9 +206,14 @@ def test_criterion_6_oracle_equivalence():
     _report(6, "oracle equivalence", ok)
 
 
-def test_criterion_7_solver_quality():
+def test_criterion_7_solver_quality(monkeypatch):
     ok = True
     worst_residual = 0.0
+    # the closed-form catch-up root must pass its sign check unaided
+    bisects = []
+    real_bisect = meeting._bisect
+    monkeypatch.setattr(meeting, "_bisect",
+                        lambda *args: bisects.append(args[1].size) or real_bisect(*args))
     grid = _batch.exit_grid(CFG.exit_step)
     for d in CFG.d_grid():
         for offset_kind in ("same", "diff", "lab"):
@@ -239,9 +244,10 @@ def test_criterion_7_solver_quality():
             if np.any(fhi > 1e-12):
                 ok = False
                 print(f"  upper bracket violated at d={d}")
-    if worst_residual >= 1e-6:
+    if worst_residual >= 1e-6 or bisects:
         ok = False
     print(f"  worst catch-equation residual over the sweep: {worst_residual:.2e}")
+    print(f"  bisection fallbacks: {len(bisects)} calls, {sum(bisects)} points")
     _report(7, "solver quality", ok)
 
 

@@ -12,6 +12,7 @@ from diskevac.cli import random_scenarios
 from diskevac.face_to_face import catch_on_circle_from
 from diskevac.meeting import (
     ROOT_TOL,
+    SolverError,
     catch_on_circle,
     catch_on_circle_arr,
     residual,
@@ -94,13 +95,59 @@ def test_catch_up_early_return_needs_a_sign_change():
 
 def test_catch_up_unsettled_newton_falls_back_to_bisection():
     # at x = 4.7e-24, offset 0 the computed residual is rounding noise
-    # within 1e-8 of the root, so Newton steps never drop below 1e-9
+    # within 1e-8 of the root, so the closed-form root fails the ROOT_TOL
+    # sign check and both solvers bisect
     x = 4.695471382493421e-24
     y = solve_meeting(x, 0.0)
     assert y == solve_meeting_arr(np.array([x]), 0.0)[0]
     assert residual(x, 0.0, y - ROOT_TOL) >= 0.0
     assert residual(x, 0.0, y + ROOT_TOL) <= 0.0
     assert abs(y - catch_up_reference(x, 0.0)) < 1e-7
+
+
+def _catch_up_twin_mismatches(xs, offset, ys):
+    """x values where the scalar twin's root is not the kernel's bit for bit."""
+    return [x for x, y in zip(xs.tolist(), ys.tolist()) if solve_meeting(x, offset) != y]
+
+
+@pytest.mark.parametrize("offset", OFFSETS)
+def test_catch_up_twin_matches_kernel_on_random_x(offset):
+    hi = (2.0 * math.pi - offset) / 2.0
+    xs = np.concatenate([np.random.RandomState(int(10 * offset)).uniform(0.0, hi, 10**5),
+                         [0.0, hi, 1e-300, 1e-24, 1e-13]])
+    assert not _catch_up_twin_mismatches(xs, offset, solve_meeting_arr(xs, offset))
+
+
+@pytest.mark.parametrize("offset", OFFSETS)
+def test_catch_up_twin_matches_kernel_in_the_bisect_fallback(monkeypatch, offset):
+    # a closed form 1e-9 off fails the ROOT_TOL sign check, so both solvers
+    # bisect on [x, min(x + 2, 2*pi - x - offset)].  The bisected root is
+    # within ROOT_TOL of the root, so where |f'| > 1 its residual can miss
+    # the GATE_TOL gate: then both raise SolverError.
+    bisects = []
+    real = meeting._bisect
+    monkeypatch.setattr(meeting, "_bisect",
+                        lambda *args: bisects.append(args[1].size) or real(*args))
+    for name in ("_kepler", "_kepler_arr"):
+        closed_form = getattr(meeting, name)
+        monkeypatch.setattr(meeting, name, lambda c, f=closed_form: f(c) + 1e-9)
+    roots = 0
+    for x in np.linspace(0.01, (2.0 * math.pi - offset) / 2.0 - 0.01, 40).tolist():
+        outcomes = []
+        for solve in (lambda: solve_meeting_arr(np.array([x]), offset)[0],
+                      lambda: solve_meeting(x, offset)):
+            try:
+                outcomes.append(solve())
+            except SolverError:
+                outcomes.append("gate")
+        assert outcomes[0] == outcomes[1], (x, offset)
+        if outcomes[0] != "gate":
+            roots += 1
+            y = outcomes[0]
+            assert residual(x, offset, y - ROOT_TOL) >= 0.0
+            assert residual(x, offset, y + ROOT_TOL) <= 0.0
+    assert bisects == [1] * 80
+    assert roots >= 20
 
 
 def _p_residual(nx, ny, t0, b, p):

@@ -77,41 +77,42 @@ def _kepler(c: float) -> float:
     """Scalar _kepler_arr: the same operations in the same order."""
     alpha = (_ALPHA_0 - _ALPHA_1 * c) / _ALPHA_2
     c2 = c * c
-    q = -c2
+    c4 = c2 * c2
     r = 3.0 * (alpha * alpha * alpha) * c + c2 * c
-    k = float(np.cbrt(r + math.sqrt(r * r - c2 * c2 * c2)))
+    k = float(np.cbrt(r + math.sqrt(r * r - c4 * c2)))
     w = k * k
-    u = (2.0 * r * w / (w * w + w * q + q * q) + c) / alpha
+    u = (2.0 * r * w / (w * w - w * c2 + c4) + c) / alpha
     s, h = math.sin(u), math.sin(u / 2.0)
-    v = u * u
-    if u < _SERIES_BELOW:
-        g = u * v / 6.0 * (1.0 - v / 20.0 * (1.0 - v / 42.0 * (1.0 - v / 72.0 * (
-            1.0 - v / 110.0 * (1.0 - v / 156.0)))))
-    else:
-        g = u - s
+    g = _u_minus_sin_series(u) if u < _SERIES_BELOW else u - s
     return u + _fifth_order_step(g - c, s, h)
 
 
 def _kepler_arr(c):
     """u in [0, pi] with u - sin u = c, for each c in [0, pi].
 
-    Markley's starter at e = 1 (within 3.6e-4 of the root), then one
+    Markley's starter at e = 1 (within 3.6e-4 of the root; q = -c**2
+    there, so w**2 + w*q + q**2 = w**2 - w*c**2 + c**4), then one
     fifth-order correction step.
     """
     alpha = (_ALPHA_0 - _ALPHA_1 * c) / _ALPHA_2
     c2 = c * c
-    q = -c2
+    c4 = c2 * c2
     r = 3.0 * (alpha * alpha * alpha) * c + c2 * c
-    k = np.cbrt(r + np.sqrt(r * r - c2 * c2 * c2))
+    k = np.cbrt(r + np.sqrt(r * r - c4 * c2))
     w = k * k
-    u = (2.0 * r * w / (w * w + w * q + q * q) + c) / alpha
+    u = (2.0 * r * w / (w * w - w * c2 + c4) + c) / alpha
     s, h = np.sin(u), np.sin(u / 2.0)
-    v = u * u
-    g = np.where(u < _SERIES_BELOW,
-                 u * v / 6.0 * (1.0 - v / 20.0 * (1.0 - v / 42.0 * (1.0 - v / 72.0 * (
-                     1.0 - v / 110.0 * (1.0 - v / 156.0))))),
-                 u - s)
+    g = u - s
+    small = u < _SERIES_BELOW
+    g[small] = _u_minus_sin_series(u[small])
     return u + _fifth_order_step(g - c, s, h)
+
+
+def _u_minus_sin_series(u):
+    """u - sin u through its u**13 term, within 3e-19 relative for u < 0.25."""
+    v = u * u
+    return u * v / 6.0 * (1.0 - v / 20.0 * (1.0 - v / 42.0 * (1.0 - v / 72.0 * (
+        1.0 - v / 110.0 * (1.0 - v / 156.0)))))
 
 
 def _fifth_order_step(f0, s, h):

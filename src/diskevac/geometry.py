@@ -8,8 +8,8 @@ normalizes angles into [0, 2*pi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,6 +29,8 @@ class Direction(Enum):
 
 def normalize_angle(theta: float) -> float:
     """Map any finite angle into [0, 2*pi)."""
+    if 0.0 < theta < TWO_PI:  # math.fmod would return theta unchanged
+        return theta
     t = math.fmod(theta, TWO_PI)
     if t < 0.0:
         t += TWO_PI
@@ -37,20 +39,24 @@ def normalize_angle(theta: float) -> float:
     return t
 
 
-@dataclass(frozen=True)
-class ArcPos:
-    """A perimeter point as an arc coordinate, counterclockwise from A."""
-
+class _ArcPosFields(NamedTuple):
     theta: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", normalize_angle(float(self.theta)))
+
+class ArcPos(_ArcPosFields):
+    """A perimeter point as an arc coordinate, counterclockwise from A.
+
+    An immutable one-field tuple; theta is normalized into [0, 2*pi) when
+    the point is built.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, theta: float) -> "ArcPos":
+        return tuple.__new__(cls, (normalize_angle(float(theta)),))
 
     def offset(self, delta: float) -> "ArcPos":
         return ArcPos(self.theta + delta)
-
-    def almost_equal(self, other: "ArcPos", tol: float = ANGLE_TOL) -> bool:
-        return angle_close(self.theta, other.theta, tol)
 
 
 def angle_close(a: float, b: float, tol: float = ANGLE_TOL) -> bool:
@@ -78,7 +84,8 @@ def arc_between(a: ArcPos, b: ArcPos, direction: Direction) -> float:
 
 
 def cartesian(p: ArcPos) -> tuple[float, float]:
-    return (math.cos(p.theta), math.sin(p.theta))
+    theta = p.theta
+    return (math.cos(theta), math.sin(theta))
 
 
 def point_distance(p: tuple[float, float], q: tuple[float, float]) -> float:

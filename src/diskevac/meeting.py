@@ -22,10 +22,12 @@ Both kernels stop on root accuracy, not on the residual: the residual
 must change sign within ROOT_TOL on either side of the returned root.
 A point that fails, or a P catch not stopped after MAX_ITER steps, is
 bisected on its initial bracket ([x, min(x + 2, 2*pi - x - offset)],
-[t0, t0 + 2 + 1e-9]) down to that width.  Where the derivative is tiny
-at the root (catch-up: offset 0 and x below about 1e-12; P catch: N on
-the circle next to the partner) the sign change is that of the computed
-residual, and the true error is its rounding noise over the derivative.
+[t0, t0 + 2 + 1e-9]) down to that width; a catch-up bracket is bisected
+on until its midpoint passes the residual gate or the bracket is two
+adjacent floats.  Where the derivative is tiny at the root (catch-up:
+offset 0 and x below about 1e-12; P catch: N on the circle next to the
+partner) the sign change is that of the computed residual, and the true
+error is its rounding noise over the derivative.
 A separate residual gate follows: a catch-up root with |f| >= GATE_TOL
 raises SolverError.
 
@@ -154,7 +156,8 @@ def solve_meeting(x: float, offset: float) -> float:
             and residual(x, offset, y + ROOT_TOL) <= 0.0):
         y0 = min(x + 2.0, TWO_PI - x - offset)
         y = float(_bisect(lambda m: _residual_arr(x, offset, m) > 0.0,
-                          np.array([x]), np.array([y0]))[0])
+                          np.array([x]), np.array([y0]),
+                          lambda m: np.abs(_residual_arr(x, offset, m)) < GATE_TOL)[0])
     if not abs(residual(x, offset, y)) < GATE_TOL:
         raise SolverError(f"residual gate {GATE_TOL} not met at y={y} "
                           f"for x={x}, offset={offset}")
@@ -183,20 +186,27 @@ def solve_meeting_arr(x, offset):
     if bad.any():
         xb = xs[bad]
         ys[bad] = _bisect(lambda m: _residual_arr(xb, offset, m) > 0.0,
-                          xb, np.minimum(xb + 2.0, TWO_PI - xb - offset))
+                          xb, np.minimum(xb + 2.0, TWO_PI - xb - offset),
+                          lambda m: np.abs(_residual_arr(xb, offset, m)) < GATE_TOL)
     if not np.all(np.abs(_residual_arr(xs, offset, ys)) < GATE_TOL):
         raise SolverError(f"residual gate {GATE_TOL} not met")
     y[solve] = ys
     return y.reshape(shape)
 
 
-def _bisect(left_of_root, lo, hi):
-    """Bisect brackets [lo, hi] down to width 2*ROOT_TOL; returns midpoints."""
+def _bisect(left_of_root, lo, hi, settled=None):
+    """Bisect brackets [lo, hi] down to width 2*ROOT_TOL; returns midpoints.
+
+    With `settled`, a bracket is bisected on until settled(midpoint) holds
+    or no float lies strictly between its ends.
+    """
     while True:
-        active = hi - lo > 2.0 * ROOT_TOL
-        if not np.any(active):
-            return 0.5 * (lo + hi)
         mid = 0.5 * (lo + hi)
+        active = hi - lo > 2.0 * ROOT_TOL
+        if settled is not None:
+            active |= ~settled(mid) & (lo < mid) & (mid < hi)
+        if not np.any(active):
+            return mid
         left = left_of_root(mid)
         lo = np.where(active & left, mid, lo)
         hi = np.where(active & ~left, mid, hi)

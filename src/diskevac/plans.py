@@ -11,14 +11,14 @@ and message time from them, which keeps the two computations independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .geometry import ArcPos, Direction, cartesian
 
 Point = tuple[float, float]
 
 
-@dataclass(frozen=True)
-class ArcLeg:
+class ArcLeg(NamedTuple):
     """Perimeter sweep from start to end in the given direction."""
 
     start: ArcPos
@@ -34,8 +34,7 @@ class ArcLeg:
         return cartesian(self.end)
 
 
-@dataclass(frozen=True)
-class ChordLeg:
+class ChordLeg(NamedTuple):
     """Straight move between two points (perimeter or interior)."""
 
     p0: Point
@@ -54,10 +53,12 @@ def mirror_plan(legs: list[Leg]) -> list[Leg]:
     out: list[Leg] = []
     for leg in legs:
         if isinstance(leg, ArcLeg):
-            flip = Direction.CW if leg.direction is Direction.CCW else Direction.CCW
-            out.append(ArcLeg(ArcPos(-leg.start.theta), ArcPos(-leg.end.theta), flip))
+            start, end, direction = leg
+            flip = Direction.CW if direction is Direction.CCW else Direction.CCW
+            out.append(ArcLeg(ArcPos(-start.theta), ArcPos(-end.theta), flip))
         else:
-            out.append(ChordLeg(mirror_point(leg.p0), mirror_point(leg.p1)))
+            (x0, y0), (x1, y1) = leg
+            out.append(ChordLeg((x0, -y0), (x1, -y1)))
     return out
 
 

@@ -12,8 +12,10 @@ sweep ends on a true exit and lands when the receiver's sweep ends.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
 
-from .geometry import ArcPos, Direction, arc_between, arc_length, cartesian, point_distance
+from .geometry import ArcPos, Direction, arc_length, cartesian, point_distance
 from .plans import ArcLeg, Leg, Outcome, Point
 from .scenarios import CommModel, Scenario, TraceInvalidError, evaluate
 
@@ -22,8 +24,7 @@ EVENT_TIME_TOL = 1e-9  # both sides of a meet or a message agree in time
 SPEED_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     kind: str  # "arc" or "chord"
     t0: float
     t1: float
@@ -35,13 +36,15 @@ class Segment:
     ccw: bool | None = None
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """Something a robot does, timed by its own integrated trajectory."""
 
     kind: str  # sent_message | received_message | meet | exited
     time: float
     pos: Point
+
+
+_by_time = attrgetter("time")
 
 
 @dataclass
@@ -61,22 +64,31 @@ class Trajectory:
 
 
 def _integrate(legs: list[Leg]) -> Trajectory:
+    """Each leg becomes a segment timed by its length, arcs priced by
+    arc_length on the leg's two thetas."""
     traj = Trajectory()
+    segments = traj.segments
     t = 0.0
     for leg in legs:
         if isinstance(leg, ArcLeg):
-            length = arc_between(leg.start, leg.end,
-                                 leg.direction)
-            seg = Segment("arc", t, t + length, leg.p0, leg.p1,
-                          theta0=leg.start.theta, theta1=leg.end.theta,
-                          ccw=leg.direction is Direction.CCW)
+            start, end, direction = leg
+            theta0, theta1 = start.theta, end.theta
+            ccw = direction is Direction.CCW
+            t1 = t + arc_length(theta0, theta1, ccw)
+            segments.append(Segment("arc", t, t1, cartesian(start), cartesian(end),
+                                    theta0, theta1, ccw))
         else:
-            length = point_distance(leg.p0, leg.p1)
-            seg = Segment("chord", t, t + length, leg.p0, leg.p1)
-        traj.segments.append(seg)
-        t = seg.t1
+            p0, p1 = leg
+            t1 = t + point_distance(p0, p1)
+            segments.append(Segment("chord", t, t1, p0, p1))
+        t = t1
     traj.events.append(Event("exited", t, traj.final_pos))
     return traj
+
+
+def _exit_distance(pos: Point, exits: tuple[Point, Point]) -> float:
+    """Distance from pos to the nearer of the two exits."""
+    return min(point_distance(pos, exits[0]), point_distance(pos, exits[1]))
 
 
 def _arrival(tr: Trajectory, point: Point) -> Segment:
@@ -102,8 +114,7 @@ def replay(scn: Scenario, out: Outcome | None = None):
             tr.events.append(Event("meet", seg.t1, seg.p1))
     if scn.model is CommModel.WIRELESS:
         exits = (cartesian(scn.e1), cartesian(scn.e2))
-        found = [min(point_distance(tr.segments[0].p1, e) for e in exits) <= POS_TOL
-                 for tr in trs]
+        found = [_exit_distance(tr.segments[0].p1, exits) <= POS_TOL for tr in trs]
         if not any(found):
             raise TraceInvalidError("no robot's sweep ends on an exit")
         if not all(found):  # one finder; two finding at once need no message
@@ -123,36 +134,44 @@ class AgreementReport:
     meets_checked: int = 0
 
 
+def _events_by_kind(tr: Trajectory) -> dict[str, list[Event]]:
+    """tr's events grouped by kind, in one pass, each group in event order."""
+    groups: dict[str, list[Event]] = {}
+    for ev in tr.events:
+        groups.setdefault(ev.kind, []).append(ev)
+    return groups
+
+
 def verify_agreement(scn: Scenario, tr1: Trajectory, tr2: Trajectory) -> AgreementReport:
     """Path, speed, exit-truth, meet-agreement and message-causality checks."""
     issues: list[str] = []
     exits = (cartesian(scn.e1), cartesian(scn.e2))
     b = scn.zeta / 2.0
+    ev1, ev2 = _events_by_kind(tr1), _events_by_kind(tr2)
 
-    for name, tr, start in (("r1", tr1, ArcPos(b)), ("r2", tr2, ArcPos(-b))):
-        finals = [ev for ev in tr.events if ev.kind == "exited"]
+    for name, tr, events, start in (("r1", tr1, ev1, ArcPos(b)),
+                                    ("r2", tr2, ev2, ArcPos(-b))):
+        finals = events.get("exited", ())
         if len(finals) != 1:
             issues.append(f"{name}: expected exactly one exited event")
             continue
-        if min(point_distance(finals[0].pos, e) for e in exits) > 1e-7:
+        if _exit_distance(finals[0].pos, exits) > 1e-7:
             issues.append(f"{name}: exited at {finals[0].pos}, not a true exit")
         at = cartesian(start)
-        for seg in tr.segments:
-            if point_distance(seg.p0, at) > POS_TOL:
-                issues.append(f"{name}: segment starts at {seg.p0}, robot is at {at}")
-            at = seg.p1
-            dur = seg.t1 - seg.t0
-            if seg.kind == "chord":
-                length = point_distance(seg.p0, seg.p1)
+        for kind, t0, t1, p0, p1, theta0, theta1, ccw in tr.segments:
+            if point_distance(p0, at) > POS_TOL:
+                issues.append(f"{name}: segment starts at {p0}, robot is at {at}")
+            at = p1
+            dur = t1 - t0
+            if kind == "chord":
+                length = point_distance(p0, p1)
             else:  # priced as _integrate prices it
-                length = arc_length(seg.theta0, seg.theta1, seg.ccw)
+                length = arc_length(theta0, theta1, ccw)
             if abs(dur - length) > SPEED_TOL + 1e-9 * max(1.0, length):
                 issues.append(f"{name}: segment duration {dur} != length {length}")
 
-    meets1 = sorted((ev for ev in tr1.events if ev.kind == "meet"),
-                    key=lambda ev: ev.time)
-    meets2 = sorted((ev for ev in tr2.events if ev.kind == "meet"),
-                    key=lambda ev: ev.time)
+    meets1 = sorted(ev1.get("meet", ()), key=_by_time)
+    meets2 = sorted(ev2.get("meet", ()), key=_by_time)
     if len(meets1) != len(meets2):
         issues.append("asymmetric meet events")
     checked = 0
@@ -163,10 +182,9 @@ def verify_agreement(scn: Scenario, tr1: Trajectory, tr2: Trajectory) -> Agreeme
         if point_distance(m1.pos, m2.pos) > POS_TOL:
             issues.append(f"meet positions differ: {m1.pos} vs {m2.pos}")
 
-    sent = sorted((ev for ev in tr1.events + tr2.events
-                   if ev.kind == "sent_message"), key=lambda ev: ev.time)
-    received = sorted((ev for ev in tr1.events + tr2.events
-                       if ev.kind == "received_message"), key=lambda ev: ev.time)
+    sent = sorted(ev1.get("sent_message", []) + ev2.get("sent_message", []), key=_by_time)
+    received = sorted(ev1.get("received_message", []) + ev2.get("received_message", []),
+                      key=_by_time)
     for s, r in zip(sent, received):
         if r.time < s.time - 1e-12:
             issues.append("message received before it was sent")

@@ -4,7 +4,7 @@ the first-finder frame both communication models build their plans in."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -49,7 +49,9 @@ class Scenario:
 
     e1 is the position of exit E1; E2 sits at arc distance d counter-
     clockwise of E1 (the labeled convention; for unlabeled evaluation the
-    identity of the two exits is irrelevant).
+    identity of the two exits is irrelevant).  e2 is derived once, when
+    the scenario is built: every evaluation reads it, and a first read
+    through functools.cached_property costs about three times the offset.
     """
 
     model: CommModel
@@ -57,6 +59,7 @@ class Scenario:
     d: float
     zeta: float
     e1: ArcPos
+    e2: ArcPos = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, value in (("d", self.d), ("zeta", self.zeta), ("e1", self.e1.theta)):
@@ -65,15 +68,12 @@ class Scenario:
         if not (0.0 <= self.d <= math.pi + _EPS):
             raise ScenarioError(f"d = {self.d} outside [0, pi]")
         check_zeta(self.d, self.zeta)
+        object.__setattr__(self, "e2", self.e1.offset(self.d))
 
     @cached_property
     def regime(self) -> "Regime":
         """Classified on first use, so a scenario no policy covers still builds."""
         return classify(self.model, self.labeled, self.d, self.zeta)
-
-    @property
-    def e2(self) -> ArcPos:
-        return self.e1.offset(self.d)
 
 
 def check_zeta(d: float, zeta: float) -> None:

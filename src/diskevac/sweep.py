@@ -176,19 +176,6 @@ def write_csv(records: list[SweepRecord], path) -> None:
             fh.write(rec.csv_row() + "\n")
 
 
-def read_csv(path) -> list[SweepRecord]:
-    records = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header: {header}")
-        for line in fh:
-            d, zp, model, lab, wt, arg, tag = line.strip().split(",")
-            records.append(SweepRecord(float(d), zp, model, bool(int(lab)),
-                                       float(wt), float(arg), tag))
-    return records
-
-
 # Every series scripts/run_sweeps.py writes, in its order.
 ALL_SERIES = (
     SeriesSpec(CommModel.WIRELESS, False, "0"),

@@ -16,9 +16,10 @@ from diskevac import _batch, meeting
 from diskevac.bounds import f2f_lower_bound
 from diskevac.cli import random_scenarios
 from diskevac.face_to_face import DISCREPANCY_NOTES
+from diskevac.geometry import ArcPos
 from diskevac.meeting import ROOT_TOL
 from diskevac.replay import replay, verify_agreement
-from diskevac.scenarios import CommModel, evaluate
+from diskevac.scenarios import CommModel, Scenario, evaluate, resolve_zeta
 from diskevac.sweep import (
     SeriesSpec,
     SweepConfig,
@@ -263,3 +264,25 @@ def test_criterion_8_determinism(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append(path.read_bytes())
     _report(8, "determinism across worker counts", outs[0] == outs[1])
+
+
+def test_criterion_9_every_sweep_row_replays(sweeps):
+    # each row's worst time is replayed at its argmax placement, by the
+    # oracle that shares no case logic with the kernel that produced it
+    ok = True
+    worst, rows = 0.0, 0
+    for key, records in sweeps.items():
+        for rec in records:
+            scn = Scenario(CommModel(rec.model), rec.labeled, rec.d,
+                           resolve_zeta(rec.zeta_policy, rec.d), ArcPos(rec.argmax_e1))
+            tr1, tr2, makespan = replay(scn)
+            report = verify_agreement(scn, tr1, tr2)
+            dev = abs(makespan - rec.worst_time)
+            worst = max(worst, dev)
+            rows += 1
+            if not report.passed or dev > 1e-9:
+                ok = False
+                print(f"  {key} d={rec.d}: |makespan - worst_time| = {dev:.2e}, "
+                      f"{report.issues}")
+    print(f"  worst |makespan - worst_time| = {worst:.2e} over {rows} rows")
+    _report(9, "every sweep row replays", ok)

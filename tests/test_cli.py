@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from diskevac.cli import main
+from diskevac.cli import main, random_scenarios
 from diskevac.geometry import ArcPos
 from diskevac.scenarios import CommModel, Scenario, ScenarioError
 
@@ -68,6 +69,22 @@ def test_sweep_writes_csv(tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert lines[0] == "d,zeta_policy,model,labeled,worst_time,argmax_e1,case"
     assert len(lines) == 9  # 0.0 .. 3.0 step 0.5, plus the pi endpoint
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--d-step", "0.5", "--exit-step", "0.1", "--out"],
+    ["table1", "--d-step", "0.5", "--exit-step", "0.1", "--out"],
+    ["eval", "--d", "1.0", "--e1", "0.5", "--trace"],
+])
+@pytest.mark.parametrize("where", ["missing/out.txt", "."])
+def test_unwritable_output_path_fails_before_any_work(args, where, tmp_path, capsys):
+    path = tmp_path / where
+    rc = main(args + [str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "error:" in captured.err
+    assert captured.out == ""  # no table1 rows, no eval time
+    assert not (tmp_path / "missing").exists()
 
 
 def test_eval_trace_dump(tmp_path, capsys):
@@ -269,3 +286,24 @@ def test_verify_reports_a_deviation_above_tol(monkeypatch, capsys):
     assert rc == 3
     assert "max |policy - replay| = 1.000e-03" in out
     assert out.count("FAIL:") == 20 and "vs replay" in out
+
+
+def _reference_scenarios(seed, samples):
+    """random_scenarios' draws written with RandomState.uniform."""
+    rng = np.random.RandomState(seed)
+    kinds = ((CommModel.WIRELESS, False), (CommModel.WIRELESS, True),
+             (CommModel.FACE_TO_FACE, False), (CommModel.FACE_TO_FACE, False),
+             (CommModel.FACE_TO_FACE, True))
+    out = []
+    for _ in range(samples):
+        k = rng.randint(len(kinds))
+        d = rng.uniform(0.0, math.pi)
+        e1 = rng.uniform(0.0, 2.0 * math.pi)
+        zeta = 0.0 if k == 2 else d if k == 3 else rng.uniform(0.0, d)
+        out.append(Scenario(*kinds[k], d, zeta, ArcPos(e1)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_random_scenarios_draw_what_uniform_draws(seed):
+    assert random_scenarios(seed, 2000) == _reference_scenarios(seed, 2000)

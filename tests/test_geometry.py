@@ -1,5 +1,8 @@
 import math
+import pickle
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +11,7 @@ from diskevac.geometry import (
     ArcPos,
     Direction,
     DomainError,
+    angle_close,
     arc_between,
     cartesian,
     chord_length,
@@ -83,9 +87,42 @@ def test_arc_directions_complement(a, b):
     pa, pb = ArcPos(a), ArcPos(b)
     ccw = arc_between(pa, pb, Direction.CCW)
     cw = arc_between(pa, pb, Direction.CW)
-    if pa.almost_equal(pb, tol=1e-12):
+    if angle_close(pa.theta, pb.theta, 1e-12):
         # identical points up to float resolution: both arcs collapse
         assert min(ccw, cw) <= 1e-12
     else:
         assert ccw + cw == pytest.approx(TWO_PI, abs=1e-9)
 
+
+
+def _fmod_reference(theta):
+    """normalize_angle as the plain fmod formula, with no shortcut."""
+    t = math.fmod(theta, TWO_PI)
+    if t < 0.0:
+        t += TWO_PI
+    if t >= TWO_PI:
+        t -= TWO_PI
+    return t
+
+
+def test_normalize_angle_is_the_fmod_formula_bit_for_bit():
+    special = [0.0, -0.0, TWO_PI, math.nextafter(TWO_PI, 0.0), -TWO_PI,
+               1e300, -1e300, math.nan]
+    angles = np.random.RandomState(3).uniform(-20.0, 20.0, 10**5).tolist() + special
+    bits = struct.Struct("<d").pack
+    assert [bits(normalize_angle(t)) for t in angles] == \
+        [bits(_fmod_reference(t)) for t in angles]
+    assert math.copysign(1.0, normalize_angle(-0.0)) == -1.0
+
+
+def test_arc_pos_normalizes_keeps_its_repr_and_pickles():
+    p = ArcPos(-math.pi / 2)
+    assert p.theta == 1.5 * math.pi
+    assert ArcPos(TWO_PI).theta == 0.0
+    assert ArcPos(7).theta == 7.0 - TWO_PI and type(ArcPos(7).theta) is float
+    assert repr(p) == f"ArcPos(theta={1.5 * math.pi!r})"
+    assert p.offset(math.pi) == ArcPos(math.pi / 2)
+    back = pickle.loads(pickle.dumps(p))
+    assert type(back) is ArcPos and back == p
+    with pytest.raises(AttributeError):
+        p.theta = 0.0

@@ -1,5 +1,7 @@
 """One classifier routes every scenario: evaluate, replay and sweep agree."""
 
+import dataclasses
+
 import pytest
 
 from diskevac import face_to_face, scenarios, wireless
@@ -88,3 +90,14 @@ def test_verification_evaluates_each_scenario_once(monkeypatch):
     _, issues = run_verification(5000, 0, 1e-4)
     assert not issues
     assert len(calls) == 5000
+
+
+def test_scenario_derives_e2_when_built_and_keeps_its_repr():
+    scn = Scenario(F2F, True, 1.0, 0.5, ArcPos(6.0))
+    assert scn.e2 == scn.e1.offset(1.0) == ArcPos(7.0)
+    # verify's FAIL lines print scenarios: e2 stays out of the repr
+    assert repr(scn) == ("Scenario(model=<CommModel.FACE_TO_FACE: 'f2f'>, labeled=True, "
+                         "d=1.0, zeta=0.5, e1=ArcPos(theta=6.0))")
+    moved = dataclasses.replace(scn, d=0.5)
+    assert moved.e2 == ArcPos(6.5)
+    assert moved == Scenario(F2F, True, 0.5, 0.5, ArcPos(6.0)) != scn

@@ -9,7 +9,7 @@ from diskevac import _batch
 from diskevac.cli import main, random_scenarios
 from diskevac.geometry import TWO_PI, ArcPos, Direction, cartesian
 from diskevac.plans import ArcLeg, ChordLeg
-from diskevac.replay import Event, dump_trace, replay, verify_agreement
+from diskevac.replay import Event, Segment, dump_trace, replay, verify_agreement
 from diskevac.scenarios import CommModel, Scenario, TraceInvalidError, evaluate
 
 replay_mod = importlib.import_module("diskevac.replay")  # the package exports a replay()
@@ -41,6 +41,21 @@ def test_meet_events_are_symmetric_and_satisfy_catch_equation():
     report = verify_agreement(scn, tr1, tr2)
     assert report.passed, report.issues
     assert report.meets_checked == len(m1)
+
+
+def test_segment_and_event_keep_their_fields_and_defaults():
+    chord = Segment("chord", 0.0, 1.0, (1.0, 0.0), (0.0, 1.0))
+    assert (chord.theta0, chord.theta1, chord.ccw) == (None, None, None)
+    assert repr(chord) == ("Segment(kind='chord', t0=0.0, t1=1.0, p0=(1.0, 0.0), "
+                           "p1=(0.0, 1.0), theta0=None, theta1=None, ccw=None)")
+    arc = Segment("arc", 0.0, 0.5, (1.0, 0.0), (0.0, 1.0), theta0=0.0, theta1=0.5, ccw=True)
+    assert (arc.theta0, arc.theta1, arc.ccw) == (0.0, 0.5, True)
+    ev = Event("meet", 0.25, (0.5, 0.5))
+    assert repr(ev) == "Event(kind='meet', time=0.25, pos=(0.5, 0.5))"
+    with pytest.raises(TypeError):
+        Event("meet", 0.25)  # no defaults
+    with pytest.raises(AttributeError):
+        ev.time = 0.0
 
 
 def test_mutated_trace_fails_agreement():

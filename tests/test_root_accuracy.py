@@ -11,8 +11,8 @@ from diskevac import _batch, meeting
 from diskevac.cli import random_scenarios
 from diskevac.face_to_face import catch_on_circle_from
 from diskevac.meeting import (
+    GATE_TOL,
     ROOT_TOL,
-    SolverError,
     catch_on_circle,
     catch_on_circle_arr,
     residual,
@@ -121,9 +121,9 @@ def test_catch_up_twin_matches_kernel_on_random_x(offset):
 @pytest.mark.parametrize("offset", OFFSETS)
 def test_catch_up_twin_matches_kernel_in_the_bisect_fallback(monkeypatch, offset):
     # a closed form 1e-9 off fails the ROOT_TOL sign check, so both solvers
-    # bisect on [x, min(x + 2, 2*pi - x - offset)].  The bisected root is
-    # within ROOT_TOL of the root, so where |f'| > 1 its residual can miss
-    # the GATE_TOL gate: then both raise SolverError.
+    # bisect on [x, min(x + 2, 2*pi - x - offset)].  A bracket 2*ROOT_TOL
+    # wide does not settle the root where |f'| > 1, so bisection goes on
+    # until the residual passes the GATE_TOL gate: no root raises.
     bisects = []
     real = meeting._bisect
     monkeypatch.setattr(meeting, "_bisect",
@@ -133,21 +133,14 @@ def test_catch_up_twin_matches_kernel_in_the_bisect_fallback(monkeypatch, offset
         monkeypatch.setattr(meeting, name, lambda c, f=closed_form: f(c) + 1e-9)
     roots = 0
     for x in np.linspace(0.01, (2.0 * math.pi - offset) / 2.0 - 0.01, 40).tolist():
-        outcomes = []
-        for solve in (lambda: solve_meeting_arr(np.array([x]), offset)[0],
-                      lambda: solve_meeting(x, offset)):
-            try:
-                outcomes.append(solve())
-            except SolverError:
-                outcomes.append("gate")
-        assert outcomes[0] == outcomes[1], (x, offset)
-        if outcomes[0] != "gate":
-            roots += 1
-            y = outcomes[0]
-            assert residual(x, offset, y - ROOT_TOL) >= 0.0
-            assert residual(x, offset, y + ROOT_TOL) <= 0.0
+        y = solve_meeting_arr(np.array([x]), offset)[0]
+        assert solve_meeting(x, offset) == y, (x, offset)
+        assert residual(x, offset, y - ROOT_TOL) >= 0.0
+        assert residual(x, offset, y + ROOT_TOL) <= 0.0
+        assert abs(residual(x, offset, y)) < GATE_TOL
+        roots += 1
     assert bisects == [1] * 80
-    assert roots >= 20
+    assert roots == 40
 
 
 def _p_residual(nx, ny, t0, b, p):

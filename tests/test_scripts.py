@@ -61,3 +61,19 @@ def test_fingerprint_is_repeatable():
     assert len(first) == len(corpus) == 99
     for line in first:  # model, labeled, d, zeta, e1, time, tag, hash
         assert len(line.split()) == 8, line
+
+
+def test_audit_grid_finds_kernel_and_scalar_agreeing():
+    proc = _run("audit_grid.py", "--stride", "2", *COARSE)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 11
+    cells = len(SweepConfig(d_step=0.5, exit_step=0.05).d_grid()[::2])
+    for line, series in zip(lines, ALL_SERIES):
+        key, *pairs = line.split()
+        fields = dict(zip(pairs[::2], pairs[1::2]))
+        assert key == series.key
+        assert int(fields["cells"]) == cells == 4
+        assert int(fields["points"]) == cells * 126
+        assert float(fields["max_dt"]) < 1e-12, line
+        assert fields["tag_mismatches"] == fields["raises"] == "0", line

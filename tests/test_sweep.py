@@ -6,17 +6,31 @@ from diskevac.face_to_face import eval_f2f_same
 from diskevac.geometry import ArcPos
 from diskevac.scenarios import CommModel, Scenario
 from diskevac.sweep import (
+    CSV_HEADER,
     SeriesSpec,
     SweepConfig,
     SweepRecord,
     crossing_intervals,
     local_minima,
     min_over_d,
-    read_csv,
     run_sweep,
     transition_points,
     write_csv,
 )
+
+def read_csv(path) -> list[SweepRecord]:
+    """The records of a CSV written by write_csv."""
+    records = []
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header != CSV_HEADER:
+            raise ValueError(f"unexpected CSV header: {header}")
+        for line in fh:
+            d, zp, model, lab, wt, arg, tag = line.strip().split(",")
+            records.append(SweepRecord(float(d), zp, model, bool(int(lab)),
+                                       float(wt), float(arg), tag))
+    return records
+
 
 COARSE = SweepConfig(d_step=0.1, exit_step=0.01)
 WL0 = SeriesSpec(CommModel.WIRELESS, False, "0")

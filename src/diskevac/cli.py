@@ -2,7 +2,8 @@
 
 Subcommands: eval, sweep, bounds, verify, table1, compare.  Times print
 without the center-to-perimeter unit unless --include-center-leg is set.
-Exit codes: 0 success, 2 usage error, 3 failed verification.
+Exit codes: 0 success, 2 usage error, 3 failed verification or a policy
+that refused a scenario.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ from .sweep import (
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 3
+
+# A policy or the replay failed on a valid scenario: a fault, not bad input
+POLICY_FAILURES = (TraceInvalidError, RegimeError, SolverError)
 
 
 def _positive_finite(text: str) -> float:
@@ -233,7 +237,7 @@ def run_verification(samples: int, seed: int, tol: float):
         try:
             res = evaluate(scn)
             tr1, tr2, makespan = replay(scn, res)
-        except (TraceInvalidError, RegimeError, SolverError) as exc:
+        except POLICY_FAILURES as exc:
             issues.append(f"{scn}: {type(exc).__name__}: {exc}")
             continue
         dev = abs(makespan - res.time_from_perimeter)
@@ -309,6 +313,9 @@ def main(argv=None) -> int:
             return _cmd_table1(args)
         if args.verb == "compare":
             return _cmd_compare(args)
+    except POLICY_FAILURES as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return VERIFY_ERROR
     except (ScenarioError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

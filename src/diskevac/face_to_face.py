@@ -21,7 +21,7 @@ worst-case expressions; worst cases emerge from the sweep module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import meeting
 from .geometry import (
@@ -142,8 +142,7 @@ def _second_finder_same(a: float, d: float):
 # the first finder's plan, from what it knows
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """A first finder's moves after its find X, up to its first meeting.
 
     It walks X -> stops[0] -> stops[1] ..., each stop a (point, arrival
@@ -187,7 +186,7 @@ class _Frame(Frame):
         reached E2' at t_a and came back meets the finder (zeta = d)."""
         seg = chord_length(self.d)
         s = min(max((t_a + seg - self.x) / 2.0, 0.0), seg)
-        x_pos, ca_pos = self.x_pos, self.ca_pos
+        x_pos, ca_pos = self.x_pos, cartesian(self.ca)
         ux, uy = (ca_pos[0] - x_pos[0]) / seg, (ca_pos[1] - x_pos[1]) / seg
         return (x_pos[0] + s * ux, x_pos[1] + s * uy), s, seg
 
@@ -329,9 +328,10 @@ def _outcome_f2f_same(scn: Scenario) -> Outcome:
         return f.joint("F0-1", point, f.x_arc, t + w_x)
     if behind:
         return f.joint("F0-1", point, f.cb, t + hop_cb)
-    f.finder_legs.append(ChordLeg(point, f.cb_pos))
-    f.partner_legs.append(ChordLeg(point, f.cb_pos))
-    return f.joint("F0-1", f.cb_pos, f.ca, t + hop_cb + between)
+    cb_pos = cartesian(f.cb)
+    f.finder_legs.append(ChordLeg(point, cb_pos))
+    f.partner_legs.append(ChordLeg(point, cb_pos))
+    return f.joint("F0-1", cb_pos, f.ca, t + hop_cb + between)
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,16 @@ class Direction(Enum):
 
 
 def normalize_angle(theta: float) -> float:
-    """Map any finite angle into [0, 2*pi)."""
+    """Map any finite angle into [0, 2*pi); nan passes through, +-inf raises."""
     if 0.0 < theta < TWO_PI:  # math.fmod would return theta unchanged
         return theta
-    t = math.fmod(theta, TWO_PI)
+    if -TWO_PI < theta < 0.0:  # fmod is exact and returns theta here too
+        t = theta + TWO_PI
+        return t if t < TWO_PI else 0.0
+    try:
+        t = math.fmod(theta, TWO_PI)
+    except ValueError:  # fmod refuses only +-inf
+        raise DomainError(f"angle {theta} is not finite") from None
     if t < 0.0:
         t += TWO_PI
     if t >= TWO_PI:  # fmod rounding can land exactly on 2*pi
@@ -53,6 +59,8 @@ class ArcPos(_ArcPosFields):
     __slots__ = ()
 
     def __new__(cls, theta: float) -> "ArcPos":
+        if 0.0 < theta < TWO_PI:  # in range: normalize_angle would keep it
+            return tuple.__new__(cls, (float(theta),))
         return tuple.__new__(cls, (normalize_angle(float(theta)),))
 
     def offset(self, delta: float) -> "ArcPos":
@@ -88,6 +96,6 @@ def cartesian(p: ArcPos) -> tuple[float, float]:
     return (math.cos(theta), math.sin(theta))
 
 
-def point_distance(p: tuple[float, float], q: tuple[float, float]) -> float:
-    return math.hypot(p[0] - q[0], p[1] - q[1])
+# Distance between two points: hypot of their coordinate differences, in C.
+point_distance = math.dist
 

@@ -10,8 +10,7 @@ and message time from them, which keeps the two computations independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .geometry import ArcPos, Direction, cartesian
 
@@ -62,8 +61,7 @@ def mirror_plan(legs: list[Leg]) -> list[Leg]:
     return out
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     """A policy's realized evacuation: closed-form times, case tag, plans.
 
     Times are measured from perimeter arrival.  The plans end at each
@@ -78,7 +76,7 @@ class Outcome:
     r2_exit_time: float
     r1_plan: list[Leg]
     r2_plan: list[Leg]
-    meets: list[Point] = field(default_factory=list)
+    meets: Sequence[Point] = ()
 
     @property
     def time_from_perimeter(self) -> float:

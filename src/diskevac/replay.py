@@ -66,8 +66,7 @@ class Trajectory:
 def _integrate(legs: list[Leg]) -> Trajectory:
     """Each leg becomes a segment timed by its length, arcs priced by
     arc_length on the leg's two thetas."""
-    traj = Trajectory()
-    segments = traj.segments
+    segments = []
     t = 0.0
     for leg in legs:
         if isinstance(leg, ArcLeg):
@@ -82,8 +81,9 @@ def _integrate(legs: list[Leg]) -> Trajectory:
             t1 = t + point_distance(p0, p1)
             segments.append(Segment("chord", t, t1, p0, p1))
         t = t1
-    traj.events.append(Event("exited", t, traj.final_pos))
-    return traj
+    if not segments:
+        raise TraceInvalidError("empty trajectory")
+    return Trajectory(segments, [Event("exited", t, segments[-1].p1)])
 
 
 def _exit_distance(pos: Point, exits: tuple[Point, Point]) -> float:
@@ -127,10 +127,9 @@ def replay(scn: Scenario, out: Outcome | None = None):
     return tr1, tr2, makespan
 
 
-@dataclass
-class AgreementReport:
+class AgreementReport(NamedTuple):
     passed: bool
-    issues: list[str] = field(default_factory=list)
+    issues: list[str]
     meets_checked: int = 0
 
 
@@ -191,7 +190,7 @@ def verify_agreement(scn: Scenario, tr1: Trajectory, tr2: Trajectory) -> Agreeme
         if abs(r.time - s.time) > EVENT_TIME_TOL:
             issues.append("message not instantaneous")
 
-    return AgreementReport(passed=not issues, issues=issues, meets_checked=checked)
+    return AgreementReport(not issues, issues, checked)
 
 
 def dump_trace(tr1: Trajectory, tr2: Trajectory, path) -> None:

@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 from .geometry import (
     ANGLE_TOL,
@@ -43,15 +42,27 @@ class TraceInvalidError(RuntimeError):
     """A robot plan referenced a meeting that cannot occur (policy bug)."""
 
 
+class _Unrouted:
+    """Class-level regime of a scenario no policy covers: reading it raises.
+
+    A non-data descriptor: a classified scenario's own regime shadows it,
+    and reads of every Scenario attribute keep the interpreter's fast path.
+    """
+
+    def __get__(self, scn, owner=None):
+        if scn is None:
+            return self
+        return classify(scn.model, scn.labeled, scn.d, scn.zeta)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Full problem instance.
 
     e1 is the position of exit E1; E2 sits at arc distance d counter-
     clockwise of E1 (the labeled convention; for unlabeled evaluation the
-    identity of the two exits is irrelevant).  e2 is derived once, when
-    the scenario is built: every evaluation reads it, and a first read
-    through functools.cached_property costs about three times the offset.
+    identity of the two exits is irrelevant).  e2 and the regime are
+    derived when the scenario is built, as every evaluation reads both.
     """
 
     model: CommModel
@@ -60,6 +71,7 @@ class Scenario:
     zeta: float
     e1: ArcPos
     e2: ArcPos = field(init=False, repr=False, compare=False)
+    regime: Regime = field(default=_Unrouted(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, value in (("d", self.d), ("zeta", self.zeta), ("e1", self.e1.theta)):
@@ -69,15 +81,17 @@ class Scenario:
             raise ScenarioError(f"d = {self.d} outside [0, pi]")
         check_zeta(self.d, self.zeta)
         object.__setattr__(self, "e2", self.e1.offset(self.d))
-
-    @cached_property
-    def regime(self) -> "Regime":
-        """Classified on first use, so a scenario no policy covers still builds."""
-        return classify(self.model, self.labeled, self.d, self.zeta)
+        try:
+            regime = classify(self.model, self.labeled, self.d, self.zeta)
+        except WrongEvaluatorError:
+            return  # left unset: the class-level _Unrouted raises on every read
+        object.__setattr__(self, "regime", regime)
 
 
 def check_zeta(d: float, zeta: float) -> None:
-    """Refuse a start separation zeta outside [0, d]."""
+    """Refuse a start separation zeta that is nan or outside [0, d]."""
+    if math.isnan(zeta):
+        raise ScenarioError(f"zeta = {zeta} is not finite")
     if zeta < 0.0:
         raise ScenarioError(f"zeta = {zeta} negative")
     if zeta > d + _EPS:
@@ -117,15 +131,24 @@ def classify(model: CommModel, labeled: bool, d: float, zeta: float) -> Regime:
     )
 
 
+# (regime, labeled) -> (module, evaluator name); looked up by name per call
+_EVALUATORS: dict = {}
+
+
 def evaluate(scn: Scenario) -> Outcome:
     """Realized evacuation of scn by the evaluator of its regime."""
-    from . import face_to_face, wireless
+    if not _EVALUATORS:
+        from . import face_to_face, wireless
 
-    regime = scn.regime
-    if regime is Regime.WIRELESS:
-        lab = "labeled" if scn.labeled else "unlabeled"
-        return getattr(wireless, f"eval_wireless_{lab}")(scn)
-    return getattr(face_to_face, f"eval_f2f_{regime.value}")(scn)
+        _EVALUATORS.update({
+            (Regime.WIRELESS, False): (wireless, "eval_wireless_unlabeled"),
+            (Regime.WIRELESS, True): (wireless, "eval_wireless_labeled"),
+            (Regime.F2F_SAME, False): (face_to_face, "eval_f2f_same"),
+            (Regime.F2F_DIFF, False): (face_to_face, "eval_f2f_diff"),
+            (Regime.F2F_LABELED, True): (face_to_face, "eval_f2f_labeled"),
+        })
+    module, name = _EVALUATORS[scn.regime, scn.labeled]
+    return getattr(module, name)(scn)
 
 
 def resolve_zeta(policy, d: float) -> float:
@@ -142,21 +165,22 @@ def resolve_zeta(policy, d: float) -> float:
     return float(text)
 
 
-def _first_hit(start: float, ccw: bool, exits):
+def _first_hit(start: float, ccw: bool, e1: float, e2: float):
     """(t, found, other): a robot sweeping from start meets its first exit.
 
     An exit within ANGLE_TOL behind the start counts as sitting on it, not
     a full lap away; an exit found at time 0 is found on the start point
     itself, so the sweep leg to it is empty, not a rounded full lap.
     """
-    hits = []
-    for e in exits:
-        t = normalize_angle(e - start if ccw else start - e)
-        if t >= TWO_PI - ANGLE_TOL:
-            t = 0.0
-        hits.append((t, start if t == 0.0 else e))
-    i = 0 if hits[0][0] <= hits[1][0] else 1
-    return hits[i][0], hits[i][1], exits[1 - i]
+    t1 = normalize_angle(e1 - start if ccw else start - e1)
+    t2 = normalize_angle(e2 - start if ccw else start - e2)
+    if t1 >= TWO_PI - ANGLE_TOL:
+        t1 = 0.0
+    if t2 >= TWO_PI - ANGLE_TOL:
+        t2 = 0.0
+    if t2 < t1:
+        t1, e1, e2 = t2, e2, e1
+    return t1, start if t1 == 0.0 else e1, e2
 
 
 class Frame:
@@ -170,16 +194,16 @@ class Frame:
     at time t.  Finds within ANGLE_TOL of each other are one simultaneous
     find (`sim`), which no first finder breaks: the frame is then R1's and
     `r2_time`, `r2_find` hold R2's own find.  The candidate exits d either
-    side of X (`ca`, `cb` and their points) exist for unlabeled exits only.
+    side of X (`ca`, `cb`) exist for unlabeled exits only.
     `outcome` maps the plans back.
     """
 
     def __init__(self, scn: Scenario):
         self.d = scn.d
         self.b = b = scn.zeta / 2.0
-        exits = (scn.e1.theta, scn.e2.theta)
-        t1, f1, o1 = _first_hit(b, True, exits)
-        t2, f2, o2 = _first_hit(0.0 - b, False, exits)  # no negative zero at b = 0
+        e1, e2 = scn.e1.theta, scn.e2.theta
+        t1, f1, o1 = _first_hit(b, True, e1, e2)
+        t2, f2, o2 = _first_hit(0.0 - b, False, e1, e2)  # no negative zero at b = 0
         self.sim = abs(t1 - t2) <= ANGLE_TOL
         self.mirrored = not self.sim and t2 < t1
         if self.mirrored:
@@ -193,7 +217,6 @@ class Frame:
         if not scn.labeled:  # labeled policies never weigh the candidates
             self.ca = ArcPos(self.found + self.d)  # candidate counterclockwise of X
             self.cb = ArcPos(self.found - self.d)  # candidate clockwise of X
-            self.ca_pos, self.cb_pos = cartesian(self.ca), cartesian(self.cb)
         self.finder_legs: list = [ArcLeg(ArcPos(b), self.x_arc, Direction.CCW)]
         self.partner_legs: list = []
         self.meets: list = []

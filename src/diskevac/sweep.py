@@ -9,7 +9,6 @@ yields byte-identical output.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .scenarios import CommModel, Regime, check_zeta, classify, resolve_zeta
@@ -107,6 +106,8 @@ def run_sweep(cfg: SweepConfig, series: SeriesSpec) -> list[SweepRecord]:
         jobs.append((d, classify(series.model, series.labeled, d, zeta), series, cfg))
     if cfg.workers == 1:
         return [_eval_cell(job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
     with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
         return list(pool.map(_eval_cell, jobs, chunksize=8))
 

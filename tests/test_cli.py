@@ -5,7 +5,8 @@ import pytest
 
 from diskevac.cli import main, random_scenarios
 from diskevac.geometry import ArcPos
-from diskevac.scenarios import CommModel, Scenario, ScenarioError
+from diskevac.meeting import RegimeError, SolverError
+from diskevac.scenarios import CommModel, Scenario, ScenarioError, TraceInvalidError
 
 
 def test_eval_prints_time_and_case(capsys):
@@ -178,6 +179,19 @@ def test_eval_rejects_non_finite_input(flag, value, capsys):
     assert "nan" not in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--d", "1", "--e1", "inf"], "angle inf is not finite"),
+    (["eval", "--d", "1", "--e1=-inf"], "angle -inf is not finite"),
+    (["sweep", "--zeta", "nan", "--d-step", "1", "--exit-step", "0.1"],
+     "zeta = nan is not finite"),
+])
+def test_non_finite_input_is_named(argv, message, capsys):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("field", ["d", "zeta", "e1"])
 def test_scenario_rejects_non_finite(field):
     values = {"d": 1.0, "zeta": 0.5, "e1": 0.5, field: math.nan}
@@ -270,15 +284,36 @@ def test_verify_reports_a_policy_error(monkeypatch, capsys):
     assert "verification failures" in out
 
 
-def test_verify_reports_a_deviation_above_tol(monkeypatch, capsys):
-    import dataclasses
+@pytest.mark.parametrize("argv", [
+    ["eval", "--d", "1", "--e1", "1"],
+    ["sweep", "--d-step", "1", "--exit-step", "0.1"],
+    ["table1", "--d-step", "1", "--exit-step", "0.1"],
+    ["compare", "--model-a", "wireless", "--model-b", "wireless",
+     "--d-step", "1", "--exit-step", "0.1"],
+])
+@pytest.mark.parametrize("error", [TraceInvalidError, RegimeError, SolverError])
+def test_policy_failure_is_one_error_line_and_exit_3(argv, error, monkeypatch, capsys):
+    from diskevac import _batch, wireless
 
+    def broken(*args):
+        raise error("injected policy failure")
+
+    monkeypatch.setattr(wireless, "eval_wireless_unlabeled", broken)  # eval
+    monkeypatch.setattr(_batch, "batch_cell", broken)  # every sweep cell
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert (captured.out, captured.err) == (
+        "", f"error: {error.__name__}: injected policy failure\n")
+
+
+def test_verify_reports_a_deviation_above_tol(monkeypatch, capsys):
     from diskevac import cli, scenarios
 
     def late(scn):
         out = scenarios.evaluate(scn)
-        return dataclasses.replace(out, r1_exit_time=out.r1_exit_time + 1e-3,
-                                   r2_exit_time=out.r2_exit_time + 1e-3)
+        return out._replace(r1_exit_time=out.r1_exit_time + 1e-3,
+                            r2_exit_time=out.r2_exit_time + 1e-3)
 
     monkeypatch.setattr(cli, "evaluate", late)  # the replay integrates the unchanged plans
     rc = main(["verify", "--samples", "20", "--seed", "0", "--tol", "1e-4"])

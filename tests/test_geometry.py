@@ -107,12 +107,30 @@ def _fmod_reference(theta):
 
 def test_normalize_angle_is_the_fmod_formula_bit_for_bit():
     special = [0.0, -0.0, TWO_PI, math.nextafter(TWO_PI, 0.0), -TWO_PI,
-               1e300, -1e300, math.nan]
+               math.nextafter(-TWO_PI, 0.0), -5e-324, -1e-17, 1e300, -1e300, math.nan]
     angles = np.random.RandomState(3).uniform(-20.0, 20.0, 10**5).tolist() + special
     bits = struct.Struct("<d").pack
     assert [bits(normalize_angle(t)) for t in angles] == \
         [bits(_fmod_reference(t)) for t in angles]
     assert math.copysign(1.0, normalize_angle(-0.0)) == -1.0
+
+
+def test_arc_pos_theta_is_normalize_angle_bit_for_bit():
+    # in-range angles skip normalize_angle; the result must not differ
+    special = [0.0, -0.0, TWO_PI, math.nextafter(TWO_PI, 0.0), 5e-324, 1, 3, np.float64(2.5)]
+    angles = np.random.RandomState(5).uniform(-20.0, 20.0, 10**4).tolist() + special
+    bits = struct.Struct("<d").pack
+    assert [bits(ArcPos(t).theta) for t in angles] == \
+        [bits(normalize_angle(float(t))) for t in angles]
+    assert all(type(ArcPos(t).theta) is float for t in special)
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf])
+def test_infinite_angle_is_refused_by_name(theta):
+    with pytest.raises(DomainError, match=f"^angle {theta} is not finite$"):
+        normalize_angle(theta)
+    with pytest.raises(DomainError):
+        ArcPos(theta)
 
 
 def test_arc_pos_normalizes_keeps_its_repr_and_pickles():

@@ -1,6 +1,8 @@
 """One classifier routes every scenario: evaluate, replay and sweep agree."""
 
+import builtins
 import dataclasses
+import pickle
 
 import pytest
 
@@ -67,9 +69,9 @@ def test_unlabeled_f2f_between_0_and_d_is_refused_everywhere():
 
 
 def test_each_scenario_is_classified_once(monkeypatch):
-    # evaluate and the evaluator's own check both ask scn.regime (the
-    # replay takes the evaluated outcome); the scenario classifies itself
-    # on the first ask
+    # evaluate and the evaluator's own check both read scn.regime (the
+    # replay takes the evaluated outcome); the scenario classified itself
+    # when it was built
     calls = []
     real = scenarios.classify
     monkeypatch.setattr(scenarios, "classify",
@@ -101,3 +103,42 @@ def test_scenario_derives_e2_when_built_and_keeps_its_repr():
     moved = dataclasses.replace(scn, d=0.5)
     assert moved.e2 == ArcPos(6.5)
     assert moved == Scenario(F2F, True, 0.5, 0.5, ArcPos(6.0)) != scn
+
+
+def test_verification_builds_one_frame_per_scenario(monkeypatch):
+    frames = []
+    real = scenarios.Frame.__init__
+    monkeypatch.setattr(scenarios.Frame, "__init__",
+                        lambda self, scn: frames.append(scn) or real(self, scn))
+    _, issues = run_verification(200, 0, 1e-4)
+    assert not issues
+    assert len(frames) == 200
+
+
+def test_evaluate_runs_no_import_after_warm_up(monkeypatch):
+    corpus = [Scenario(model, labeled, 1.0, zeta, ArcPos(2.0))
+              for model, labeled, zeta in ((F2F, False, 0.0), (F2F, False, 1.0), (F2F, True, 0.5),
+                                           (WL, False, 0.5), (WL, True, 0.5))]
+    for scn in corpus:
+        evaluate(scn)
+    imports = []
+    real = builtins.__import__
+    monkeypatch.setattr(builtins, "__import__",
+                        lambda *args, **kw: imports.append(args[0]) or real(*args, **kw))
+    for scn in corpus:
+        evaluate(scn)
+    assert imports == []
+
+
+@pytest.mark.parametrize("copy", [lambda scn: pickle.loads(pickle.dumps(scn)),
+                                  lambda scn: dataclasses.replace(scn)])
+def test_scenario_keeps_its_regime_when_copied(copy):
+    scn = Scenario(F2F, False, 1.0, 1.0, ArcPos(2.0))
+    twin = copy(scn)
+    assert twin == scn and repr(twin) == repr(scn)
+    assert twin.regime is Regime.F2F_DIFF
+    moved = dataclasses.replace(twin, zeta=0.0)  # a new zeta is classified anew
+    assert moved.regime is Regime.F2F_SAME
+    unrouted = copy(dataclasses.replace(scn, zeta=0.5))  # builds, but has no regime
+    with pytest.raises(WrongEvaluatorError, match=r"\{0, d\}"):
+        unrouted.regime

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import math
 
@@ -90,7 +89,7 @@ def _receiver_mutated(change):
     """Mutation: change the legs of the wireless receiver (the robot that turns)."""
     def mutate(out):
         name = "r1_plan" if len(out.r1_plan) > 1 else "r2_plan"
-        return dataclasses.replace(out, **{name: change(getattr(out, name))})
+        return out._replace(**{name: change(getattr(out, name))})
     return mutate
 
 
@@ -99,7 +98,7 @@ def _catch_point_moved(out):
     (meet,) = out.meets
     name = "r1_plan" if math.dist(out.r1_plan[0].p1, meet) < 1e-12 else "r2_plan"
     assert math.dist(getattr(out, name)[0].p1, meet) < 1e-12
-    return dataclasses.replace(out, **{name: _extend_sweep(getattr(out, name), 1e-6)})
+    return out._replace(**{name: _extend_sweep(getattr(out, name), 1e-6)})
 
 
 WL_SCN = Scenario(CommModel.WIRELESS, False, 2.0, 1.0, ArcPos(1.3))
@@ -134,7 +133,7 @@ def test_arc_one_ulp_short_of_a_lap_is_priced_once(monkeypatch):
     def mutate(out):
         end = out.r1_plan[-1].end
         leg = ArcLeg(end, ArcPos(math.nextafter(end.theta, 0.0)), Direction.CCW)
-        return dataclasses.replace(out, r1_plan=[*out.r1_plan, leg])
+        return out._replace(r1_plan=[*out.r1_plan, leg])
     assert not _flagged(monkeypatch, WL_SCN, mutate)
 
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -77,3 +78,28 @@ def test_audit_grid_finds_kernel_and_scalar_agreeing():
         assert int(fields["points"]) == cells * 126
         assert float(fields["max_dt"]) < 1e-12, line
         assert fields["tag_mismatches"] == fields["raises"] == "0", line
+
+
+def _ab_fields(proc):
+    words = proc.stdout.split()
+    return dict(zip(words[::2], words[1::2]))
+
+
+def test_ab_time_times_a_tree_against_itself():
+    src = str(ROOT / "src")
+    for work, grid in (("verify", ["--samples", "20"]), ("f2f", COARSE), ("table1", COARSE)):
+        proc = _run("ab_time.py", src, src, "--work", work, "--rounds", "3", *grid)
+        assert proc.returncode == 0, proc.stderr
+        fields = _ab_fields(proc)
+        assert (fields["work"], fields["rounds"]) == (work, "3"), proc.stdout
+        assert 0 <= int(fields["wins"]) <= 3
+        assert float(fields["old_s"]) > 0.0 and float(fields["ratio"]) > 0.0
+
+
+def test_ab_time_refuses_trees_with_different_output(tmp_path):
+    shutil.copytree(ROOT / "src" / "diskevac", tmp_path / "diskevac")
+    with open(tmp_path / "diskevac" / "cli.py", "a") as fh:
+        fh.write("\nrun_verification = lambda samples, seed, tol: (0.0, ['changed'])\n")
+    proc = _run("ab_time.py", str(ROOT / "src"), str(tmp_path), "--samples", "20")
+    assert proc.returncode == 1
+    assert "different verify output" in proc.stderr

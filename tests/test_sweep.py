@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from diskevac import sweep
 from diskevac.face_to_face import eval_f2f_same
 from diskevac.geometry import ArcPos
 from diskevac.scenarios import CommModel, Scenario
@@ -122,3 +127,14 @@ def test_record_dominance_spot_check():
             best = max(best, eval_f2f_same(scn).time_from_perimeter)
             k += 1
         assert rec.worst_time == pytest.approx(best, abs=1e-9)
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # the pool is imported by run_sweep only when it runs more than one worker
+    src = str(Path(sweep.__file__).resolve().parents[1])
+    code = "import sys, diskevac.cli; print([m for m in sys.modules if 'multiprocessing' in m])"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

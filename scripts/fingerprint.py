@@ -10,10 +10,12 @@ touches:
 
 The corpus: `random_scenarios` seeds 7 and 11 (6,000 each); every 11th
 point of the 0.001 exit grid at seven values of d for each regime family;
-and the two mirror-symmetric simultaneous families (face-to-face zeta = 0
-with exits at +-x, zeta = d with e1 = pi - d/2).  Only the public API is
-used, so older trees run it too once `replay(scn, out)` is read as
-`replay(scn)`, the form from before `replay` took the held outcome.
+the two mirror-symmetric simultaneous families (face-to-face zeta = 0
+with exits at +-x, zeta = d with e1 = pi - d/2); and, after those 40,023
+lines, placements on the edges of the tolerance bands (`edge_scenarios`).
+Only the public API is used, so older trees run it too once `replay(scn,
+out)` is read as `replay(scn)`, the form from before `replay` took the
+held outcome.
 """
 
 import hashlib
@@ -36,6 +38,8 @@ FAMILIES = (  # (model, labeled, zeta as a function of d)
     (CommModel.WIRELESS, True, lambda d: d / 3.0),
 )
 SYMMETRIC = 2000  # placements per symmetric family
+EDGE_GAPS = [s * k * 1e-10 for s in (1, -1) for k in range(1, 21)]  # across SNAP_TOL, ANGLE_TOL
+EDGE_D = (1e-9, 1.5e-9, 2e-9, 3e-9)  # across ANGLE_TOL and COINCIDENT_D
 
 
 def symmetric_scenarios(n: int):
@@ -51,14 +55,35 @@ def symmetric_scenarios(n: int):
     return out
 
 
+def grid_scenarios(ds):
+    """Every 11th point of the exit grid at each d, for each family."""
+    n_exits = int(math.floor(TWO_PI / EXIT_STEP - 1e-9)) + 1
+    return [Scenario(model, labeled, d, zeta(d), ArcPos(k * EXIT_STEP))
+            for model, labeled, zeta in FAMILIES for d in ds
+            for k in range(0, n_exits, 11)]
+
+
+def edge_scenarios():
+    """Placements a rounding error from a tolerance band's edge.
+
+    An exit (E1 or E2) each gap either side of each robot's start, in every
+    family at every GRID_D; wireless placements whose two finds, R1's at E1
+    and R2's at E2, lie each gap apart (they part by -2*e1 - d); and the
+    exit grid at each EDGE_D.
+    """
+    at_starts = [Scenario(model, labeled, d, zeta(d), ArcPos(start + gap - shift))
+                 for model, labeled, zeta in FAMILIES for d in GRID_D
+                 for start in (zeta(d) / 2.0, -zeta(d) / 2.0) for shift in (0.0, d)
+                 for gap in EDGE_GAPS]
+    finds_apart = [Scenario(model, labeled, d, zeta(d), ArcPos((-d - gap) / 2.0 + half))
+                   for model, labeled, zeta in FAMILIES if model is CommModel.WIRELESS
+                   for d in GRID_D for half in (0.0, math.pi) for gap in EDGE_GAPS]
+    return at_starts + finds_apart + grid_scenarios(EDGE_D)
+
+
 def corpus():
     scenarios = random_scenarios(7, 6000) + random_scenarios(11, 6000)
-    n_exits = int(math.floor(TWO_PI / EXIT_STEP - 1e-9)) + 1
-    for model, labeled, zeta in FAMILIES:
-        for d in GRID_D:
-            scenarios += [Scenario(model, labeled, d, zeta(d), ArcPos(k * EXIT_STEP))
-                          for k in range(0, n_exits, 11)]
-    return scenarios + symmetric_scenarios(SYMMETRIC)
+    return scenarios + grid_scenarios(GRID_D) + symmetric_scenarios(SYMMETRIC) + edge_scenarios()
 
 
 def fingerprint(scenarios):

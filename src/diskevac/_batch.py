@@ -6,7 +6,7 @@ dispatchers leg for leg; tests assert pointwise agreement between the two
 implementations, which is what makes the duplication safe.
 
 Input domain: finite exit angles e1s in [0, 2*pi) and 0 <= zeta <= d <= pi
-(with the 1e-12 slack Scenario allows); anything else raises ValueError.
+(with the DOMAIN_SLACK Scenario allows); anything else raises ValueError.
 On it each angle reduction is a conditional +-2*pi that equals np.mod(a,
 2*pi) bit for bit, -0.0 -> +0.0 included, on the range written at its call
 site.  Ranges holding a catch-up root y use x + y + offset <= 2*pi and
@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .geometry import ANGLE_TOL, TWO_PI
+from .geometry import ANGLE_TOL, COINCIDENT_D, DOMAIN_SLACK, SNAP_TOL, TWO_PI, ArcPos
 from .meeting import catch_on_circle_arr as _catch_p_arr  # module name perfbench wraps
 from .meeting import solve_meeting_arr
 from .scenarios import Regime, TraceInvalidError
@@ -87,8 +87,9 @@ def _close(a, b, tol=ANGLE_TOL):
 
 
 def _hit(t):
-    """Travel time to an exit from a wrapped arc; near 2*pi snaps to 'on the start'."""
-    return np.where(t >= TWO_PI - ANGLE_TOL, 0.0, t)
+    """Travel time to an exit from a fresh wrap, snapped in place: near 2*pi is 'on the start'."""
+    np.copyto(t, 0.0, where=t >= TWO_PI - SNAP_TOL)
+    return t
 
 
 def _frame(d: float, zeta: float, e1s: np.ndarray):
@@ -98,8 +99,8 @@ def _frame(d: float, zeta: float, e1s: np.ndarray):
     robot exits where its own sweep ends, so x is the later find, as in the
     scalar Frame.in_place.
     """
-    if not (0.0 <= d <= math.pi + 1e-12 and 0.0 <= zeta <= d + 1e-12  # where wraps are exact
-            and np.all((e1s >= 0.0) & (e1s < TWO_PI))):
+    if not (0.0 <= d <= math.pi + DOMAIN_SLACK  # where wraps are exact
+            and 0.0 <= zeta <= d + DOMAIN_SLACK and np.all((e1s >= 0.0) & (e1s < TWO_PI))):
         raise ValueError("kernel needs 0 <= zeta <= d <= pi and finite exits in "
                          f"[0, 2*pi), got d={d}, zeta={zeta}")
     b = zeta / 2.0
@@ -116,13 +117,15 @@ def _frame(d: float, zeta: float, e1s: np.ndarray):
     t2 = np.minimum(t2a, t2b)
     found2 = np.where(first2, e1s, e2s)
     other2 = np.where(first2, e2s, e1s)
-    sim = np.abs(t1 - t2) <= ANGLE_TOL
+    lead = t1 - t2
+    sim = np.abs(lead) <= ANGLE_TOL
     # Simultaneous finds where both robots stand on the same exit point:
     # co-located, so they exchange and leave immediately.
     sim_trivial = sim & (_close(found1, found2) | (t1 <= ANGLE_TOL))
-    mirrored = t2 < t1
+    mirrored = lead > ANGLE_TOL  # R2 first; a simultaneous find is seen in R1's frame
     x = np.where(sim, np.maximum(t1, t2), np.minimum(t1, t2))
     found = np.where(mirrored, _up(-found2), found1)  # (-2*pi, 0], and so is -other2
+    np.putmask(found, x == 0.0, b)  # a find at time 0 is on the start itself
     other = np.where(mirrored, _up(-other2), other1)
     return x, found, other, sim, sim_trivial
 
@@ -136,7 +139,7 @@ def batch_wireless(d: float, zeta: float, labeled: bool, e1s: np.ndarray):
     x, found, other, sim, _ = _frame(d, zeta, e1s)
     n = e1s.size
     big_d = _up2(-b - x)  # (-5*pi/2, 0]: receiver position when the message lands
-    reach = x + ANGLE_TOL
+    reach = x + SNAP_TOL
 
     def chord_from_d(c):
         return _ch(_norm(_up(c - big_d)))  # [-2*pi, 2*pi)
@@ -155,7 +158,7 @@ def batch_wireless(d: float, zeta: float, labeled: bool, e1s: np.ndarray):
         w_o = chord_from_d(other)
         times = x + np.minimum(w_x, w_o)
         codes = np.where(in_gap(other), encode_tag("WL-L2"), encode_tag("WL-L1"))
-    elif d < ANGLE_TOL:
+    elif d < COINCIDENT_D:
         times = x + chord_from_d(found)
         codes = np.full(n, encode_tag("W3b"), dtype=np.int16)
     else:
@@ -164,9 +167,6 @@ def batch_wireless(d: float, zeta: float, labeled: bool, e1s: np.ndarray):
         f_b, r_b = swept(cb)
         f_a, r_a = swept(ca)
         ruled_b, ruled_a = f_b | r_b, f_a | r_a
-        if d < 2.0 * ANGLE_TOL:  # else a candidate d away cannot be the find
-            ruled_b &= ~_close(cb, found)
-            ruled_a &= ~_close(ca, found)
         if np.any(ruled_b & ruled_a & ~sim):
             raise TraceInvalidError("wireless: both candidates ruled out")
         w_x = chord_from_d(found)
@@ -461,3 +461,15 @@ def batch_cell(regime: Regime, d: float, zeta: float, e1s: np.ndarray, labeled=F
     if regime is Regime.F2F_DIFF:
         return batch_f2f_diff(d, e1s)
     return batch_f2f_labeled(d, zeta, e1s)
+
+
+def worst_cell(regime: Regime, d: float, zeta: float, exit_step: float, labeled=False):
+    """Worst realized time over the exit grid of one cell: (time, argmax_e1, case_tag).
+
+    Ties resolve to the smallest e1.
+    """
+    if exit_step <= 0.0:
+        raise ValueError("exit_step must be positive")
+    times, codes = batch_cell(regime, d, zeta, exit_grid(exit_step), labeled)
+    i = int(times.argmax())
+    return float(times[i]), ArcPos(i * exit_step), decode_tag(codes[i])

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .geometry import DomainError
+from .geometry import DOMAIN_SLACK, DomainError
 
 DISCREPANCY_NOTES = (
     "the large-d branch is quoted as 'at least sin(d)' although the "
@@ -42,7 +42,7 @@ class BoundResult:
 
 def f2f_lower_bound(d: float) -> BoundResult:
     """Face-to-face worst-case lower bound, center leg included."""
-    if not (0.0 < d <= math.pi + 1e-12):
+    if not (0.0 < d <= math.pi + DOMAIN_SLACK):
         raise DomainError(f"d = {d} outside (0, pi]")
     if d > 2.0 * math.pi / 3.0:
         return BoundResult(1.0 + math.sin(d), BoundRegime.SIN_REGIME,
@@ -60,7 +60,7 @@ def wireless_gap_bound(zeta: float) -> BoundResult:
     Printed form: always greater than arc(DB) + line DB, i.e.
     pi - zeta/2 + 2*sin(pi - zeta/2).
     """
-    if not (0.0 < zeta <= math.pi + 1e-12):
+    if not (0.0 < zeta <= math.pi + DOMAIN_SLACK):
         raise DomainError(f"zeta = {zeta} outside (0, pi]")
     value = math.pi - zeta / 2.0 + 2.0 * math.sin(math.pi - zeta / 2.0)
     return BoundResult(value, BoundRegime.WIRELESS_GAP,

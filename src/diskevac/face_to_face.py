@@ -87,15 +87,6 @@ def intercept_moving_target(chaser_q, chaser_t0, target_p0, target_t0, target_p1
     return point, target_t0 + s, s
 
 
-def catch_on_circle_from(point, t0: float, b: float) -> float:
-    """Re-aimed on-circle catch: smallest p with p - t0 = |point -> partner(p)|.
-
-    meeting.catch_on_circle, the scalar twin of the kernel the batch
-    evaluators use, so scalar and batch catches are identical.
-    """
-    return meeting.catch_on_circle(point[0], point[1], t0, b)
-
-
 def _case3_same(a: float, d: float, m: float | None = None, slack: float = 0.0):
     """zeta = 0 case 3 in the dancer's own frame (d/2 < a < d): go, hit.
 
@@ -248,7 +239,7 @@ def _finder_plan(f: _Frame, same: bool) -> _Plan:
         if s <= ANGLE_TOL:  # the partner swept past E2' long ago: plain catch
             return catch("Fd-1c")
         t_n = x + s
-        p = catch_on_circle_from(n_point, t_n, f.b)
+        p = meeting.catch_on_circle(*n_point, t_n, f.b)
         p_pos = cartesian(f.partner_at(p))
         stops = ((n_point, t_n), (p_pos, p))
         if p <= t_x:
@@ -268,7 +259,7 @@ def _finder_plan(f: _Frame, same: bool) -> _Plan:
             return _Plan("F0-3b")
         if hit:  # nobody at N: catch the partner at P, else the nearer exit
             n_point, t_n, _ = hit
-            p = catch_on_circle_from(n_point, t_n, 0.0)
+            p = meeting.catch_on_circle(*n_point, t_n, 0.0)
             if p < t_a:
                 return _Plan("F0-3a", ((n_point, t_n), (cartesian(f.partner_at(p)), p)), True)
             target, time = _joint_hop(n_point, t_n, _by_distance(n_point, f.x_arc, f.ca))
@@ -479,11 +470,6 @@ def worst_f2f(d: float, variant: str, exit_step: float, zeta_policy="0"):
     """Worst realized time over the exit grid: (time, argmax_e1, case_tag)."""
     from . import _batch
 
-    if exit_step <= 0.0:
-        raise ValueError("exit_step must be positive")
     if variant not in ("same", "diff", "labeled"):
         raise ValueError(f"unknown face-to-face variant {variant!r}")
-    times, codes = _batch.batch_cell(Regime(variant), d, resolve_zeta(zeta_policy, d),
-                                     _batch.exit_grid(exit_step))
-    i = int(times.argmax())
-    return float(times[i]), ArcPos(i * exit_step), _batch.decode_tag(codes[i])
+    return _batch.worst_cell(Regime(variant), d, resolve_zeta(zeta_policy, d), exit_step)

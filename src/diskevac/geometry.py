@@ -13,9 +13,18 @@ from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
-# Point-identity tolerance: far below the sweep grids (1e-3), far above
-# double-precision noise.
-ANGLE_TOL = 1e-9
+# Tolerance bands, one per meaning, read by the scalar evaluators and the
+# batch kernels alike.  They nest, so rounding at the edge of one band never
+# puts a placement on the edge of another.
+ANGLE_TOL = 1e-9  # two points, or two find times, are one; far below the grids' 1e-3
+# A merging band lies strictly inside ANGLE_TOL: an exit this close behind a
+# start sits on it, and a point this far past a sweep's end is swept, so a
+# find more than ANGLE_TOL after the message is never swept by its robot.
+SNAP_TOL = ANGLE_TOL / 2.0
+# Exits closer than this are one exit; from it up, a candidate d either side
+# of a find is more than ANGLE_TOL from the find.
+COINCIDENT_D = 2.0 * ANGLE_TOL
+DOMAIN_SLACK = 1e-12  # rounding slack at the domain edges d = pi and zeta = d
 
 
 class DomainError(ValueError):

@@ -46,7 +46,7 @@ import math
 
 import numpy as np
 
-from .geometry import TWO_PI
+from .geometry import DOMAIN_SLACK, TWO_PI
 
 GATE_TOL = 1e-12  # residual gate of solve_meeting and solve_meeting_arr
 MAX_ITER = 200
@@ -137,7 +137,7 @@ def solve_meeting(x: float, offset: float) -> float:
     """
     if not x >= 0.0:
         raise RegimeError(f"x must be nonnegative, got {x}")
-    if not (0.0 <= offset <= math.pi + 1e-12):
+    if not (0.0 <= offset <= math.pi + DOMAIN_SLACK):
         raise RegimeError(f"offset {offset} outside [0, pi]")
     if x + offset > 2.0 * math.pi + 1e-9:
         raise RegimeError(

@@ -9,6 +9,8 @@ from enum import Enum
 
 from .geometry import (
     ANGLE_TOL,
+    DOMAIN_SLACK,
+    SNAP_TOL,
     TWO_PI,
     ArcPos,
     Direction,
@@ -17,8 +19,6 @@ from .geometry import (
     normalize_angle,
 )
 from .plans import ArcLeg, Outcome, mirror_plan, mirror_point
-
-_EPS = 1e-12
 
 
 class CommModel(Enum):
@@ -77,7 +77,7 @@ class Scenario:
         for name, value in (("d", self.d), ("zeta", self.zeta), ("e1", self.e1.theta)):
             if not math.isfinite(value):
                 raise ScenarioError(f"{name} = {value} is not finite")
-        if not (0.0 <= self.d <= math.pi + _EPS):
+        if not (0.0 <= self.d <= math.pi + DOMAIN_SLACK):
             raise ScenarioError(f"d = {self.d} outside [0, pi]")
         check_zeta(self.d, self.zeta)
         object.__setattr__(self, "e2", self.e1.offset(self.d))
@@ -94,7 +94,7 @@ def check_zeta(d: float, zeta: float) -> None:
         raise ScenarioError(f"zeta = {zeta} is not finite")
     if zeta < 0.0:
         raise ScenarioError(f"zeta = {zeta} negative")
-    if zeta > d + _EPS:
+    if zeta > d + DOMAIN_SLACK:
         raise UnsupportedRegimeError(
             f"zeta = {zeta} exceeds d = {d}; only the "
             "bounds module covers this regime (wireless_gap_bound)"
@@ -168,15 +168,15 @@ def resolve_zeta(policy, d: float) -> float:
 def _first_hit(start: float, ccw: bool, e1: float, e2: float):
     """(t, found, other): a robot sweeping from start meets its first exit.
 
-    An exit within ANGLE_TOL behind the start counts as sitting on it, not
+    An exit within SNAP_TOL behind the start counts as sitting on it, not
     a full lap away; an exit found at time 0 is found on the start point
     itself, so the sweep leg to it is empty, not a rounded full lap.
     """
     t1 = normalize_angle(e1 - start if ccw else start - e1)
     t2 = normalize_angle(e2 - start if ccw else start - e2)
-    if t1 >= TWO_PI - ANGLE_TOL:
+    if t1 >= TWO_PI - SNAP_TOL:
         t1 = 0.0
-    if t2 >= TWO_PI - ANGLE_TOL:
+    if t2 >= TWO_PI - SNAP_TOL:
         t2 = 0.0
     if t2 < t1:
         t1, e1, e2 = t2, e2, e1

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .geometry import DOMAIN_SLACK
 from .scenarios import CommModel, Regime, check_zeta, classify, resolve_zeta
 
 CSV_HEADER = "d,zeta_policy,model,labeled,worst_time,argmax_e1,case"
@@ -41,7 +42,7 @@ class SweepConfig:
         for step in (self.d_step, self.exit_step):
             if not (math.isfinite(step) and step > 0.0):
                 raise ValueError(f"grid step {step} is not finite and > 0")
-        if not (0.0 <= self.d_min <= self.d_max <= math.pi + 1e-12):
+        if not (0.0 <= self.d_min <= self.d_max <= math.pi + DOMAIN_SLACK):
             raise ValueError("d range must sit inside [0, pi]")
         if self.workers < 1:
             raise ValueError(f"workers = {self.workers}, need at least 1")
@@ -51,7 +52,7 @@ class SweepConfig:
         k = 0
         while True:
             d = self.d_min + k * self.d_step
-            if d > self.d_max + 1e-12:
+            if d > self.d_max + DOMAIN_SLACK:
                 break
             ds.append(min(d, math.pi))
             k += 1

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from .geometry import (
     ANGLE_TOL,
+    COINCIDENT_D,
+    SNAP_TOL,
     TWO_PI,
     ArcPos,
     angle_close,
@@ -49,10 +51,10 @@ def _wireless_outcome(scn: Scenario) -> Outcome:
         return chord_length(normalize_angle(theta - D.theta))
 
     def swept_by_finder(c: float) -> bool:
-        return normalize_angle(c - b) <= x + ANGLE_TOL
+        return normalize_angle(c - b) <= x + SNAP_TOL
 
     def swept_by_receiver(c: float) -> bool:
-        return normalize_angle(-b - c) <= x + ANGLE_TOL
+        return normalize_angle(-b - c) <= x + SNAP_TOL
 
     def in_gap(c: float) -> bool:
         u = normalize_angle(c + b)
@@ -67,26 +69,22 @@ def _wireless_outcome(scn: Scenario) -> Outcome:
             at = nxt
 
     if scn.labeled:
-        if swept_by_finder(other) and not angle_close(other, X):
+        if d >= COINCIDENT_D and swept_by_finder(other):
             raise TraceInvalidError("labeled other exit inside a swept arc")
         w_x, w_o = chord_from_d(X), chord_from_d(other)
         target, length = (X, w_x) if w_x <= w_o else (other, w_o)
         walk(target)
         return f.outcome(TAG_L2 if in_gap(other) else TAG_L1, x, x + length)
 
-    if d < ANGLE_TOL:
+    if d < COINCIDENT_D:
         # Coincident exits: both candidates equal X, which is certain.
         walk(X)
         return f.outcome(TAG_W3B, x, x + chord_from_d(X))
 
     cb, ca = f.cb.theta, f.ca.theta
 
-    def ruled_out(c: float) -> bool:
-        if angle_close(c, X):
-            return False
-        return swept_by_finder(c) or swept_by_receiver(c)
-
-    ruled_b, ruled_a = ruled_out(cb), ruled_out(ca)
+    ruled_b = swept_by_finder(cb) or swept_by_receiver(cb)
+    ruled_a = swept_by_finder(ca) or swept_by_receiver(ca)
     if ruled_b and ruled_a:
         raise TraceInvalidError("both probable exits ruled out; no layout does this")
     w_x = chord_from_d(X)
@@ -147,16 +145,8 @@ def plan_wireless(scn: Scenario) -> Outcome:
 
 
 def worst_wireless(d: float, zeta_policy, labeled: bool, exit_step: float):
-    """Worst realized time over the exit-position grid for one d.
-
-    Returns (time, argmax_e1, case_tag); ties resolve to the smallest e1.
-    """
+    """Worst realized time over the exit grid for one d: (time, argmax_e1, case_tag)."""
     from . import _batch
 
-    if exit_step <= 0.0:
-        raise ValueError("exit_step must be positive")
-    zeta = resolve_zeta(zeta_policy, d)
-    times, codes = _batch.batch_cell(Regime.WIRELESS, d, zeta, _batch.exit_grid(exit_step),
-                                     labeled)
-    i = int(times.argmax())
-    return float(times[i]), ArcPos(i * exit_step), _batch.decode_tag(codes[i])
+    return _batch.worst_cell(Regime.WIRELESS, d, resolve_zeta(zeta_policy, d), exit_step,
+                             labeled)

@@ -1,12 +1,15 @@
-"""The sweep kernels' angle wraps, input domain and signed zeros."""
+"""The sweep kernels' angle wraps, input domain, signed zeros and band edges."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from diskevac import _batch
-from diskevac.geometry import TWO_PI
+from diskevac.geometry import TWO_PI, ArcPos
+from diskevac.replay import replay, verify_agreement
+from diskevac.scenarios import CommModel, Scenario, evaluate
 
 FOUR_PI = 2.0 * TWO_PI
 
@@ -118,3 +121,50 @@ def test_f2f_same_solves_only_what_its_cases_read(monkeypatch):
         assert sizes["_second_exit_arr"] == [np.count_nonzero(read)], d
         assert sum(sizes["_catch_p_arr"]) == np.count_nonzero(go & hit), d
         assert np.count_nonzero(read) < np.count_nonzero(~sim), d
+
+
+ANY_ZETA = (lambda d: 0.0, lambda d: d / 2.0, lambda d: d)
+FAMILIES = (  # (model, labeled, zeta policies)
+    (CommModel.FACE_TO_FACE, False, (lambda d: 0.0,)),
+    (CommModel.FACE_TO_FACE, False, (lambda d: d,)),
+    (CommModel.FACE_TO_FACE, True, ANY_ZETA),
+    (CommModel.WIRELESS, False, ANY_ZETA),
+    (CommModel.WIRELESS, True, ANY_ZETA),
+)
+
+
+def _start_edge(rng):
+    """An exit k*1e-10 behind a robot's start, k = 1..20, in any family."""
+    model, labeled, zetas = rng.choice(FAMILIES)
+    d = rng.uniform(0.0, math.pi)
+    zeta = rng.choice(zetas)(d)
+    gap = rng.randint(1, 20) * 1e-10
+    at = zeta / 2.0 - gap if rng.random() < 0.5 else -zeta / 2.0 + gap  # behind R1 or R2
+    return Scenario(model, labeled, d, zeta, ArcPos(at if rng.random() < 0.5 else at - d))
+
+
+def _near_simultaneous(rng):
+    """Wireless finds k*1e-10 apart, k = 1..20: R1 at E1 and R2 at E2 part by -2*e1 - d."""
+    d = rng.uniform(0.0, math.pi)
+    gap = rng.choice((1, -1)) * rng.randint(1, 20) * 1e-10
+    e1 = (-d - gap) / 2.0 + rng.choice((0.0, math.pi))
+    return Scenario(CommModel.WIRELESS, rng.random() < 0.5, d, rng.uniform(0.0, d), ArcPos(e1))
+
+
+@pytest.mark.parametrize("placement", [_start_edge, _near_simultaneous],
+                         ids=["start-edge", "near-simultaneous"])
+def test_scalar_replay_and_kernel_agree_at_band_edges(placement):
+    # placements a rounding error away from the edges of the start snap, the
+    # swept reach and the simultaneous-find band: the scalar evaluator, its
+    # replay and the kernel must take the same branch
+    rng = random.Random(3)
+    for _ in range(400):
+        scn = placement(rng)
+        out = evaluate(scn)
+        tr1, tr2, makespan = replay(scn, out)
+        assert verify_agreement(scn, tr1, tr2).passed, scn
+        assert makespan == pytest.approx(out.time_from_perimeter, abs=1e-9), scn
+        times, codes = _batch.batch_cell(scn.regime, scn.d, scn.zeta,
+                                         np.array([scn.e1.theta]), scn.labeled)
+        assert float(times[0]) == pytest.approx(out.time_from_perimeter, abs=1e-9), scn
+        assert _batch.decode_tag(codes[0]) == out.case_tag, scn

@@ -5,7 +5,6 @@ import pytest
 
 from diskevac import _batch, face_to_face
 from diskevac.face_to_face import (
-    catch_on_circle_from,
     eval_f2f_diff,
     eval_f2f_labeled,
     eval_f2f_same,
@@ -13,7 +12,7 @@ from diskevac.face_to_face import (
     worst_f2f,
 )
 from diskevac.geometry import ANGLE_TOL, TWO_PI, ArcPos, angle_close, cartesian, point_distance
-from diskevac.meeting import solve_meeting
+from diskevac.meeting import catch_on_circle, solve_meeting
 from diskevac.replay import POS_TOL, replay
 from diskevac.scenarios import CommModel, Frame, Scenario, WrongEvaluatorError, evaluate
 
@@ -169,7 +168,7 @@ def test_intercept_miss_when_late():
 def test_catch_on_circle_equation():
     # the returned p satisfies p - t0 = |N - partner(p)|
     n = (0.2, 0.3)
-    p = catch_on_circle_from(n, 1.0, 0.0)
+    p = catch_on_circle(*n, 1.0, 0.0)
     pos = cartesian(ArcPos(-p))
     assert p - 1.0 == pytest.approx(point_distance(n, pos), abs=1e-9)
 
@@ -283,7 +282,7 @@ def test_second_finder_chase_and_p_gates_stay_shut(monkeypatch):
         go, hit = face_to_face._case3_same(a, d)
         t_a = TWO_PI - a - d
         if hit:
-            assert catch_on_circle_from(hit[0], hit[1], 0.0) >= t_a, (a, d)
+            assert catch_on_circle(*hit[0], hit[1], 0.0) >= t_a, (a, d)
         elif go:
             assert solve_meeting(a, 0.0) >= t_a, (a, d)
         checked += 1

@@ -9,7 +9,6 @@ import pytest
 
 from diskevac import _batch, meeting
 from diskevac.cli import random_scenarios
-from diskevac.face_to_face import catch_on_circle_from
 from diskevac.meeting import (
     GATE_TOL,
     ROOT_TOL,
@@ -163,7 +162,7 @@ def test_p_catch_root_within_root_tol(b):
         assert _p_residual(x, y, t, b, p - ROOT_TOL) <= 0.0
         assert _p_residual(x, y, t, b, p + ROOT_TOL) >= 0.0
         assert abs(p - p_catch_reference(x, y, t, b)) <= ROOT_TOL, (x, y, t)
-        assert catch_on_circle_from((x, y), t, b) == p
+        assert catch_on_circle(x, y, t, b) == p
 
 
 def _twin_mismatches(nx, ny, t0, b, ps):

@@ -11,8 +11,10 @@ touches:
 The corpus: `random_scenarios` seeds 7 and 11 (6,000 each); every 11th
 point of the 0.001 exit grid at seven values of d for each regime family;
 the two mirror-symmetric simultaneous families (face-to-face zeta = 0
-with exits at +-x, zeta = d with e1 = pi - d/2); and, after those 40,023
-lines, placements on the edges of the tolerance bands (`edge_scenarios`).
+with exits at +-x, zeta = d with e1 = pi - d/2); after those 40,023
+lines, placements on the edges of the tolerance bands (`edge_scenarios`);
+and, after those 62,151, unlabeled face-to-face placements whose zeta is
+routed to 0 or d without being either (`routed_scenarios`).
 Only the public API is used, so older trees run it too once `replay(scn,
 out)` is read as `replay(scn)`, the form from before `replay` took the
 held outcome.
@@ -40,6 +42,7 @@ FAMILIES = (  # (model, labeled, zeta as a function of d)
 SYMMETRIC = 2000  # placements per symmetric family
 EDGE_GAPS = [s * k * 1e-10 for s in (1, -1) for k in range(1, 21)]  # across SNAP_TOL, ANGLE_TOL
 EDGE_D = (1e-9, 1.5e-9, 2e-9, 3e-9)  # across ANGLE_TOL and COINCIDENT_D
+ROUTED_D = (0.3, 1.4, 2.6)
 
 
 def symmetric_scenarios(n: int):
@@ -81,9 +84,23 @@ def edge_scenarios():
     return at_starts + finds_apart + grid_scenarios(EDGE_D)
 
 
+def routed_scenarios():
+    """Unlabeled face-to-face at zeta = k*1e-10 and d - k*1e-10, k = 1..10.
+
+    classify routes each to the zeta = 0 or zeta = d policy, except where
+    d - 1e-9 rounds outside the band and the refusal is the line; every
+    53rd point of the exit grid at each ROUTED_D.
+    """
+    n_exits = int(math.floor(TWO_PI / EXIT_STEP - 1e-9)) + 1
+    return [Scenario(CommModel.FACE_TO_FACE, False, d, zeta, ArcPos(k * EXIT_STEP))
+            for d in ROUTED_D for j in range(1, 11) for zeta in (j * 1e-10, d - j * 1e-10)
+            for k in range(0, n_exits, 53)]
+
+
 def corpus():
     scenarios = random_scenarios(7, 6000) + random_scenarios(11, 6000)
-    return scenarios + grid_scenarios(GRID_D) + symmetric_scenarios(SYMMETRIC) + edge_scenarios()
+    return (scenarios + grid_scenarios(GRID_D) + symmetric_scenarios(SYMMETRIC)
+            + edge_scenarios() + routed_scenarios())
 
 
 def fingerprint(scenarios):

@@ -22,7 +22,7 @@ import numpy as np
 from .geometry import ANGLE_TOL, COINCIDENT_D, DOMAIN_SLACK, SNAP_TOL, TWO_PI, ArcPos
 from .meeting import catch_on_circle_arr as _catch_p_arr  # module name perfbench wraps
 from .meeting import solve_meeting_arr
-from .scenarios import Regime, TraceInvalidError
+from .scenarios import Regime, TraceInvalidError, candidates_coincide
 
 TAG_LIST = (
     "W-sim", "W1a", "W1b", "W1c", "W2", "W3a", "W3b", "WL-L1", "WL-L2",
@@ -93,11 +93,13 @@ def _hit(t):
 
 
 def _frame(d: float, zeta: float, e1s: np.ndarray):
-    """First-finder frame: x, found/other angles, simultaneity mask.
+    """First-finder frame: x, found/other angles, masks sim, ahead and trivial.
 
     x is the first find's time, except at a simultaneous find: there each
     robot exits where its own sweep ends, so x is the later find, as in the
-    scalar Frame.in_place.
+    scalar Frame.in_place.  ahead is Frame.ahead.  trivial marks the
+    simultaneous finds on one exit point, where the co-located robots leave
+    at once; only face-to-face reads it, so only sim points are tested.
     """
     if not (0.0 <= d <= math.pi + DOMAIN_SLACK  # where wraps are exact
             and 0.0 <= zeta <= d + DOMAIN_SLACK and np.all((e1s >= 0.0) & (e1s < TWO_PI))):
@@ -119,15 +121,17 @@ def _frame(d: float, zeta: float, e1s: np.ndarray):
     other2 = np.where(first2, e2s, e1s)
     lead = t1 - t2
     sim = np.abs(lead) <= ANGLE_TOL
-    # Simultaneous finds where both robots stand on the same exit point:
-    # co-located, so they exchange and leave immediately.
-    sim_trivial = sim & (_close(found1, found2) | (t1 <= ANGLE_TOL))
+    trivial = np.zeros_like(sim)
+    if sim.any():
+        trivial[sim] = _close(found1[sim], found2[sim]) | (t1[sim] <= ANGLE_TOL)
     mirrored = lead > ANGLE_TOL  # R2 first; a simultaneous find is seen in R1's frame
+    # E2 lies d counterclockwise of E1: ahead where R1 found E1 or, mirrored, R2 found E2
+    ahead = np.where(mirrored, ~first2, first1) | candidates_coincide(d)
     x = np.where(sim, np.maximum(t1, t2), np.minimum(t1, t2))
     found = np.where(mirrored, _up(-found2), found1)  # (-2*pi, 0], and so is -other2
     np.putmask(found, x == 0.0, b)  # a find at time 0 is on the start itself
     other = np.where(mirrored, _up(-other2), other1)
-    return x, found, other, sim, sim_trivial
+    return x, found, other, sim, ahead, trivial
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +140,7 @@ def _frame(d: float, zeta: float, e1s: np.ndarray):
 
 def batch_wireless(d: float, zeta: float, labeled: bool, e1s: np.ndarray):
     b = zeta / 2.0
-    x, found, other, sim, _ = _frame(d, zeta, e1s)
+    x, found, other, sim, ahead, _ = _frame(d, zeta, e1s)
     n = e1s.size
     big_d = _up2(-b - x)  # (-5*pi/2, 0]: receiver position when the message lands
     reach = x + SNAP_TOL
@@ -182,7 +186,7 @@ def batch_wireless(d: float, zeta: float, labeled: bool, e1s: np.ndarray):
         t_first = x + np.where(first_cb, w_cb, w_ca)
         t_open = np.where(
             go_x, x + w_x,
-            np.where(_close(other, np.where(first_cb, cb, ca)), t_first, t_first + between),
+            np.where((first_cb != ahead) | candidates_coincide(d), t_first, t_first + between),
         )
         gap_b, gap_a = in_gap(cb), in_gap(ca)
         c_open = np.where(
@@ -273,14 +277,10 @@ def _second_exit_arr(a_s, d):
 
 def _f2f_frame(d: float, zeta: float, e1s: np.ndarray):
     """Unlabeled face-to-face frame: x, found, sim and the other exit's side."""
-    x, found, other, sim, sim_trivial = _frame(d, zeta, e1s)
-    if np.any(sim & ~sim_trivial):
+    x, found, _, sim, ahead, trivial = _frame(d, zeta, e1s)
+    if np.any(sim & ~trivial):
         raise TraceInvalidError("symmetric simultaneous placement on the grid")
-    ahead = _close(other, found + d)
-    behind = ~ahead & _close(other, found - d)
-    if np.any(~ahead & ~behind):
-        raise TraceInvalidError("other exit not at distance d")
-    return x, found, sim, ahead, behind
+    return x, found, sim, ahead, ~ahead
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +434,7 @@ def batch_f2f_diff(d: float, e1s: np.ndarray):
 
 def batch_f2f_labeled(d: float, zeta: float, e1s: np.ndarray):
     b = zeta / 2.0
-    x, found, other, sim, _ = _frame(d, zeta, e1s)
-    ahead = _close(other, found + d)
+    x, found, other, sim, ahead, _ = _frame(d, zeta, e1s)
     y = solve_meeting_arr(x, zeta)
     t_o = _up2(-b - other)  # (-5*pi/2, 0]
 

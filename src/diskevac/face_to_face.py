@@ -212,7 +212,7 @@ def _finder_plan(f: _Frame, same: bool) -> _Plan:
     """The unlabeled first finder's moves (zeta = 0 if same, else zeta = d).
 
     Decided from x, d, zeta, X and the candidates `ca`, `cb` alone: the
-    other exit, and so `f.other` and `f.side`, stay unread.  A layout with
+    other exit, and so `f.other` and `f.ahead`, stay unread.  A layout with
     the other exit at the other candidate gets the same moves; there a
     partner who knows more may only meet the finder sooner, on its way.
     """
@@ -282,7 +282,7 @@ def _outcome_f2f_same(scn: Scenario) -> Outcome:
     x = f.x
     t_a = f.partner_time(f.ca.theta)
     plan = _finder_plan(f, True)
-    behind = f.side == "behind"
+    behind = not f.ahead
 
     def separately(f_time: float, s_arc: float) -> Outcome:
         """The partner evacuates alone as a second finder at its arc s_arc."""
@@ -343,7 +343,7 @@ def _outcome_f2f_diff(scn: Scenario) -> Outcome:
         t_stop = min(t_a, t_x)
         f.sweep_partner(f.partner_at(t_stop))
         return f.outcome("Fd-2b", x, t_stop)
-    if plan.tag == "Fd-1c" and f.side == "ahead":
+    if plan.tag == "Fd-1c" and f.ahead:
         # 1b: the partner found E2' and, coming back, meets the finder at N
         n_point, s, seg = f.n_on_chord(t_a)
         f.meet_at_n(n_point, f.ca)
@@ -367,7 +367,7 @@ def _outcome_f2f_labeled(scn: Scenario) -> Outcome:
     zeta = scn.zeta
     f = _Frame(scn)
     if f.sim:
-        return f.in_place("FL-2" if f.side == "behind" else "FL-4")
+        return f.in_place("FL-4" if f.ahead else "FL-2")
     x = f.x
     other_arc = ArcPos(f.other)
     t_o = f.partner_time(f.other)
@@ -379,9 +379,9 @@ def _outcome_f2f_labeled(scn: Scenario) -> Outcome:
         # The partner reaches the other exit before any catch completes;
         # chasing is hopeless, so both exit where they are headed.
         f.sweep_partner(other_arc)
-        return f.outcome("FL-2" if f.side == "behind" else "FL-4", x, t_o)
+        return f.outcome("FL-4" if f.ahead else "FL-2", x, t_o)
     m_pos, _ = f.meet(((cartesian(f.partner_at(y)), y),))
-    return f.joint_hop("FL-1" if f.side == "behind" else "FL-3", m_pos, y,
+    return f.joint_hop("FL-3" if f.ahead else "FL-1", m_pos, y,
                        [(f.x_arc, chord_length(x + y + zeta)),
                         (other_arc, point_distance(m_pos, cartesian(other_arc)))])
 

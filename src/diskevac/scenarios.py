@@ -14,7 +14,6 @@ from .geometry import (
     TWO_PI,
     ArcPos,
     Direction,
-    angle_close,
     cartesian,
     normalize_angle,
 )
@@ -166,11 +165,12 @@ def resolve_zeta(policy, d: float) -> float:
 
 
 def _first_hit(start: float, ccw: bool, e1: float, e2: float):
-    """(t, found, other): a robot sweeping from start meets its first exit.
+    """(t, found, other, at_e1): a robot sweeping from start meets its first exit.
 
     An exit within SNAP_TOL behind the start counts as sitting on it, not
     a full lap away; an exit found at time 0 is found on the start point
-    itself, so the sweep leg to it is empty, not a rounded full lap.
+    itself, so the sweep leg to it is empty, not a rounded full lap.  A
+    tie goes to E1.
     """
     t1 = normalize_angle(e1 - start if ccw else start - e1)
     t2 = normalize_angle(e2 - start if ccw else start - e2)
@@ -179,8 +179,13 @@ def _first_hit(start: float, ccw: bool, e1: float, e2: float):
     if t2 >= TWO_PI - SNAP_TOL:
         t2 = 0.0
     if t2 < t1:
-        t1, e1, e2 = t2, e2, e1
-    return t1, start if t1 == 0.0 else e1, e2
+        return t2, start if t2 == 0.0 else e2, e1, False
+    return t1, start if t1 == 0.0 else e1, e2, True
+
+
+def candidates_coincide(d: float) -> bool:
+    """The candidates d either side of a find are one point: 2d = 0 mod 2*pi within ANGLE_TOL."""
+    return min(2.0 * d, TWO_PI - 2.0 * d) <= ANGLE_TOL  # d in [0, pi + DOMAIN_SLACK]
 
 
 class Frame:
@@ -193,19 +198,24 @@ class Frame:
     reached at time x, while the partner starts at -b and stands at -b - t
     at time t.  Finds within ANGLE_TOL of each other are one simultaneous
     find (`sim`), which no first finder breaks: the frame is then R1's and
-    `r2_time`, `r2_find` hold R2's own find.  The candidate exits d either
-    side of X (`ca`, `cb`) exist for unlabeled exits only.
-    `outcome` maps the plans back.
+    `r2_time`, `r2_find` hold R2's own find.  `ahead`: the other exit is
+    the candidate d counterclockwise of X, as the exit found and the mirror
+    tell, or the candidates coincide.  The candidates (`ca`, `cb`) exist for
+    unlabeled exits only.  Unlabeled face-to-face robots start at the zeta
+    classify routed them to, 0 or d.  `outcome` maps the plans back.
     """
 
     def __init__(self, scn: Scenario):
-        self.d = scn.d
-        self.b = b = scn.zeta / 2.0
+        self.d = d = scn.d
+        regime = scn.regime
+        zeta = 0.0 if regime is Regime.F2F_SAME else d if regime is Regime.F2F_DIFF else scn.zeta
+        self.b = b = zeta / 2.0
         e1, e2 = scn.e1.theta, scn.e2.theta
-        t1, f1, o1 = _first_hit(b, True, e1, e2)
-        t2, f2, o2 = _first_hit(0.0 - b, False, e1, e2)  # no negative zero at b = 0
+        t1, f1, o1, r1_e1 = _first_hit(b, True, e1, e2)
+        t2, f2, o2, r2_e1 = _first_hit(0.0 - b, False, e1, e2)  # no negative zero at b = 0
         self.sim = abs(t1 - t2) <= ANGLE_TOL
         self.mirrored = not self.sim and t2 < t1
+        self.ahead = (not r2_e1 if self.mirrored else r1_e1) or candidates_coincide(d)
         if self.mirrored:
             self.x, self.found, self.other = t2, normalize_angle(-f2), normalize_angle(-o2)
         else:
@@ -215,20 +225,11 @@ class Frame:
         self.x_arc = ArcPos(self.found)
         self.x_pos = cartesian(self.x_arc)
         if not scn.labeled:  # labeled policies never weigh the candidates
-            self.ca = ArcPos(self.found + self.d)  # candidate counterclockwise of X
-            self.cb = ArcPos(self.found - self.d)  # candidate clockwise of X
+            self.ca = ArcPos(self.found + d)  # candidate counterclockwise of X
+            self.cb = ArcPos(self.found - d)  # candidate clockwise of X
         self.finder_legs: list = [ArcLeg(ArcPos(b), self.x_arc, Direction.CCW)]
         self.partner_legs: list = []
         self.meets: list = []
-
-    @property
-    def side(self) -> str:
-        """'ahead' when the other exit is d counterclockwise of X, else 'behind'."""
-        if angle_close(self.other, self.found + self.d):
-            return "ahead"
-        if angle_close(self.other, self.found - self.d):
-            return "behind"
-        raise TraceInvalidError("other exit is not at arc distance d from the find")
 
     def partner_at(self, t: float) -> ArcPos:
         """Where the partner's clockwise sweep stands at time t."""

@@ -17,7 +17,6 @@ from .geometry import (
     SNAP_TOL,
     TWO_PI,
     ArcPos,
-    angle_close,
     cartesian,
     chord_length,
     normalize_angle,
@@ -29,6 +28,7 @@ from .scenarios import (
     Scenario,
     TraceInvalidError,
     WrongEvaluatorError,
+    candidates_coincide,
     resolve_zeta,
 )
 
@@ -98,7 +98,7 @@ def _wireless_outcome(scn: Scenario) -> Outcome:
             time = x + w_x
         else:
             first, second = (cb, ca) if w_b <= w_a else (ca, cb)
-            if angle_close(other, first):
+            if (w_b > w_a) == f.ahead or candidates_coincide(d):  # exit at first, or at both
                 walk(first)
                 time = x + chord_from_d(first)
             else:
@@ -110,8 +110,6 @@ def _wireless_outcome(scn: Scenario) -> Outcome:
         return f.outcome(TAG_W1C if gap_b and gap_a else TAG_W1B, x, time)
 
     certain = cb if ruled_a else ca
-    if not angle_close(other, certain):
-        raise TraceInvalidError("ruled-out candidate still holds the exit")
     w_c = chord_from_d(certain)
     walk(X if w_x <= w_c else certain)
     if ruled_a:

@@ -219,7 +219,7 @@ def test_criterion_7_solver_quality(monkeypatch):
     for d in CFG.d_grid():
         for offset_kind in ("same", "diff", "lab"):
             zeta = {"same": 0.0, "diff": d, "lab": d / 2.0}[offset_kind]
-            x, found, other, sim, _ = _batch._frame(d, zeta, grid)
+            x, found, other, sim, *_ = _batch._frame(d, zeta, grid)
             offset = zeta
             flo = 2.0 * np.sin((2.0 * x + offset) / 2.0)
             if np.any(flo < -1e-12):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from diskevac import _batch
-from diskevac.geometry import TWO_PI, ArcPos
+from diskevac.geometry import TWO_PI, ArcPos, angle_close
 from diskevac.replay import replay, verify_agreement
-from diskevac.scenarios import CommModel, Scenario, evaluate
+from diskevac.scenarios import CommModel, Frame, Scenario, evaluate
 
 FOUR_PI = 2.0 * TWO_PI
 
@@ -168,3 +168,23 @@ def test_scalar_replay_and_kernel_agree_at_band_edges(placement):
                                          np.array([scn.e1.theta]), scn.labeled)
         assert float(times[0]) == pytest.approx(out.time_from_perimeter, abs=1e-9), scn
         assert _batch.decode_tag(codes[0]) == out.case_tag, scn
+
+
+@pytest.mark.parametrize("d", [0.0, 5e-10, 1e-9, 1.5e-9, math.pi - 1e-10, math.pi, None],
+                         ids=["0", "5e-10", "1e-9", "1.5e-9", "pi-1e-10", "pi", "random"])
+def test_scalar_and_kernel_frames_put_the_other_exit_on_one_side(d):
+    # The frame knows which exit it found, and so which candidate holds the
+    # other one; the reference is the tolerance test that rule replaced.
+    # Where the candidates are one point (d near 0 or pi) the exit is ahead.
+    rng = np.random.RandomState(4)
+    for model, labeled, zetas in FAMILIES:
+        for zeta_of in zetas:
+            for _ in range(3):
+                dd = rng.uniform(0.0, math.pi) if d is None else d
+                zeta = zeta_of(dd)
+                e1s = rng.uniform(0.0, TWO_PI, 100)
+                ahead = _batch._frame(dd, zeta, e1s)[4]
+                for e1, kernel in zip(e1s, ahead):
+                    f = Frame(Scenario(model, labeled, dd, zeta, ArcPos(float(e1))))
+                    assert f.ahead == kernel == angle_close(f.other, f.found + dd), \
+                        (model, labeled, dd, zeta, e1)

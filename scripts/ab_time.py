@@ -50,7 +50,8 @@ def work_for(args, cli, sweep):
     """A no-argument pass over the chosen work, returning comparable output."""
     if args.work == "verify":
         return lambda: cli.run_verification(args.samples, args.seed, 1e-4)
-    cfg = sweep.SweepConfig(d_step=args.d_step, exit_step=args.exit_step)
+    step = {} if args.exit_step is None else {"exit_step": args.exit_step}
+    cfg = sweep.SweepConfig(d_step=args.d_step, **step)
     if args.work == "table1":
         return lambda: [(s.key, d, t) for s, d, t in sweep.table1(cfg)]
     f2f = cli.CommModel.FACE_TO_FACE
@@ -75,7 +76,8 @@ def main(argv=None) -> int:
     parser.add_argument("--samples", type=int, default=5000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--d-step", type=float, default=0.05)
-    parser.add_argument("--exit-step", type=float, default=0.001)
+    parser.add_argument("--exit-step", type=float,
+                        help="default: the exit step of each tree's SweepConfig")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")

@@ -24,8 +24,8 @@ import argparse
 from diskevac import _batch
 from diskevac.geometry import ArcPos
 from diskevac.meeting import RegimeError, SolverError
-from diskevac.scenarios import Scenario, TraceInvalidError, classify, evaluate, resolve_zeta
-from diskevac.sweep import ALL_SERIES, SweepConfig
+from diskevac.scenarios import Scenario, TraceInvalidError, evaluate
+from diskevac.sweep import ALL_SERIES, SweepConfig, series_cells
 
 REFUSALS = (TraceInvalidError, RegimeError, SolverError)
 
@@ -36,11 +36,9 @@ def audit(cfg, series, stride):
     e1s = grid.tolist()
     cells = points = mismatches = raises = 0
     max_dt = 0.0
-    for d in cfg.d_grid()[::stride]:
+    for d, zeta, regime in series_cells(cfg, series)[::stride]:
         cells += 1
         points += len(e1s)
-        zeta = resolve_zeta(series.zeta_policy, d)
-        regime = classify(series.model, series.labeled, d, zeta)
         try:
             times, codes = _batch.batch_cell(regime, d, zeta, grid, series.labeled)
         except REFUSALS:
@@ -69,8 +67,8 @@ def main():
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--stride", type=_stride, default=40,
                         help="audit every k-th d cell of each series")
-    parser.add_argument("--d-step", type=float, default=0.01)
-    parser.add_argument("--exit-step", type=float, default=0.001)
+    parser.add_argument("--d-step", type=float, default=SweepConfig.d_step)
+    parser.add_argument("--exit-step", type=float, default=SweepConfig.exit_step)
     args = parser.parse_args()
     cfg = SweepConfig(d_step=args.d_step, exit_step=args.exit_step)
     for series in ALL_SERIES:

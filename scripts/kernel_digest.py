@@ -16,29 +16,26 @@ import argparse
 import hashlib
 
 from diskevac import _batch
-from diskevac.scenarios import classify, resolve_zeta
-from diskevac.sweep import ALL_SERIES, SweepConfig
+from diskevac.sweep import ALL_SERIES, SweepConfig, series_cells
 
 
 def digest(cfg, series):
     """(cell count, sha256 hex) over one series' cells."""
     grid = _batch.exit_grid(cfg.exit_step)
     h = hashlib.sha256()
-    ds = cfg.d_grid()
-    for d in ds:
-        zeta = resolve_zeta(series.zeta_policy, d)
-        regime = classify(series.model, series.labeled, d, zeta)
-        # the dispatch worst_wireless and worst_f2f call for the same cell
+    cells = series_cells(cfg, series)
+    for d, zeta, regime in cells:
+        # the dispatch the sweep's worst_cell makes for the same cell
         times, codes = _batch.batch_cell(regime, d, zeta, grid, series.labeled)
         h.update(times.tobytes())
         h.update(codes.tobytes())
-    return len(ds), h.hexdigest()
+    return len(cells), h.hexdigest()
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--d-step", type=float, default=0.01)
-    parser.add_argument("--exit-step", type=float, default=0.001)
+    parser.add_argument("--d-step", type=float, default=SweepConfig.d_step)
+    parser.add_argument("--exit-step", type=float, default=SweepConfig.exit_step)
     args = parser.parse_args()
     cfg = SweepConfig(d_step=args.d_step, exit_step=args.exit_step)
     for series in ALL_SERIES:

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Run every worst-case sweep at full resolution and write CSVs.
 
-Produces one file per series under results/ (d step 0.01, exit step
-0.001).  Takes a couple of minutes single-process; pass --jobs to spread
-the d cells over workers.
+Produces one file per series under results/, on the paper grid of
+SweepConfig (d step 0.01, exit step 0.001) unless --d-step and --exit-step
+say otherwise.  Pass --jobs to spread the d cells over workers.
 """
 
 import argparse
@@ -16,9 +16,9 @@ from diskevac.sweep import ALL_SERIES, SweepConfig, run_sweep, write_csv
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="results")
-    parser.add_argument("--d-step", type=float, default=0.01)
-    parser.add_argument("--exit-step", type=float, default=0.001)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--d-step", type=float, default=SweepConfig.d_step)
+    parser.add_argument("--exit-step", type=float, default=SweepConfig.exit_step)
+    parser.add_argument("--jobs", type=int, default=SweepConfig.workers)
     args = parser.parse_args()
 
     out_dir = Path(args.out_dir)

@@ -467,8 +467,8 @@ def worst_cell(regime: Regime, d: float, zeta: float, exit_step: float, labeled=
 
     Ties resolve to the smallest e1.
     """
-    if exit_step <= 0.0:
-        raise ValueError("exit_step must be positive")
+    if not (math.isfinite(exit_step) and exit_step > 0.0):
+        raise ValueError(f"exit step {exit_step} is not finite and > 0")
     times, codes = batch_cell(regime, d, zeta, exit_grid(exit_step), labeled)
     i = int(times.argmax())
     return float(times[i]), ArcPos(i * exit_step), decode_tag(codes[i])

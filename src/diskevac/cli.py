@@ -93,6 +93,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--include-center-leg", action="store_true",
                        help="add the 1-unit center-to-perimeter leg to times")
 
+    def add_grid(p):
+        p.add_argument("--d-step", type=float, default=SweepConfig.d_step)
+        p.add_argument("--exit-step", type=float, default=SweepConfig.exit_step)
+        p.add_argument("--jobs", type=int, default=SweepConfig.workers)
+
     p_eval = sub.add_parser("eval", help="evaluate one exit placement")
     add_common(p_eval, need_d=True)
     p_eval.add_argument("--e1", type=float, required=True,
@@ -102,10 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="worst-case sweep over d")
     add_common(p_sweep, need_d=False)
-    p_sweep.add_argument("--d-step", type=float, default=0.01)
-    p_sweep.add_argument("--exit-step", type=float, default=0.001)
-    p_sweep.add_argument("--d-min", type=float, default=0.0)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    add_grid(p_sweep)
+    p_sweep.add_argument("--d-min", type=float, default=SweepConfig.d_min)
     p_sweep.add_argument("--out", type=_output_file, help="CSV output path")
 
     p_bounds = sub.add_parser("bounds", help="closed-form lower bounds")
@@ -120,9 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="largest accepted |policy - replay| time")
 
     p_table = sub.add_parser("table1", help="reproduce the Table-1 minima")
-    p_table.add_argument("--d-step", type=float, default=0.01)
-    p_table.add_argument("--exit-step", type=float, default=0.001)
-    p_table.add_argument("--jobs", type=int, default=1)
+    add_grid(p_table)
     p_table.add_argument("--out", type=_output_file, help="CSV output path")
 
     p_cmp = sub.add_parser("compare", help="compare two series over d")
@@ -131,10 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            required=True)
         p_cmp.add_argument(f"--labeled-{tag}", action="store_true")
         p_cmp.add_argument(f"--zeta-{tag}", default="0")
-    p_cmp.add_argument("--d-step", type=float, default=0.01)
-    p_cmp.add_argument("--exit-step", type=float, default=0.001)
-    p_cmp.add_argument("--d-min", type=float, default=0.0)
-    p_cmp.add_argument("--jobs", type=int, default=1)
+    add_grid(p_cmp)
+    p_cmp.add_argument("--d-min", type=float, default=SweepConfig.d_min)
     p_cmp.add_argument("--slack", type=_nonnegative_finite, default=0.0,
                        help="ignore excesses up to this value (grid noise)")
     p_cmp.add_argument("--expect-a-below-b", action="store_true",

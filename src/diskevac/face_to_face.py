@@ -195,11 +195,8 @@ class _Frame(Frame):
 
 
 def _joint_hop(meet_point, meet_time, targets):
-    """Pick the nearest exit from a meeting point; ties go to the first."""
-    best_pos, best_w = None, None
-    for pos, w in targets:
-        if best_w is None or w < best_w - ANGLE_TOL:
-            best_pos, best_w = pos, w
+    """Pick the nearest exit from a meeting point; an exact tie goes to the first."""
+    best_pos, best_w = min(targets, key=lambda target: target[1])
     return best_pos, meet_time + best_w
 
 

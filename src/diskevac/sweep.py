@@ -79,16 +79,22 @@ class SweepRecord:
         )
 
 
-def _eval_cell(args) -> SweepRecord:
-    d, regime, series, cfg = args
-    from . import face_to_face, wireless
+def series_cells(cfg: SweepConfig, series: SeriesSpec) -> list[tuple[float, float, Regime]]:
+    """(d, zeta, regime) for each d of the grid, in d order; every cell is
+    checked and classified before any cell runs."""
+    cells = []
+    for d in cfg.d_grid():
+        zeta = resolve_zeta(series.zeta_policy, d)
+        check_zeta(d, zeta)
+        cells.append((d, zeta, classify(series.model, series.labeled, d, zeta)))
+    return cells
 
-    if regime is Regime.WIRELESS:
-        time, argmax, tag = wireless.worst_wireless(d, series.zeta_policy,
-                                                    series.labeled, cfg.exit_step)
-    else:
-        time, argmax, tag = face_to_face.worst_f2f(d, regime.value, cfg.exit_step,
-                                                   series.zeta_policy)
+
+def _eval_cell(args) -> SweepRecord:
+    d, zeta, regime, series, cfg = args
+    from . import _batch  # imported on first use, not at CLI start
+
+    time, argmax, tag = _batch.worst_cell(regime, d, zeta, cfg.exit_step, series.labeled)
     if cfg.include_center_leg:
         time += 1.0
     return SweepRecord(d, series.zeta_policy, series.model.value,
@@ -96,15 +102,8 @@ def _eval_cell(args) -> SweepRecord:
 
 
 def run_sweep(cfg: SweepConfig, series: SeriesSpec) -> list[SweepRecord]:
-    """One record per d grid point, ordered by d, worker-count independent.
-
-    Every cell is checked and classified before any cell runs.
-    """
-    jobs = []
-    for d in cfg.d_grid():
-        zeta = resolve_zeta(series.zeta_policy, d)
-        check_zeta(d, zeta)
-        jobs.append((d, classify(series.model, series.labeled, d, zeta), series, cfg))
+    """One record per d grid point, ordered by d, worker-count independent."""
+    jobs = [(*cell, series, cfg) for cell in series_cells(cfg, series)]
     if cfg.workers == 1:
         return [_eval_cell(job) for job in jobs]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing

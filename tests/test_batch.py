@@ -1,4 +1,5 @@
-"""The sweep kernels' angle wraps, input domain, signed zeros and band edges."""
+"""The sweep kernels' angle wraps, input domain, signed zeros, band edges and
+the relations every policy must keep: reflection and labeled-never-slower."""
 
 import math
 import random
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 from diskevac import _batch
-from diskevac.geometry import TWO_PI, ArcPos, angle_close
+from diskevac.geometry import SNAP_TOL, TWO_PI, ArcPos, angle_close
 from diskevac.replay import replay, verify_agreement
-from diskevac.scenarios import CommModel, Frame, Scenario, evaluate
+from diskevac.scenarios import CommModel, Frame, Regime, Scenario, candidates_coincide, evaluate
+from diskevac.sweep import ALL_SERIES, SweepConfig, series_cells
 
 FOUR_PI = 2.0 * TWO_PI
 
@@ -68,6 +70,12 @@ def test_kernels_refuse_exits_outside_domain(name, e1):
 def test_kernels_refuse_d_zeta_outside_domain(name, d, zeta):
     with pytest.raises(ValueError):
         KERNELS[name](d, zeta, np.array([0.5]))
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf])
+def test_worst_cell_refuses_an_exit_step_by_name(step):
+    with pytest.raises(ValueError, match=f"^exit step {step} is not finite and > 0$"):
+        _batch.worst_cell(Regime.F2F_SAME, 1.0, 0.0, step)
 
 
 def test_kernels_take_the_slack_scenarios_allow():
@@ -188,3 +196,70 @@ def test_scalar_and_kernel_frames_put_the_other_exit_on_one_side(d):
                     f = Frame(Scenario(model, labeled, dd, zeta, ArcPos(float(e1))))
                     assert f.ahead == kernel == angle_close(f.other, f.found + dd), \
                         (model, labeled, dd, zeta, e1)
+
+
+# Reflecting the disk across the axis through the starts swaps the robots
+# and maps the unlabeled layout {e1, e1 + d} to e1' = -(e1 + d); a policy
+# that acts only on what its robots know keeps the makespan.
+PAPER = SweepConfig()
+CELL_STRIDE = 9  # every 9th cell of the paper grid
+UNLABELED = [s for s in ALL_SERIES if not s.labeled]
+
+
+def _wrap(a):
+    r = np.mod(a, TWO_PI)
+    return np.where(r >= TWO_PI, 0.0, r)
+
+
+def _candidate_on_a_start(e1s, d, zeta):
+    """A candidate that holds no exit (e1 - d or e1 + 2d) within SNAP_TOL of
+    a start +-b: there the time jumps, and the reflection lands on the other
+    side of the jump."""
+    b = zeta / 2.0
+    return np.logical_or.reduce([np.abs(_wrap(c - start + math.pi) - math.pi) <= SNAP_TOL
+                                 for c in (e1s - d, e1s + 2.0 * d) for start in (b, -b)])
+
+
+def _reflection_breaks(series):
+    """Exits of every CELL_STRIDE-th cell whose reflected layout takes another time."""
+    grid = _batch.exit_grid(PAPER.exit_step)
+    broken = 0
+    for d, zeta, regime in series_cells(PAPER, series)[::CELL_STRIDE]:
+        times, _ = _batch.batch_cell(regime, d, zeta, grid)
+        mirror = _wrap(-(grid + d))
+        edge = _candidate_on_a_start(grid, d, zeta)
+        differs = np.abs(times - _batch.batch_cell(regime, d, zeta, mirror)[0]) > 1e-11
+        broken += np.count_nonzero(differs & ~edge)
+        # on the jump, the reflection matches one of its one-sided values
+        sides = [_batch.batch_cell(regime, d, zeta, _wrap(mirror[edge] + s))[0]
+                 for s in (-1e-11, 1e-11)]
+        broken += np.count_nonzero(np.minimum(*(np.abs(t - times[edge]) for t in sides)) > 1e-9)
+    return broken
+
+
+@pytest.mark.parametrize("series", UNLABELED, ids=lambda s: s.key)
+def test_reflected_layout_takes_the_same_time(series):
+    assert _reflection_breaks(series) == 0
+
+
+def test_reflection_catches_a_side_mask_without_the_mirror(monkeypatch):
+    frame = _batch._frame
+
+    def no_mirror(d, zeta, e1s):  # ahead is R1's first find being E1, mirrored or not
+        x, found, other, sim, _, trivial = frame(d, zeta, e1s)
+        b = zeta / 2.0
+        t1a, t1b = (_batch._hit(_batch._up(e - b)) for e in (e1s, _batch._down(e1s + d)))
+        return x, found, other, sim, (t1a <= t1b) | candidates_coincide(d), trivial
+
+    monkeypatch.setattr(_batch, "_frame", no_mirror)
+    for series in UNLABELED:
+        if series.zeta_policy != "0":
+            assert _reflection_breaks(series) > 0, series.key
+
+
+def test_f2f_labeled_is_never_slower_than_unlabeled():
+    grid = _batch.exit_grid(PAPER.exit_step)
+    for d in PAPER.d_grid()[::CELL_STRIDE]:
+        same, diff = _batch.batch_f2f_same(d, grid)[0], _batch.batch_f2f_diff(d, grid)[0]
+        assert np.all(_batch.batch_f2f_labeled(d, 0.0, grid)[0] <= same + 1e-12), d
+        assert np.all(_batch.batch_f2f_labeled(d, d, grid)[0] <= diff + 1e-12), d

@@ -352,23 +352,19 @@ def test_unlabeled_robots_start_at_the_routed_zeta(d, gap):
     # classify routes a zeta within ANGLE_TOL of 0 or d to that policy; the
     # scalar frame then starts the robots where the kernel does, at the
     # routed zeta, which the replay accepts as the true start within POS_TOL.
-    # At d = 1e-9 X and the candidate ahead are 1e-9 apart, and a joint hop
-    # to the nearer one still differs: the scalar gives X every tie within
-    # ANGLE_TOL, the kernel takes the nearer exactly.
     zeta = float(gap) if gap[0] != "d" else d - float(gap[2:])
     e1s = np.concatenate([_batch.exit_grid(0.05),
                           np.random.RandomState(5).uniform(0.0, TWO_PI, 60)])
     regime = f2f(d, zeta, 0.0).regime
     routed = 0.0 if regime.value == "same" else d
     times, codes = _batch.batch_cell(regime, d, routed, e1s)
-    tol = ANGLE_TOL if d <= ANGLE_TOL else 1e-12
     for e1, t, c in zip(e1s, times, codes):
         scn = f2f(d, zeta, float(e1))
         out = evaluate(scn)
         at_routed = evaluate(f2f(d, routed, float(e1)))
         assert (out.time_from_perimeter, out.case_tag) == \
             (at_routed.time_from_perimeter, at_routed.case_tag), (zeta, e1)
-        assert out.time_from_perimeter == pytest.approx(float(t), abs=tol), (zeta, e1)
+        assert out.time_from_perimeter == pytest.approx(float(t), abs=1e-12), (zeta, e1)
         assert out.case_tag == _batch.decode_tag(c), (zeta, e1)
         tr1, tr2, makespan = replay(scn, out)
         assert makespan == pytest.approx(out.time_from_perimeter, abs=1e-12), (zeta, e1)

@@ -31,14 +31,6 @@ def test_run_sweeps_writes_every_series(tmp_path):
         assert path.read_text().startswith(CSV_HEADER + "\n")
 
 
-def test_reproduce_table1_prints_six_rows():
-    proc = _run("reproduce_table1.py", *COARSE)
-    assert proc.returncode == 0, proc.stderr
-    header, *rows = proc.stdout.splitlines()
-    assert header.split() == ["zeta", "exits", "min", "time", "at", "d"]
-    assert len(rows) == 6
-
-
 def test_kernel_digest_prints_one_line_per_series():
     proc = _run("kernel_digest.py", *COARSE)
     assert proc.returncode == 0, proc.stderr

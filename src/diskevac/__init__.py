@@ -5,13 +5,11 @@ from .face_to_face import (
     eval_f2f_diff,
     eval_f2f_labeled,
     eval_f2f_same,
-    plan_f2f,
     worst_f2f,
 )
 from .geometry import (
     ArcPos,
     Direction,
-    arc_between,
     cartesian,
     chord_length,
     normalize_angle,
@@ -46,7 +44,6 @@ from .sweep import (
 from .wireless import (
     eval_wireless_labeled,
     eval_wireless_unlabeled,
-    plan_wireless,
     worst_wireless,
 )
 

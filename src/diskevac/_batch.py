@@ -470,5 +470,7 @@ def worst_cell(regime: Regime, d: float, zeta: float, exit_step: float, labeled=
     if not (math.isfinite(exit_step) and exit_step > 0.0):
         raise ValueError(f"exit step {exit_step} is not finite and > 0")
     times, codes = batch_cell(regime, d, zeta, exit_grid(exit_step), labeled)
+    if not np.isfinite(times).all():
+        raise TraceInvalidError(f"non-finite evacuation time in the cell d = {d}")
     i = int(times.argmax())
     return float(times[i]), ArcPos(i * exit_step), decode_tag(codes[i])

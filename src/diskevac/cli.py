@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -82,8 +83,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
+    models = [m.value for m in CommModel]
+
     def add_common(p, need_d: bool):
-        p.add_argument("--model", choices=["wireless", "f2f"], default="wireless")
+        p.add_argument("--model", choices=models, default="wireless")
         p.add_argument("--labeled", action="store_true")
         p.add_argument("--zeta", default="0",
                        help="0, d, d/2 or an explicit value in radians")
@@ -99,6 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=SweepConfig.workers)
 
     p_eval = sub.add_parser("eval", help="evaluate one exit placement")
+    p_eval.set_defaults(run=_cmd_eval)
     add_common(p_eval, need_d=True)
     p_eval.add_argument("--e1", type=float, required=True,
                         help="position of exit E1 in radians")
@@ -106,30 +110,34 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write the replay trace to this path")
 
     p_sweep = sub.add_parser("sweep", help="worst-case sweep over d")
+    p_sweep.set_defaults(run=_cmd_sweep)
     add_common(p_sweep, need_d=False)
     add_grid(p_sweep)
     p_sweep.add_argument("--d-min", type=float, default=SweepConfig.d_min)
     p_sweep.add_argument("--out", type=_output_file, help="CSV output path")
 
     p_bounds = sub.add_parser("bounds", help="closed-form lower bounds")
+    p_bounds.set_defaults(run=_cmd_bounds)
     p_bounds.add_argument("--d", type=float, required=True)
     p_bounds.add_argument("--zeta", type=float, default=None,
                           help="also print the wireless zeta > d bound")
 
     p_verify = sub.add_parser("verify", help="replay-oracle batch check")
+    p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument("--samples", type=_count, default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--tol", type=_positive_finite, default=1e-4,
                           help="largest accepted |policy - replay| time")
 
     p_table = sub.add_parser("table1", help="reproduce the Table-1 minima")
+    p_table.set_defaults(run=_cmd_table1)
     add_grid(p_table)
     p_table.add_argument("--out", type=_output_file, help="CSV output path")
 
     p_cmp = sub.add_parser("compare", help="compare two series over d")
+    p_cmp.set_defaults(run=_cmd_compare)
     for tag in ("a", "b"):
-        p_cmp.add_argument(f"--model-{tag}", choices=["wireless", "f2f"],
-                           required=True)
+        p_cmp.add_argument(f"--model-{tag}", choices=models, required=True)
         p_cmp.add_argument(f"--labeled-{tag}", action="store_true")
         p_cmp.add_argument(f"--zeta-{tag}", default="0")
     add_grid(p_cmp)
@@ -141,16 +149,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scenario(args, e1: float) -> Scenario:
-    model = CommModel.WIRELESS if args.model == "wireless" else CommModel.FACE_TO_FACE
-    return Scenario(model, args.labeled, args.d,
-                    resolve_zeta(args.zeta, args.d), ArcPos(e1))
-
-
 def _cmd_eval(args) -> int:
     from .replay import dump_trace, replay
 
-    scn = _scenario(args, args.e1)
+    scn = Scenario(CommModel(args.model), args.labeled, args.d,
+                   resolve_zeta(args.zeta, args.d), ArcPos(args.e1))
     res = evaluate(scn)
     extra = 1.0 if args.include_center_leg else 0.0
     print(f"time {res.time_from_perimeter + extra:.6f} case {res.case_tag}")
@@ -164,16 +167,15 @@ def _cmd_eval(args) -> int:
 
 
 def _series_from(model: str, labeled: bool, zeta: str) -> SeriesSpec:
-    m = CommModel.WIRELESS if model == "wireless" else CommModel.FACE_TO_FACE
-    return SeriesSpec(m, labeled, zeta)
+    return SeriesSpec(CommModel(model), labeled, zeta)
 
 
 def _cmd_sweep(args) -> int:
     cfg = SweepConfig(d_step=args.d_step, exit_step=args.exit_step,
-                      d_min=args.d_min, include_center_leg=args.include_center_leg,
-                      workers=args.jobs)
-    series = _series_from(args.model, args.labeled, args.zeta)
-    records = run_sweep(cfg, series)
+                      d_min=args.d_min, workers=args.jobs)
+    records = run_sweep(cfg, _series_from(args.model, args.labeled, args.zeta))
+    if args.include_center_leg:
+        records = [replace(rec, worst_time=rec.worst_time + 1.0) for rec in records]
     if args.out:
         write_csv(records, args.out)
         print(f"wrote {len(records)} records to {args.out}")
@@ -194,32 +196,32 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+# The five verify families, one per evaluator: (model, labeled, zeta / d),
+# the ratio None where zeta is drawn on [0, d).
+_FAMILIES = (
+    (CommModel.WIRELESS, False, None),
+    (CommModel.WIRELESS, True, None),
+    (CommModel.FACE_TO_FACE, False, 0.0),
+    (CommModel.FACE_TO_FACE, False, 1.0),
+    (CommModel.FACE_TO_FACE, True, None),
+)
+
+
 def random_scenarios(seed: int, samples: int):
-    """Seeded random scenarios covering every evaluator.
+    """Seeded random scenarios covering every evaluator: per scenario a
+    family, d, e1 and then, for the families that draw it, zeta.
 
     A uniform draw on [0, hi) is hi * random_sample(), which is the value
     RandomState.uniform(0.0, hi) returns, at a fifth of its call cost.
     """
     rng = np.random.RandomState(seed)
     draw = rng.random_sample
-    kinds = ("wl-unlab", "wl-lab", "f2f-same", "f2f-diff", "f2f-lab")
-    wl, f2f = CommModel.WIRELESS, CommModel.FACE_TO_FACE
     out = []
     for _ in range(samples):
-        kind = kinds[rng.randint(len(kinds))]
+        model, labeled, ratio = _FAMILIES[rng.randint(len(_FAMILIES))]
         d = math.pi * draw()
         e1 = ArcPos(TWO_PI * draw())
-        if kind == "wl-unlab":
-            scn = Scenario(wl, False, d, d * draw(), e1)
-        elif kind == "wl-lab":
-            scn = Scenario(wl, True, d, d * draw(), e1)
-        elif kind == "f2f-same":
-            scn = Scenario(f2f, False, d, 0.0, e1)
-        elif kind == "f2f-diff":
-            scn = Scenario(f2f, False, d, d, e1)
-        else:
-            scn = Scenario(f2f, True, d, d * draw(), e1)
-        out.append(scn)
+        out.append(Scenario(model, labeled, d, d * (draw() if ratio is None else ratio), e1))
     return out
 
 
@@ -241,7 +243,7 @@ def run_verification(samples: int, seed: int, tol: float):
             continue
         dev = abs(makespan - res.time_from_perimeter)
         max_dev = max(max_dev, dev)
-        if dev >= tol:
+        if not dev < tol:  # a nan deviation fails too
             issues.append(f"{scn}: policy {res.time_from_perimeter} vs replay {makespan}")
         report = verify_agreement(scn, tr1, tr2)
         if not report.passed:
@@ -300,25 +302,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        if args.verb == "eval":
-            return _cmd_eval(args)
-        if args.verb == "sweep":
-            return _cmd_sweep(args)
-        if args.verb == "bounds":
-            return _cmd_bounds(args)
-        if args.verb == "verify":
-            return _cmd_verify(args)
-        if args.verb == "table1":
-            return _cmd_table1(args)
-        if args.verb == "compare":
-            return _cmd_compare(args)
+        return args.run(args)
     except POLICY_FAILURES as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return VERIFY_ERROR
     except (ScenarioError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    return USAGE_ERROR
 
 
 if __name__ == "__main__":

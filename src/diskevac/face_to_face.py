@@ -40,8 +40,9 @@ from .scenarios import (
     Regime,
     Scenario,
     TraceInvalidError,
-    WrongEvaluatorError,
+    evaluate,
     resolve_zeta,
+    routed,
 )
 
 DISCREPANCY_NOTES = (
@@ -190,12 +191,12 @@ class _Frame(Frame):
 
     def joint_hop(self, tag, point, t_meet: float, targets):
         """Together from the meeting point to the nearest of (exit, distance)."""
-        target, time = _joint_hop(point, t_meet, targets)
+        target, time = _joint_hop(t_meet, targets)
         return self.joint(tag, point, target, time)
 
 
-def _joint_hop(meet_point, meet_time, targets):
-    """Pick the nearest exit from a meeting point; an exact tie goes to the first."""
+def _joint_hop(meet_time, targets):
+    """Nearest of the (exit, distance) targets; an exact tie goes to the first."""
     best_pos, best_w = min(targets, key=lambda target: target[1])
     return best_pos, meet_time + best_w
 
@@ -243,7 +244,7 @@ def _finder_plan(f: _Frame, same: bool) -> _Plan:
             return _Plan("Fd-1c", stops, True)
         # Defensive corner: the partner reaches X (a real exit) before P
         # and leaves; the finder carries on alone from P to the closest exit.
-        target, time = _joint_hop(p_pos, p, _by_distance(p_pos, f.x_arc, f.cb))
+        target, time = _joint_hop(p, _by_distance(p_pos, f.x_arc, f.cb))
         return _Plan("Fd-1c", stops + ((cartesian(target), time),))
 
     if x + y <= d:  # Case 1: catch before the trailing candidate
@@ -259,7 +260,7 @@ def _finder_plan(f: _Frame, same: bool) -> _Plan:
             p = meeting.catch_on_circle(*n_point, t_n, 0.0)
             if p < t_a:
                 return _Plan("F0-3a", ((n_point, t_n), (cartesian(f.partner_at(p)), p)), True)
-            target, time = _joint_hop(n_point, t_n, _by_distance(n_point, f.x_arc, f.ca))
+            target, time = _joint_hop(t_n, _by_distance(n_point, f.x_arc, f.ca))
             return _Plan("F0-3a", ((n_point, t_n), (cartesian(target), time)))
         tags = ("F0-3a", "F0-3b")  # missed N: chase on the circle, or exit
     else:  # Case 4: the trailing candidate is in the finder's own swept arc
@@ -430,37 +431,24 @@ def _sim_outcome(f: _Frame, same: bool) -> Outcome:
 # public evaluators
 # ---------------------------------------------------------------------------
 
-_BY_REGIME = {
-    Regime.F2F_SAME: _outcome_f2f_same,
-    Regime.F2F_DIFF: _outcome_f2f_diff,
-    Regime.F2F_LABELED: _outcome_f2f_labeled,
-}
-
-
-def _outcome(scn: Scenario, *accepted: Regime) -> Outcome:
-    regime = scn.regime
-    if regime not in accepted:
-        wanted = " or ".join(r.value for r in accepted)
-        raise WrongEvaluatorError(
-            f"a {regime.value} scenario sent to the face-to-face {wanted} evaluator")
-    return _BY_REGIME[regime](scn)
-
-
 def eval_f2f_same(scn: Scenario) -> Outcome:
-    return _outcome(scn, Regime.F2F_SAME)
+    routed(scn, Regime.F2F_SAME, False)
+    return _outcome_f2f_same(scn)
 
 
 def eval_f2f_diff(scn: Scenario) -> Outcome:
-    return _outcome(scn, Regime.F2F_DIFF)
+    routed(scn, Regime.F2F_DIFF, False)
+    return _outcome_f2f_diff(scn)
 
 
 def eval_f2f_labeled(scn: Scenario) -> Outcome:
-    return _outcome(scn, Regime.F2F_LABELED)
+    routed(scn, Regime.F2F_LABELED, True)
+    return _outcome_f2f_labeled(scn)
 
 
 def plan_f2f(scn: Scenario) -> Outcome:
-    """Outcome of any face-to-face scenario, for the replay oracle."""
-    return _outcome(scn, *_BY_REGIME)
+    """The outcome `evaluate` routes scn to, under its former name."""
+    return evaluate(scn)
 
 
 def worst_f2f(d: float, variant: str, exit_step: float, zeta_policy="0"):

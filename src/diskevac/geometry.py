@@ -95,11 +95,6 @@ def arc_length(theta0: float, theta1: float, ccw: bool) -> float:
     return normalize_angle(theta1 - theta0 if ccw else theta0 - theta1)
 
 
-def arc_between(a: ArcPos, b: ArcPos, direction: Direction) -> float:
-    """Arc length traveled from a to b in the stated direction, in [0, 2*pi)."""
-    return arc_length(a.theta, b.theta, direction is Direction.CCW)
-
-
 def cartesian(p: ArcPos) -> tuple[float, float]:
     theta = p.theta
     return (math.cos(theta), math.sin(theta))

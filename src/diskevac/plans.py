@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .geometry import ArcPos, Direction, cartesian
+from .geometry import ArcPos, Direction
 
 Point = tuple[float, float]
 
@@ -23,14 +23,6 @@ class ArcLeg(NamedTuple):
     start: ArcPos
     end: ArcPos
     direction: Direction
-
-    @property
-    def p0(self) -> Point:
-        return cartesian(self.start)
-
-    @property
-    def p1(self) -> Point:
-        return cartesian(self.end)
 
 
 class ChordLeg(NamedTuple):

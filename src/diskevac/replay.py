@@ -11,6 +11,7 @@ sweep ends on a true exit and lands when the receiver's sweep ends.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import NamedTuple
@@ -56,12 +57,6 @@ class Trajectory:
     def final_time(self) -> float:
         return self.segments[-1].t1 if self.segments else 0.0
 
-    @property
-    def final_pos(self) -> Point:
-        if not self.segments:
-            raise TraceInvalidError("empty trajectory")
-        return self.segments[-1].p1
-
 
 def _integrate(legs: list[Leg]) -> Trajectory:
     """Each leg becomes a segment timed by its length, arcs priced by
@@ -83,6 +78,8 @@ def _integrate(legs: list[Leg]) -> Trajectory:
         t = t1
     if not segments:
         raise TraceInvalidError("empty trajectory")
+    if not math.isfinite(t):  # a nan anywhere in a leg reaches the end time
+        raise TraceInvalidError(f"trajectory ends at time {t}")
     return Trajectory(segments, [Event("exited", t, segments[-1].p1)])
 
 

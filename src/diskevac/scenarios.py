@@ -150,13 +150,19 @@ def evaluate(scn: Scenario) -> Outcome:
     return getattr(module, name)(scn)
 
 
+def routed(scn: Scenario, regime: Regime, labeled: bool) -> None:
+    """The guard of every evaluator: refuse scn unless `evaluate` routes it
+    to `regime` with this labeling."""
+    if scn.regime is not regime or scn.labeled != labeled:
+        raise WrongEvaluatorError(f"a {scn.regime.value} scenario (labeled={scn.labeled}) "
+                                  f"sent to the {regime.value} evaluator (labeled={labeled})")
+
+
 def resolve_zeta(policy, d: float) -> float:
     """Map a zeta policy ('0', 'd', 'd/2' or a number) to a value for d."""
     if isinstance(policy, (int, float)):
         return float(policy)
     text = str(policy).strip().lower()
-    if text in ("0", "zero"):
-        return 0.0
     if text == "d":
         return d
     if text == "d/2":

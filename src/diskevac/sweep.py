@@ -33,17 +33,15 @@ class SeriesSpec:
 class SweepConfig:
     d_step: float = 0.01
     exit_step: float = 0.001
-    d_min: float = 0.0
-    d_max: float = math.pi
-    include_center_leg: bool = False
+    d_min: float = 0.0  # the grid runs from d_min to pi
     workers: int = 1
 
     def __post_init__(self):
         for step in (self.d_step, self.exit_step):
             if not (math.isfinite(step) and step > 0.0):
                 raise ValueError(f"grid step {step} is not finite and > 0")
-        if not (0.0 <= self.d_min <= self.d_max <= math.pi + DOMAIN_SLACK):
-            raise ValueError("d range must sit inside [0, pi]")
+        if not (0.0 <= self.d_min <= math.pi):
+            raise ValueError(f"d_min = {self.d_min} outside [0, pi]")
         if self.workers < 1:
             raise ValueError(f"workers = {self.workers}, need at least 1")
 
@@ -52,12 +50,12 @@ class SweepConfig:
         k = 0
         while True:
             d = self.d_min + k * self.d_step
-            if d > self.d_max + DOMAIN_SLACK:
+            if d > math.pi + DOMAIN_SLACK:
                 break
             ds.append(min(d, math.pi))
             k += 1
-        if ds and ds[-1] < self.d_max - 1e-9:
-            ds.append(self.d_max)
+        if ds[-1] < math.pi - 1e-9:
+            ds.append(math.pi)
         return ds
 
 
@@ -95,8 +93,6 @@ def _eval_cell(args) -> SweepRecord:
     from . import _batch  # imported on first use, not at CLI start
 
     time, argmax, tag = _batch.worst_cell(regime, d, zeta, cfg.exit_step, series.labeled)
-    if cfg.include_center_leg:
-        time += 1.0
     return SweepRecord(d, series.zeta_policy, series.model.value,
                        series.labeled, time, argmax.theta, tag)
 

@@ -27,9 +27,10 @@ from .scenarios import (
     Regime,
     Scenario,
     TraceInvalidError,
-    WrongEvaluatorError,
     candidates_coincide,
+    evaluate,
     resolve_zeta,
+    routed,
 )
 
 TAG_SIM = "W-sim"
@@ -119,27 +120,19 @@ def _wireless_outcome(scn: Scenario) -> Outcome:
     return f.outcome(tag, x, x + min(w_x, w_c))
 
 
-def _check(scn: Scenario, labeled: bool):
-    if scn.regime is not Regime.WIRELESS:
-        raise WrongEvaluatorError("scenario is not a wireless instance")
-    if scn.labeled != labeled:
-        raise WrongEvaluatorError("labeled flag does not match the evaluator")
-
-
 def eval_wireless_unlabeled(scn: Scenario) -> Outcome:
-    _check(scn, labeled=False)
+    routed(scn, Regime.WIRELESS, False)
     return _wireless_outcome(scn)
 
 
 def eval_wireless_labeled(scn: Scenario) -> Outcome:
-    _check(scn, labeled=True)
+    routed(scn, Regime.WIRELESS, True)
     return _wireless_outcome(scn)
 
 
 def plan_wireless(scn: Scenario) -> Outcome:
-    """Outcome of any wireless scenario, for the replay oracle."""
-    _check(scn, labeled=scn.labeled)
-    return _wireless_outcome(scn)
+    """The outcome `evaluate` routes scn to, under its former name."""
+    return evaluate(scn)
 
 
 def worst_wireless(d: float, zeta_policy, labeled: bool, exit_step: float):

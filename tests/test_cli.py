@@ -203,7 +203,7 @@ def test_scenario_rejects_non_finite(field):
 @pytest.mark.parametrize("verb", ["sweep", "table1", "compare"])
 @pytest.mark.parametrize("step", ["nan", "inf"])
 def test_non_finite_sweep_step_rejected(verb, step, capsys):
-    # a NaN or infinite d step never passes d_max, so the d grid would not end
+    # a NaN or infinite d step never passes pi, so the d grid would not end
     required = {"sweep": [], "table1": [],
                 "compare": ["--model-a", "wireless", "--model-b", "wireless"]}[verb]
     rc = main([verb, "--d-step", step] + required)
@@ -321,6 +321,65 @@ def test_verify_reports_a_deviation_above_tol(monkeypatch, capsys):
     assert rc == 3
     assert "max |policy - replay| = 1.000e-03" in out
     assert out.count("FAIL:") == 20 and "vs replay" in out
+
+
+def test_verify_fails_a_nan_receiver_chord(monkeypatch, capsys):
+    from diskevac import wireless
+    from diskevac.plans import ChordLeg
+
+    real = wireless.eval_wireless_unlabeled
+
+    def nan_chord(scn):
+        out = real(scn)
+        *legs, last = out.r2_plan
+        if not isinstance(last, ChordLeg):  # R2 found first: no chord to break
+            return out
+        return out._replace(r2_plan=[*legs, ChordLeg(last.p0, (math.nan, math.nan))],
+                            r2_exit_time=math.nan)
+
+    monkeypatch.setattr(wireless, "eval_wireless_unlabeled", nan_chord)
+    rc = main(["verify", "--samples", "2000", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert rc == 3
+    assert "FAIL:" in out and "TraceInvalidError: trajectory ends at time nan" in out
+
+
+def test_verify_fails_nan_exit_times(monkeypatch, capsys):
+    from diskevac import face_to_face
+
+    real = face_to_face.eval_f2f_same
+
+    def nan_times(scn):
+        return real(scn)._replace(r1_exit_time=math.nan, r2_exit_time=math.nan)
+
+    monkeypatch.setattr(face_to_face, "eval_f2f_same", nan_times)
+    rc = main(["verify", "--samples", "2000", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert rc == 3
+    assert "FAIL:" in out and "policy nan vs replay" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--d-step", "0.5", "--exit-step", "0.1"],
+    ["table1", "--d-step", "0.5", "--exit-step", "0.1"],
+])
+def test_nan_kernel_time_fails_the_sweep(argv, monkeypatch, capsys):
+    from diskevac import _batch
+
+    real = _batch.batch_cell
+
+    def one_nan(*args):
+        times, codes = real(*args)
+        times = times.copy()
+        times[1] = math.nan
+        return times, codes
+
+    monkeypatch.setattr(_batch, "batch_cell", one_nan)
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: TraceInvalidError: non-finite evacuation time")
 
 
 def _reference_scenarios(seed, samples):

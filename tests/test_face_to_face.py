@@ -312,7 +312,7 @@ def _position(tr, t):
         if t <= seg.t1:
             break
     else:
-        return tr.final_pos
+        return tr.segments[-1].p1
     if seg.kind == "arc":
         return cartesian(ArcPos(seg.theta0 + (t - seg.t0 if seg.ccw else seg.t0 - t)))
     u = (t - seg.t0) / (seg.t1 - seg.t0) if seg.t1 > seg.t0 else 1.0

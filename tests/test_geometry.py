@@ -9,10 +9,9 @@ from hypothesis import given, strategies as st
 from diskevac.geometry import (
     TWO_PI,
     ArcPos,
-    Direction,
     DomainError,
     angle_close,
-    arc_between,
+    arc_length,
     cartesian,
     chord_length,
     normalize_angle,
@@ -38,12 +37,9 @@ def test_chord_domain_error():
 
 
 def test_arc_between_examples():
-    assert arc_between(ArcPos(0.0), ArcPos(math.pi / 2), Direction.CCW) == \
-        pytest.approx(math.pi / 2)
-    assert arc_between(ArcPos(math.pi / 2), ArcPos(0.0), Direction.CW) == \
-        pytest.approx(math.pi / 2)
-    assert arc_between(ArcPos(0.1), ArcPos(6.2), Direction.CCW) == \
-        pytest.approx(6.1)
+    assert arc_length(0.0, math.pi / 2, ccw=True) == pytest.approx(math.pi / 2)
+    assert arc_length(math.pi / 2, 0.0, ccw=False) == pytest.approx(math.pi / 2)
+    assert arc_length(0.1, 6.2, ccw=True) == pytest.approx(6.1)
 
 
 def test_cartesian_examples():
@@ -77,17 +73,17 @@ def test_normalization_total(theta):
 
 @given(finite_angles, finite_angles)
 def test_arc_antisymmetry(a, b):
-    pa, pb = ArcPos(a), ArcPos(b)
-    assert arc_between(pa, pb, Direction.CW) == pytest.approx(
-        arc_between(pb, pa, Direction.CCW), abs=1e-12)
+    pa, pb = ArcPos(a).theta, ArcPos(b).theta
+    assert arc_length(pa, pb, ccw=False) == pytest.approx(
+        arc_length(pb, pa, ccw=True), abs=1e-12)
 
 
 @given(finite_angles, finite_angles)
 def test_arc_directions_complement(a, b):
-    pa, pb = ArcPos(a), ArcPos(b)
-    ccw = arc_between(pa, pb, Direction.CCW)
-    cw = arc_between(pa, pb, Direction.CW)
-    if angle_close(pa.theta, pb.theta, 1e-12):
+    pa, pb = ArcPos(a).theta, ArcPos(b).theta
+    ccw = arc_length(pa, pb, ccw=True)
+    cw = arc_length(pa, pb, ccw=False)
+    if angle_close(pa, pb, 1e-12):
         # identical points up to float resolution: both arcs collapse
         assert min(ccw, cw) <= 1e-12
     else:

@@ -29,8 +29,15 @@ def _family(tag: str) -> Regime:
             "FL": Regime.F2F_LABELED}.get(tag[:2], Regime.WIRELESS)
 
 
+class _OneCell(SweepConfig):
+    """A sweep configuration whose d grid is d_min alone."""
+
+    def d_grid(self):
+        return [self.d_min]
+
+
 def _one_cell(model, labeled, d, zeta):
-    cfg = SweepConfig(d_step=0.1, exit_step=0.05, d_min=d, d_max=d)
+    cfg = _OneCell(d_step=0.1, exit_step=0.05, d_min=d)
     return run_sweep(cfg, SeriesSpec(model, labeled, repr(zeta)))
 
 

@@ -96,8 +96,8 @@ def _receiver_mutated(change):
 def _catch_point_moved(out):
     """Mutation: the partner's sweep ends 1e-6 of arc past the catch point."""
     (meet,) = out.meets
-    name = "r1_plan" if math.dist(out.r1_plan[0].p1, meet) < 1e-12 else "r2_plan"
-    assert math.dist(getattr(out, name)[0].p1, meet) < 1e-12
+    name = "r1_plan" if math.dist(cartesian(out.r1_plan[0].end), meet) < 1e-12 else "r2_plan"
+    assert math.dist(cartesian(getattr(out, name)[0].end), meet) < 1e-12
     return out._replace(**{name: _extend_sweep(getattr(out, name), 1e-6)})
 
 
@@ -191,7 +191,7 @@ def test_exit_positions_are_true_exits():
         exits = [np.array([math.cos(p.theta), math.sin(p.theta)])
                  for p in (scn.e1, scn.e2)]
         for tr in (tr1, tr2):
-            final = np.array(tr.final_pos)
+            final = np.array(tr.segments[-1].p1)
             assert min(np.linalg.norm(final - e) for e in exits) < 1e-7
 
 

@@ -105,12 +105,21 @@ def test_csv_round_trip(tmp_path):
     assert [r.csv_row() for r in back] == [r.csv_row() for r in records]
 
 
-def test_include_center_leg_adds_one():
-    base = run_sweep(COARSE, WL0)
-    with_leg = run_sweep(SweepConfig(d_step=0.1, exit_step=0.01,
-                                     include_center_leg=True), WL0)
-    for a, b in zip(base, with_leg):
-        assert b.worst_time == pytest.approx(a.worst_time + 1.0, abs=1e-12)
+def test_include_center_leg_adds_one(tmp_path, capsys):
+    # the CLI adds the unit to the records it writes; the sweep never does
+    from diskevac.cli import main
+
+    argv = ["sweep", "--d-step", "0.1", "--exit-step", "0.01", "--out"]
+    assert main(argv + [str(tmp_path / "base.csv")]) == 0
+    assert main(argv + [str(tmp_path / "leg.csv"), "--include-center-leg"]) == 0
+    capsys.readouterr()
+    records = run_sweep(COARSE, WL0)
+    base, with_leg = read_csv(tmp_path / "base.csv"), read_csv(tmp_path / "leg.csv")
+    assert [r.csv_row() for r in base] == [r.csv_row() for r in records]
+    assert len(with_leg) == len(records)
+    for a, b in zip(base, with_leg):  # both rounded to 6 decimals
+        assert b.worst_time == pytest.approx(a.worst_time + 1.0, abs=1.5e-6)
+        assert (b.d, b.argmax_e1, b.case_tag) == (a.d, a.argmax_e1, a.case_tag)
 
 
 def test_record_dominance_spot_check():

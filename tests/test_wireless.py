@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from diskevac import _batch
-from diskevac.geometry import TWO_PI, ArcPos
+from diskevac.cli import random_scenarios
+from diskevac.geometry import SNAP_TOL, TWO_PI, ArcPos, angle_close
 from diskevac.scenarios import (
     CommModel,
     Scenario,
@@ -111,6 +113,23 @@ def test_reflection_symmetry_unlabeled():
             b.time_from_perimeter, abs=1e-9)
         assert a.r1_exit_time == pytest.approx(b.r2_exit_time, abs=1e-9)
         assert a.r2_exit_time == pytest.approx(b.r1_exit_time, abs=1e-9)
+    # The scalar evaluators of all three unlabeled families on the verify
+    # corpus: the mirror swaps the robots' roles, and the times with them.
+    # Exits within SNAP_TOL of a start are left out: the mirror's rounding
+    # may carry such an exit across the edge of the snap band.
+    checked = 0
+    for scn in random_scenarios(0, 5000):
+        b = scn.zeta / 2.0
+        if scn.labeled or any(angle_close(e.theta, s, SNAP_TOL)
+                              for e in (scn.e1, scn.e2) for s in (b, -b)):
+            continue
+        checked += 1
+        a = evaluate(scn)
+        m = evaluate(dataclasses.replace(scn, e1=ArcPos(-(scn.e1.theta + scn.d))))
+        assert abs(a.time_from_perimeter - m.time_from_perimeter) <= 1e-11, scn
+        assert abs(a.r1_exit_time - m.r2_exit_time) <= 1e-11, scn
+        assert abs(a.r2_exit_time - m.r1_exit_time) <= 1e-11, scn
+    assert checked > 2900
 
 
 def test_labeled_never_slower_than_unlabeled():

@@ -12,11 +12,17 @@ times one pass of each in process CPU time, the two in turn, with the
 first side swapped every round.  The summary line reads
 
     work <w> rounds <n> old_s <median> new_s <median> ratio <median of old/new> wins <n>
+    old_flt <median> new_flt <median>
 
 where `ratio` is the median over rounds of the per-round ratio (above 1:
-the new tree is faster) and `wins` counts the rounds the new tree won.
-Two passes in one process share the machine's state, so the ratio
-resolves differences that separate runs of a benchmark would blur.
+the new tree is faster), `wins` counts the rounds the new tree won and
+`old_flt`/`new_flt` are the median minor page faults of a pass.  Two
+passes in one process share the machine's state, so the ratio resolves
+differences that separate runs of a benchmark would blur.  They also
+share one allocator and every other piece of process-wide state: a change
+to that state, such as the malloc thresholds `_batch` sets on import,
+reaches both trees here and reads as no change.  Compare such a change
+with perfbench runs of each tree in its own process.
 
 Work:
 - verify: `cli.run_verification` on --samples seeded scenarios
@@ -28,6 +34,7 @@ The sweeps use the grid --d-step, --exit-step.
 import argparse
 import gc
 import importlib
+import resource
 import shutil
 import statistics
 import sys
@@ -59,11 +66,13 @@ def work_for(args, cli, sweep):
     return lambda: [rec.csv_row() for s in series for rec in sweep.run_sweep(cfg, s)]
 
 
-def cpu_seconds(fn) -> float:
+def cpu_and_faults(fn) -> tuple[float, int]:
+    """Process CPU seconds and minor page faults of one pass."""
     gc.collect()
-    t0 = time.process_time()
+    flt0, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.process_time()
     fn()
-    return time.process_time() - t0
+    t = time.process_time() - t0
+    return t, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt0
 
 
 def main(argv=None) -> int:
@@ -91,16 +100,18 @@ def main(argv=None) -> int:
             print(f"error: the two trees return different {args.work} output",
                   file=sys.stderr)
             return 1
-        t_old, t_new = [], []
+        m_old, m_new = [], []
         for k in range(args.rounds):
-            sides = ((old, t_old), (new, t_new))
-            for fn, times in sides if k % 2 == 0 else sides[::-1]:
-                times.append(cpu_seconds(fn))
+            sides = ((old, m_old), (new, m_new))
+            for fn, measured in sides if k % 2 == 0 else sides[::-1]:
+                measured.append(cpu_and_faults(fn))
+    (t_old, f_old), (t_new, f_new) = zip(*m_old), zip(*m_new)
     ratios = [a / b for a, b in zip(t_old, t_new)]
     wins = sum(b < a for a, b in zip(t_old, t_new))
     print(f"work {args.work} rounds {args.rounds} "
           f"old_s {statistics.median(t_old):.4f} new_s {statistics.median(t_new):.4f} "
-          f"ratio {statistics.median(ratios):.4f} wins {wins}")
+          f"ratio {statistics.median(ratios):.4f} wins {wins} "
+          f"old_flt {statistics.median(f_old):.0f} new_flt {statistics.median(f_new):.0f}")
     return 0
 
 

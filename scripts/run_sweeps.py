@@ -3,14 +3,23 @@
 
 Produces one file per series under results/, on the paper grid of
 SweepConfig (d step 0.01, exit step 0.001) unless --d-step and --exit-step
-say otherwise.  Pass --jobs to spread the d cells over workers.
+say otherwise.  Pass --jobs to spread the d cells over workers.  Each
+series prints its cell count, wall seconds and the minor page faults of
+this process and its workers while it ran.
 """
 
 import argparse
+import resource
 import time
 from pathlib import Path
 
 from diskevac.sweep import ALL_SERIES, SweepConfig, run_sweep, write_csv
+
+
+def minor_faults() -> int:
+    """Minor page faults so far of this process and its reaped workers."""
+    return sum(resource.getrusage(who).ru_minflt
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
 
 
 def main():
@@ -26,12 +35,12 @@ def main():
     cfg = SweepConfig(d_step=args.d_step, exit_step=args.exit_step,
                       workers=args.jobs)
     for series in ALL_SERIES:
-        t0 = time.time()
+        t0, flt0 = time.time(), minor_faults()
         records = run_sweep(cfg, series)
         path = out_dir / f"sweep-{series.key.replace('/', '')}.csv"
         write_csv(records, path)
         print(f"{series.key:24s} {len(records)} cells "
-              f"{time.time() - t0:6.1f}s -> {path}")
+              f"{time.time() - t0:6.1f}s {minor_faults() - flt0:8d} faults -> {path}")
 
 
 if __name__ == "__main__":

@@ -11,11 +11,24 @@ On it each angle reduction is a conditional +-2*pi that equals np.mod(a,
 2*pi) bit for bit, -0.0 -> +0.0 included, on the range written at its call
 site.  Ranges holding a catch-up root y use x + y + offset <= 2*pi and
 y <= pi + 1, the bounds of solve_meeting_arr's Newton start.
+
+Importing this module pins two glibc allocator thresholds for the whole
+process (Linux only; nothing happens where mallopt is missing or refuses).
+A cell allocates and frees numpy temporaries of about 50 KB per exit grid,
+260-460 KB a cell.  By default glibc returns the free top of its heap to
+the system once 128 KB of it is free, so the next cell faults those pages
+in again.  M_MMAP_THRESHOLD is set to 32 MiB, glibc's own dynamic ceiling
+on 64-bit, then M_TRIM_THRESHOLD to 64 MiB, twice that, as glibc pairs
+them.  Both are needed: setting the trim threshold alone switches off the
+dynamic mmap threshold, so every temporary above the default 128 KB (an
+exit step below about 0.0004) is mapped and unmapped again on each call.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import sys
 
 import numpy as np
 
@@ -23,6 +36,20 @@ from .geometry import ANGLE_TOL, COINCIDENT_D, DOMAIN_SLACK, SNAP_TOL, TWO_PI, A
 from .meeting import catch_on_circle_arr as _catch_p_arr  # module name perfbench wraps
 from .meeting import solve_meeting_arr
 from .scenarios import Regime, TraceInvalidError, candidates_coincide
+
+
+def _pin_malloc_thresholds():
+    """Keep freed kernel temporaries in the heap; see the module docstring."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # <malloc.h>
+    if mallopt(m_mmap_threshold, 32 << 20):  # the trim threshold alone would freeze this one
+        mallopt(m_trim_threshold, 64 << 20)
+
+
+_pin_malloc_thresholds()
 
 TAG_LIST = (
     "W-sim", "W1a", "W1b", "W1c", "W2", "W3a", "W3b", "WL-L1", "WL-L2",

@@ -245,6 +245,11 @@ def run_verification(samples: int, seed: int, tol: float):
         max_dev = max(max_dev, dev)
         if not dev < tol:  # a nan deviation fails too
             issues.append(f"{scn}: policy {res.time_from_perimeter} vs replay {makespan}")
+        # The makespan is a max, which passes over a nan: check each robot too.
+        for robot, tr, exit_time in ((1, tr1, res.r1_exit_time), (2, tr2, res.r2_exit_time)):
+            if not abs(tr.final_time - exit_time) < tol:
+                issues.append(f"{scn}: R{robot} policy exit {exit_time} "
+                              f"vs replay {tr.final_time}")
         report = verify_agreement(scn, tr1, tr2)
         if not report.passed:
             issues.extend(f"{scn}: {msg}" for msg in report.issues)

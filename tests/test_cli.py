@@ -359,6 +359,25 @@ def test_verify_fails_nan_exit_times(monkeypatch, capsys):
     assert "FAIL:" in out and "policy nan vs replay" in out
 
 
+def test_verify_fails_a_nan_exit_time_off_the_makespan(monkeypatch, capsys):
+    from diskevac import face_to_face
+
+    real = face_to_face.eval_f2f_same
+
+    def nan_r2(scn):  # max(r1, nan) is r1, so the makespan alone passes this
+        out = real(scn)
+        if out.r1_exit_time >= out.r2_exit_time:
+            return out._replace(r2_exit_time=math.nan)
+        return out
+
+    monkeypatch.setattr(face_to_face, "eval_f2f_same", nan_r2)
+    rc = main(["verify", "--samples", "2000", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert rc == 3
+    assert "FAIL:" in out and "R2 policy exit nan vs replay" in out
+    assert "R1 policy exit" not in out and "policy nan vs replay" not in out
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--d-step", "0.5", "--exit-step", "0.1"],
     ["table1", "--d-step", "0.5", "--exit-step", "0.1"],

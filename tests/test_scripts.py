@@ -86,6 +86,7 @@ def test_ab_time_times_a_tree_against_itself():
         assert (fields["work"], fields["rounds"]) == (work, "3"), proc.stdout
         assert 0 <= int(fields["wins"]) <= 3
         assert float(fields["old_s"]) > 0.0 and float(fields["ratio"]) > 0.0
+        assert int(fields["old_flt"]) >= 0 and int(fields["new_flt"]) >= 0
 
 
 def test_ab_time_refuses_trees_with_different_output(tmp_path):

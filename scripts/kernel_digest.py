@@ -2,9 +2,10 @@
 """Hash every sweep cell's per-exit kernel output, one line per series.
 
 A sweep CSV keeps only each cell's maximum; this digest covers every
-point of the exit grid.  Each line holds the series key, its cell count
-and the sha256 of the `times` and `codes` bytes of all its cells, in d
-order.  Run it on two source trees and `diff` the outputs to check that a
+point of the exit grid.  The kernels run on the blocks of cells the sweep
+hands them, one call a block.  Each line holds the series key, its cell
+count and the sha256 of the `times` and `codes` bytes of all its cells,
+in d order.  Run it on two source trees and `diff` the outputs to check that a
 kernel change keeps every bit:
 
     PYTHONPATH=src python3 scripts/kernel_digest.py > after.txt
@@ -16,20 +17,21 @@ import argparse
 import hashlib
 
 from diskevac import _batch
-from diskevac.sweep import ALL_SERIES, SweepConfig, series_cells
+from diskevac.sweep import ALL_SERIES, SweepConfig, series_blocks
 
 
 def digest(cfg, series):
     """(cell count, sha256 hex) over one series' cells."""
     grid = _batch.exit_grid(cfg.exit_step)
     h = hashlib.sha256()
-    cells = series_cells(cfg, series)
-    for d, zeta, regime in cells:
-        # the dispatch the sweep's worst_cell makes for the same cell
-        times, codes = _batch.batch_cell(regime, d, zeta, grid, series.labeled)
-        h.update(times.tobytes())
-        h.update(codes.tobytes())
-    return len(cells), h.hexdigest()
+    blocks = series_blocks(cfg, series)
+    for block in blocks:
+        # the kernel call the sweep makes for the same block, one row a cell
+        times, codes = _batch.batch_block(block, grid, series.labeled)
+        for row_times, row_codes in zip(times, codes):
+            h.update(row_times.tobytes())
+            h.update(row_codes.tobytes())
+    return sum(map(len, blocks)), h.hexdigest()
 
 
 def main():

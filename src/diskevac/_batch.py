@@ -1,9 +1,20 @@
 """Vectorized twins of the scalar evaluators, used by the worst-case sweeps.
 
-Each function evaluates one (d, zeta) cell over a whole grid of exit
-positions with numpy.  The branch structure mirrors the scalar
-dispatchers leg for leg; tests assert pointwise agreement between the two
-implementations, which is what makes the duplication safe.
+Each kernel evaluates a grid of exit positions e1s at d and zeta that
+broadcast against it: a float each for one (d, zeta) cell, or columns of
+shape (k, 1) for a block of k cells, one output row per cell.  The
+kernels are elementwise, so a row holds the bits of its cell evaluated
+alone.  Per-cell constants such as `between` and `seg` are computed on
+the column, and a case that runs on some points only slices d with its
+point mask (meeting.pick).  The sweep hands each call a block of
+consecutive cells of one regime, at most BLOCK_POINTS exit points, and so
+pays numpy's fixed cost per call once a block.  Each case writes its times
+and codes on its own points of one output pair, and large temporaries are
+freed after their last read, which bounds a block's peak memory.
+
+The branch structure mirrors the scalar dispatchers leg for leg; tests
+assert pointwise agreement between the two implementations, which is what
+makes the duplication safe.
 
 Input domain: finite exit angles e1s in [0, 2*pi) and 0 <= zeta <= d <= pi
 (with the DOMAIN_SLACK Scenario allows); anything else raises ValueError.
@@ -14,14 +25,15 @@ y <= pi + 1, the bounds of solve_meeting_arr's Newton start.
 
 Importing this module pins two glibc allocator thresholds for the whole
 process (Linux only; nothing happens where mallopt is missing or refuses).
-A cell allocates and frees numpy temporaries of about 50 KB per exit grid,
-260-460 KB a cell.  By default glibc returns the free top of its heap to
-the system once 128 KB of it is free, so the next cell faults those pages
-in again.  M_MMAP_THRESHOLD is set to 32 MiB, glibc's own dynamic ceiling
+A call allocates and frees numpy temporaries of 8 bytes per exit point,
+about 150 KB at BLOCK_POINTS.  By default glibc returns the free top of its
+heap to the system once 128 KB of it is free, so the next call faults those
+pages in again.  M_MMAP_THRESHOLD is set to 32 MiB, glibc's own dynamic ceiling
 on 64-bit, then M_TRIM_THRESHOLD to 64 MiB, twice that, as glibc pairs
 them.  Both are needed: setting the trim threshold alone switches off the
-dynamic mmap threshold, so every temporary above the default 128 KB (an
-exit step below about 0.0004) is mapped and unmapped again on each call.
+dynamic mmap threshold, so every temporary above the default 128 KB (each
+full-width one of a paper-grid block) is mapped and unmapped again on each
+call.
 """
 
 from __future__ import annotations
@@ -34,8 +46,8 @@ import numpy as np
 
 from .geometry import ANGLE_TOL, COINCIDENT_D, DOMAIN_SLACK, SNAP_TOL, TWO_PI, ArcPos
 from .meeting import catch_on_circle_arr as _catch_p_arr  # module name perfbench wraps
-from .meeting import solve_meeting_arr
-from .scenarios import Regime, TraceInvalidError, candidates_coincide
+from .meeting import pick, solve_meeting_arr
+from .scenarios import Regime, TraceInvalidError
 
 
 def _pin_malloc_thresholds():
@@ -69,9 +81,17 @@ def decode_tag(code: int) -> str:
     return TAG_LIST[int(code)]
 
 
+# Exit points one sweep kernel call evaluates at most: 3 cells of the paper
+# grid.  A block's temporaries stay far below the 32 MiB mmap threshold.
+BLOCK_POINTS = 20_000
+
+
+def exit_count(step: float) -> int:
+    return int(math.floor(TWO_PI / step - 1e-9)) + 1
+
+
 def exit_grid(step: float) -> np.ndarray:
-    n = int(math.floor(TWO_PI / step - 1e-9)) + 1
-    return np.arange(n, dtype=float) * step
+    return np.arange(exit_count(step), dtype=float) * step
 
 
 # Where no wrap is due a wrap adds +0.0, which turns -0.0 into +0.0 as np.mod does.
@@ -119,7 +139,18 @@ def _hit(t):
     return t
 
 
-def _frame(d: float, zeta: float, e1s: np.ndarray):
+def _coincide(d):
+    """candidates_coincide as a mask: one bit per d."""
+    return np.minimum(2.0 * d, TWO_PI - 2.0 * d) <= ANGLE_TOL
+
+
+def _put(times, codes, mask, t, code):
+    """Write one case's time and tag on its points; a later case overwrites."""
+    np.copyto(times, t, where=mask)
+    np.copyto(codes, code, where=mask)
+
+
+def _frame(d, zeta, e1s: np.ndarray):
     """First-finder frame: x, found/other angles, masks sim, ahead and trivial.
 
     x is the first find's time, except at a simultaneous find: there each
@@ -128,24 +159,30 @@ def _frame(d: float, zeta: float, e1s: np.ndarray):
     simultaneous finds on one exit point, where the co-located robots leave
     at once; only face-to-face reads it, so only sim points are tested.
     """
-    if not (0.0 <= d <= math.pi + DOMAIN_SLACK  # where wraps are exact
-            and 0.0 <= zeta <= d + DOMAIN_SLACK and np.all((e1s >= 0.0) & (e1s < TWO_PI))):
+    cells = ((0.0 <= d) & (d <= math.pi + DOMAIN_SLACK)  # where wraps are exact
+             & (0.0 <= zeta) & (zeta <= d + DOMAIN_SLACK))  # one bit a cell
+    if not (np.all(cells) and np.all((e1s >= 0.0) & (e1s < TWO_PI))):
+        first = np.argmin(np.ravel(cells))  # the first cell outside, if one is
+        d, zeta = (np.ravel(np.broadcast_to(v, np.shape(cells)))[first] for v in (d, zeta))
         raise ValueError("kernel needs 0 <= zeta <= d <= pi and finite exits in "
                          f"[0, 2*pi), got d={d}, zeta={zeta}")
     b = zeta / 2.0
     e2s = _down(e1s + d)  # [0, 3*pi]
     t1a = _hit(_up(e1s - b))  # [-pi/2, 2*pi), and so is e2s - b
     t1b = _hit(_up(e2s - b))
-    t2a = _hit(_up2(-b - e1s))  # (-5*pi/2, 0], and so is -b - e2s
-    t2b = _hit(_up2(-b - e2s))
     first1 = t1a <= t1b
     t1 = np.minimum(t1a, t1b)
-    found1 = np.where(first1, e1s, e2s)
-    other1 = np.where(first1, e2s, e1s)
+    del t1a, t1b
+    t2a = _hit(_up2(-b - e1s))  # (-5*pi/2, 0], and so is -b - e2s
+    t2b = _hit(_up2(-b - e2s))
     first2 = t2a <= t2b
     t2 = np.minimum(t2a, t2b)
+    del t2a, t2b
+    found1 = np.where(first1, e1s, e2s)
+    other1 = np.where(first1, e2s, e1s)
     found2 = np.where(first2, e1s, e2s)
     other2 = np.where(first2, e2s, e1s)
+    del e2s
     lead = t1 - t2
     sim = np.abs(lead) <= ANGLE_TOL
     trivial = np.zeros_like(sim)
@@ -153,10 +190,10 @@ def _frame(d: float, zeta: float, e1s: np.ndarray):
         trivial[sim] = _close(found1[sim], found2[sim]) | (t1[sim] <= ANGLE_TOL)
     mirrored = lead > ANGLE_TOL  # R2 first; a simultaneous find is seen in R1's frame
     # E2 lies d counterclockwise of E1: ahead where R1 found E1 or, mirrored, R2 found E2
-    ahead = np.where(mirrored, ~first2, first1) | candidates_coincide(d)
+    ahead = np.where(mirrored, ~first2, first1) | _coincide(d)
     x = np.where(sim, np.maximum(t1, t2), np.minimum(t1, t2))
     found = np.where(mirrored, _up(-found2), found1)  # (-2*pi, 0], and so is -other2
-    np.putmask(found, x == 0.0, b)  # a find at time 0 is on the start itself
+    np.copyto(found, b, where=x == 0.0)  # a find at time 0 is on the start itself
     other = np.where(mirrored, _up(-other2), other1)
     return x, found, other, sim, ahead, trivial
 
@@ -165,10 +202,9 @@ def _frame(d: float, zeta: float, e1s: np.ndarray):
 # wireless
 # ---------------------------------------------------------------------------
 
-def batch_wireless(d: float, zeta: float, labeled: bool, e1s: np.ndarray):
+def batch_wireless(d, zeta, labeled: bool, e1s: np.ndarray):
     b = zeta / 2.0
     x, found, other, sim, ahead, _ = _frame(d, zeta, e1s)
-    n = e1s.size
     big_d = _up2(-b - x)  # (-5*pi/2, 0]: receiver position when the message lands
     reach = x + SNAP_TOL
 
@@ -184,55 +220,47 @@ def batch_wireless(d: float, zeta: float, labeled: bool, e1s: np.ndarray):
         u = _down(c + b)  # [0, 5*pi/2): below 2*pi after the wrap
         return (u > ANGLE_TOL) & (u < zeta - ANGLE_TOL)
 
+    w_x = chord_from_d(found)
     if labeled:
-        w_x = chord_from_d(found)
-        w_o = chord_from_d(other)
-        times = x + np.minimum(w_x, w_o)
-        codes = np.where(in_gap(other), encode_tag("WL-L2"), encode_tag("WL-L1"))
-    elif d < COINCIDENT_D:
-        times = x + chord_from_d(found)
-        codes = np.full(n, encode_tag("W3b"), dtype=np.int16)
+        times = x + np.minimum(w_x, chord_from_d(other))
+        codes = np.where(in_gap(other), encode_tag("WL-L2"), encode_tag("WL-L1")).astype(np.int16)
     else:
         cb = _norm(_up(found - d))  # [-pi, 2*pi)
         ca = _down(found + d)  # [0, 3*pi]: below 2*pi after the wrap
         f_b, r_b = swept(cb)
         f_a, r_a = swept(ca)
         ruled_b, ruled_a = f_b | r_b, f_a | r_a
-        if np.any(ruled_b & ruled_a & ~sim):
+        one_exit = d < COINCIDENT_D  # the two exits are one: go to the find
+        if np.any(ruled_b & ruled_a & ~sim & ~one_exit):
             raise TraceInvalidError("wireless: both candidates ruled out")
-        w_x = chord_from_d(found)
         w_cb = chord_from_d(cb)
         w_ca = chord_from_d(ca)
-        between = _ch(_down(np.minimum(2.0 * d, TWO_PI)))  # [0, 2*pi]
+        gap_b, gap_a = in_gap(cb), in_gap(ca)
+        del cb, ca
+
+        # an exit ruled out: X, or the candidate left
+        times = x + np.minimum(w_x, np.where(ruled_a, w_cb, w_ca))
+        codes = np.where(ruled_a, encode_tag("W2"),
+                         np.where(r_b, encode_tag("W3a"), encode_tag("W3b"))).astype(np.int16)
+
+        # both open: X, or the nearer candidate first and on to the other if no exit is there
+        between = _ch(_down(np.minimum(2.0 * d, TWO_PI)))  # [0, 2*pi], per cell
         w_b = w_cb + between
         w_a = w_ca + between
-
-        # X, or the nearer candidate first and on to the other if no exit is there
         go_x = w_x <= np.minimum(w_b, w_a)
         first_cb = ~go_x & (w_b <= w_a)
+        del w_b, w_a
         t_first = x + np.where(first_cb, w_cb, w_ca)
-        t_open = np.where(
+        del w_cb, w_ca
+        _put(times, codes, ~ruled_b & ~ruled_a, np.where(
             go_x, x + w_x,
-            np.where((first_cb != ahead) | candidates_coincide(d), t_first, t_first + between),
-        )
-        gap_b, gap_a = in_gap(cb), in_gap(ca)
-        c_open = np.where(
-            ~gap_b & ~gap_a, encode_tag("W1a"),
-            np.where(gap_b & gap_a, encode_tag("W1c"), encode_tag("W1b")),
-        )
+            np.where((first_cb != ahead) | _coincide(d), t_first, t_first + between),
+        ), np.where(~gap_b & ~gap_a, encode_tag("W1a"),
+                    np.where(gap_b & gap_a, encode_tag("W1c"), encode_tag("W1b"))))
+        if np.any(one_exit):
+            _put(times, codes, one_exit, x + w_x, encode_tag("W3b"))
 
-        t_cert = x + np.minimum(w_x, np.where(ruled_a, w_cb, w_ca))
-        c_cert = np.where(
-            ruled_a, encode_tag("W2"),
-            np.where(r_b, encode_tag("W3a"), encode_tag("W3b")),
-        )
-
-        open_mask = ~ruled_b & ~ruled_a
-        times = np.where(open_mask, t_open, t_cert)
-        codes = np.where(open_mask, c_open, c_cert).astype(np.int16)
-
-    times = np.where(sim, x, times)
-    codes = np.where(sim, encode_tag("W-sim"), codes).astype(np.int16)
+    _put(times, codes, sim, x, encode_tag("W-sim"))
     return times, codes
 
 
@@ -272,10 +300,11 @@ def _hop(px, py, t, pa, pb):
 def _case3_arr(a, d, m=None, slack=0.0):
     """Vector twin of face_to_face._case3_same.
 
-    A dancer found an exit at arc a (own frame, d/2 < a < d).  Returns go
-    (False: M comes too late, the dancer exits in place), hit (N is reached
-    in time, else a miss), N = (nx, ny) and its time tn.  m, the catch-up
-    root at phi = d - a, is solved for unless the caller already holds it.
+    A dancer found an exit at arc a (own frame, d/2 < a < d); d is one float
+    or one per point of a.  Returns go (False: M comes too late, the dancer
+    exits in place), hit (N is reached in time, else a miss), N = (nx, ny)
+    and its time tn.  m, the catch-up root at phi = d - a, is solved for
+    unless the caller already holds it.
     """
     phi = d - a
     if m is None:
@@ -286,7 +315,7 @@ def _case3_arr(a, d, m=None, slack=0.0):
 
 
 def _second_exit_arr(a_s, d):
-    """Second finder's exit time (own frame), vectorized.
+    """Second finder's exit time (own frame), vectorized; d as in _case3_arr.
 
     Mirrors _second_finder_same: exit in place when the second find pins
     the layout (a_s >= d), otherwise run the case-3 dance with the
@@ -296,13 +325,13 @@ def _second_exit_arr(a_s, d):
     dance = (a_s < d - ANGLE_TOL) & (a_s > d / 2.0)
     if not np.any(dance):
         return out
-    a = a_s[dance]
+    a, d = a_s[dance], pick(d, dance)
     go, hit, nx, ny, tn = _case3_arr(a, d)
     out[dance] = np.where(go & hit, _hop(nx, ny, tn, _point(a), _point(a + d)), a)
     return out
 
 
-def _f2f_frame(d: float, zeta: float, e1s: np.ndarray):
+def _f2f_frame(d, zeta, e1s: np.ndarray):
     """Unlabeled face-to-face frame: x, found, sim and the other exit's side."""
     x, found, _, sim, ahead, trivial = _frame(d, zeta, e1s)
     if np.any(sim & ~trivial):
@@ -314,11 +343,12 @@ def _f2f_frame(d: float, zeta: float, e1s: np.ndarray):
 # face-to-face, zeta = 0, unlabeled
 # ---------------------------------------------------------------------------
 
-def batch_f2f_same(d: float, e1s: np.ndarray):
+def batch_f2f_same(d, e1s: np.ndarray):
     x, found, sim, ahead, behind = _f2f_frame(d, 0.0, e1s)
-    n = e1s.size
     y = solve_meeting_arr(x, 0.0)
     t_a = _up2(-(found + d))  # [-3*pi, 0]
+    times = np.empty(x.shape)
+    codes = np.empty(x.shape, dtype=np.int16)
 
     c1 = x + y <= d
     c2 = ~c1 & (x <= d / 2.0)
@@ -335,61 +365,56 @@ def batch_f2f_same(d: float, e1s: np.ndarray):
     g2a = y <= t_a
     g4a = y < t_a
     apart = ~sim & ((c2 & ~g2a & ahead) | c3 | (c4 & ~g4a))
-    t_apart = np.full(n, np.nan)
-    t_apart[apart] = np.maximum(x[apart], _second_exit_arr(t_a[apart], d))
+    t_apart = np.full(x.shape, np.nan)
+    t_apart[apart] = np.maximum(x[apart], _second_exit_arr(t_a[apart], pick(d, apart)))
 
     # case 1
     hop_cb = _ch(_down(np.maximum(d - x - y, 0.0)))  # [0, pi]
-    between = _ch(_down(np.minimum(2.0 * d, TWO_PI)))  # [0, 2*pi]
-    t_c1 = np.where(
+    between = _ch(_down(np.minimum(2.0 * d, TWO_PI)))  # [0, 2*pi], per cell
+    _put(times, codes, c1, np.where(
         w_x <= hop_cb + between, y + w_x,
         np.where(behind, y + hop_cb, y + hop_cb + between),
-    )
+    ), encode_tag("F0-1"))
+    del hop_cb, w_x
 
     # case 2
+    _put(times, codes, c2 & g2a & ahead, t_catch, encode_tag("F0-2a"))
     # 2a with the exit behind: the partner found it and intercepts at N
-    t_2a_behind = np.full(n, np.nan)
     m2 = c2 & g2a & behind
     if np.any(m2):
-        a_s = d - x[m2]  # the intercepting partner's own find
+        d2 = pick(d, m2)
+        a_s = d2 - x[m2]  # the intercepting partner's own find
         # the chase it intercepts is this finder's own: its root is y
-        _, hit, nx, ny, tn = _case3_arr(a_s, d, m=y[m2], slack=1e-7)
+        _, hit, nx, ny, tn = _case3_arr(a_s, d2, m=y[m2], slack=1e-7)
         if not np.all(hit):
             raise TraceInvalidError("partner failed to intercept a live chase")
-        t_2a_behind[m2] = _hop(nx, ny, tn, _point(a_s), _point(a_s - d))
-    t_2b = np.where(behind, np.maximum(x, d - x), t_apart)
+        times[m2] = _hop(nx, ny, tn, _point(a_s), _point(a_s - d2))
+        codes[m2] = encode_tag("F0-3a")
+    _put(times, codes, c2 & ~g2a, np.where(behind, np.maximum(x, d - x), t_apart),
+         encode_tag("F0-2b"))
 
     # case 3 (exit always ahead here)
-    t_c3 = np.full(n, np.nan)
-    c_c3 = np.full(n, encode_tag("F0-3b"), dtype=np.int16)
     if np.any(c3):
-        xi, yi, tai = x[c3], y[c3], t_a[c3]
-        go, hit, nx, ny, tn = _case3_arr(xi, d)
+        xi, yi, tai, d3 = x[c3], y[c3], t_a[c3], pick(d, c3)
+        go, hit, nx, ny, tn = _case3_arr(xi, d3)
         t3 = np.where(go & ~hit & (yi < tai), t_catch[c3], t_apart[c3])
         gh = go & hit  # N reached in time: catch the partner at P
         if np.any(gh):
-            xg, nx, ny, tn = xi[gh], nx[gh], ny[gh], tn[gh]
-            pa, pb = _point(xg), _point(xg + d)  # X and E2', the two hops' targets
+            xg, dg, nx, ny, tn = xi[gh], pick(d3, gh), nx[gh], ny[gh], tn[gh]
+            pa, pb = _point(xg), _point(xg + dg)  # X and E2', the two hops' targets
             p = _catch_p_arr(nx, ny, tn, 0.0)
             t_nn = np.maximum(_hop(nx, ny, tn, pa, pb), t_apart[c3][gh])
             t3[gh] = np.where(p < tai[gh], _hop(*_point(-p), p, pa, pb), t_nn)
-        t_c3[c3] = t3
-        c_c3[c3] = np.where(go & (hit | (yi < tai)),
-                            encode_tag("F0-3a"), encode_tag("F0-3b"))
+        times[c3] = t3
+        codes[c3] = np.where(go & (hit | (yi < tai)),
+                             encode_tag("F0-3a"), encode_tag("F0-3b"))
 
     # case 4
-    t_c4 = np.where(g4a, t_catch, t_apart)
-    c_c4 = np.where(g4a, encode_tag("F0-4a"),
-                    np.where(t_a >= d - ANGLE_TOL, encode_tag("F0-4c"),
-                             encode_tag("F0-4b")))
+    _put(times, codes, c4, np.where(g4a, t_catch, t_apart),
+         np.where(g4a, encode_tag("F0-4a"),
+                  np.where(t_a >= d - ANGLE_TOL, encode_tag("F0-4c"), encode_tag("F0-4b"))))
 
-    cases = [sim, c1, c2 & g2a & ahead, m2, c2 & ~g2a, c3, c4]
-    times = np.select(cases, [x, t_c1, t_catch, t_2a_behind, t_2b, t_c3, t_c4])
-    codes = np.select(
-        cases,
-        [encode_tag("F0-sim"), encode_tag("F0-1"), encode_tag("F0-2a"),
-         encode_tag("F0-3a"), encode_tag("F0-2b"), c_c3, c_c4],
-    ).astype(np.int16)
+    _put(times, codes, sim, x, encode_tag("F0-sim"))
     return times, codes
 
 
@@ -397,61 +422,60 @@ def batch_f2f_same(d: float, e1s: np.ndarray):
 # face-to-face, zeta = d, unlabeled
 # ---------------------------------------------------------------------------
 
-def batch_f2f_diff(d: float, e1s: np.ndarray):
+def batch_f2f_diff(d, e1s: np.ndarray):
     b = d / 2.0
     x, found, sim, ahead, behind = _f2f_frame(d, d, e1s)
-    n = e1s.size
 
     y = solve_meeting_arr(x, d)
     t_a = _up2(-b - (found + d))  # [-7*pi/2, 0]
     t_x = _up2(-b - found)  # (-5*pi/2, 0]
+    times = np.empty(x.shape)
+    codes = np.empty(x.shape, dtype=np.int16)
 
     c2 = x >= d
     if np.any(c2 & behind & ~sim):
         raise TraceInvalidError("case 2 with an exit at the ruled-out candidate")
-
-    # case 2
-    t_stop = np.minimum(t_a, t_x)
-    g2c = y < t_stop
     w_1a = _ch(_down(x + y + d))  # [0, 2*pi]
-    t_2c = y + np.minimum(w_1a, _ch(_down(x + y + 2.0 * d)))  # [0, 3*pi]
-    t_2b = np.maximum(x, t_stop)
 
-    # case 1
+    # case 2 (2c where the catch-up comes first)
+    t_stop = np.minimum(t_a, t_x)
+    _put(times, codes, c2, np.maximum(x, t_stop), encode_tag("Fd-2b"))
+    _put(times, codes, c2 & (y < t_stop),
+         y + np.minimum(w_1a, _ch(_down(x + y + 2.0 * d))),  # [0, 3*pi]
+         encode_tag("Fd-2c"))
+    del t_stop
+
+    # case 1 (1a where the catch-up comes first)
     g1a = t_a > y
-    t_1a = y + w_1a
-    seg = _ch(_down(d))  # [0, pi]
+    seg = _ch(_down(d))  # [0, pi], per cell
     s = np.clip((t_a + seg - x) / 2.0, 0.0, seg)
-    t_1b = x + s + np.minimum(s, seg - s)
-    c_1b = np.where(t_a >= d - ANGLE_TOL, encode_tag("Fd-2a"), encode_tag("Fd-1b"))
+    _put(times, codes, ~c2 & ahead, x + s + np.minimum(s, seg - s),
+         np.where(t_a >= d - ANGLE_TOL, encode_tag("Fd-2a"), encode_tag("Fd-1b")))
+    _put(times, codes, ~c2 & g1a, y + w_1a, encode_tag("Fd-1a"))
 
-    # 1c: gap exit, miss at N, catch at P (or the degenerate direct chase)
-    t_1c = np.full(n, np.nan)
+    # 1c: gap exit, miss at N, catch at P (or the degenerate direct chase);
+    # none of its points is in a case above
     m1c = ~c2 & ~g1a & behind
+    del t_a, c2, g1a, ahead, behind
     if np.any(m1c):
-        idx = np.flatnonzero(m1c)
-        xi, yi = x[idx], y[idx]
-        fi = found[idx]
-        si = s[idx]
-        xpx, xpy = xp = _point(fi)
-        capx, capy = _point(fi + d)
-        t_chase = yi + np.minimum(w_1a[idx], _ch(_down(xi + yi)))  # [0, 2*pi]
-        ux, uy = (capx - xpx) / seg, (capy - xpy) / seg
-        nx, ny = xpx + si * ux, xpy + si * uy
+        xi, yi, si = x[m1c], y[m1c], s[m1c]
+        t_chase = yi + np.minimum(w_1a[m1c], _ch(_down(xi + yi)))  # [0, 2*pi]
         tn = xi + si
-        p = _catch_p_arr(nx, ny, tn, b)
-        t_pm = _hop(*_point(-b - p), p, xp, _point(fi - d))
-        t_def = np.maximum(t_pm, t_x[idx])
-        t_1c[idx] = np.where(si <= ANGLE_TOL, t_chase,
-                             np.where(p <= t_x[idx], t_pm, t_def))
+        fi, txi, di, bi = found[m1c], t_x[m1c], pick(d, m1c), pick(b, m1c)
+        del y, s, w_1a, found, t_x, xi, yi
+        xp = _point(fi)
+        cap, sgi = _point(fi + di), pick(seg, m1c)
+        nx = xp[0] + si * ((cap[0] - xp[0]) / sgi)  # N, s along the chord from X to X + d
+        ny = xp[1] + si * ((cap[1] - xp[1]) / sgi)
+        del cap, sgi
+        p = _catch_p_arr(nx, ny, tn, bi)
+        del nx, ny, tn
+        t_pm = _hop(*_point(-bi - p), p, xp, _point(fi - di))
+        times[m1c] = np.where(si <= ANGLE_TOL, t_chase,
+                              np.where(p <= txi, t_pm, np.maximum(t_pm, txi)))
+        codes[m1c] = encode_tag("Fd-1c")
 
-    cases = [sim, c2 & g2c, c2, ~c2 & g1a, ~c2 & ahead, m1c]
-    times = np.select(cases, [x, t_2c, t_2b, t_1a, t_1b, t_1c])
-    codes = np.select(
-        cases,
-        [encode_tag("Fd-sim"), encode_tag("Fd-2c"), encode_tag("Fd-2b"),
-         encode_tag("Fd-1a"), c_1b, encode_tag("Fd-1c")],
-    ).astype(np.int16)
+    _put(times, codes, sim, x, encode_tag("Fd-sim"))
     return times, codes
 
 
@@ -459,9 +483,9 @@ def batch_f2f_diff(d: float, e1s: np.ndarray):
 # face-to-face, labeled, generic zeta
 # ---------------------------------------------------------------------------
 
-def batch_f2f_labeled(d: float, zeta: float, e1s: np.ndarray):
+def batch_f2f_labeled(d, zeta, e1s: np.ndarray):
     b = zeta / 2.0
-    x, found, other, sim, ahead, _ = _frame(d, zeta, e1s)
+    x, _, other, sim, ahead, _ = _frame(d, zeta, e1s)
     y = solve_meeting_arr(x, zeta)
     t_o = _up2(-b - other)  # (-5*pi/2, 0]
 
@@ -478,8 +502,9 @@ def batch_f2f_labeled(d: float, zeta: float, e1s: np.ndarray):
     return times, codes
 
 
-def batch_cell(regime: Regime, d: float, zeta: float, e1s: np.ndarray, labeled=False):
-    """(times, codes) over e1s from the kernel of regime; only wireless reads labeled."""
+def batch_cell(regime: Regime, d, zeta, e1s: np.ndarray, labeled=False):
+    """(times, codes) over e1s, d and zeta broadcast against it, from the
+    kernel of regime; only wireless reads labeled."""
     if regime is Regime.WIRELESS:
         return batch_wireless(d, zeta, labeled, e1s)
     if regime is Regime.F2F_SAME:
@@ -489,15 +514,30 @@ def batch_cell(regime: Regime, d: float, zeta: float, e1s: np.ndarray, labeled=F
     return batch_f2f_labeled(d, zeta, e1s)
 
 
-def worst_cell(regime: Regime, d: float, zeta: float, exit_step: float, labeled=False):
-    """Worst realized time over the exit grid of one cell: (time, argmax_e1, case_tag).
+def batch_block(block, e1s: np.ndarray, labeled=False):
+    """(times, codes) of a block of cells (d, zeta, regime) of one regime in
+    one kernel call: row i holds cell i, bit for bit batch_cell's for it alone."""
+    ds, zetas = (np.array([cell[i] for cell in block], dtype=float)[:, np.newaxis] for i in (0, 1))
+    return batch_cell(block[0][2], ds, zetas, e1s, labeled)
+
+
+def worst_cells(block, exit_step: float, labeled=False):
+    """Worst realized time over the exit grid of each cell of a block:
+    [(time, argmax_e1, case_tag)], one per cell.
 
     Ties resolve to the smallest e1.
     """
     if not (math.isfinite(exit_step) and exit_step > 0.0):
         raise ValueError(f"exit step {exit_step} is not finite and > 0")
-    times, codes = batch_cell(regime, d, zeta, exit_grid(exit_step), labeled)
-    if not np.isfinite(times).all():
+    times, codes = batch_block(block, exit_grid(exit_step), labeled)
+    finite = np.isfinite(times).all(axis=1)
+    if not finite.all():
+        d = block[np.argmin(finite)][0]
         raise TraceInvalidError(f"non-finite evacuation time in the cell d = {d}")
-    i = int(times.argmax())
-    return float(times[i]), ArcPos(i * exit_step), decode_tag(codes[i])
+    return [(float(times[row, i]), ArcPos(int(i) * exit_step), decode_tag(codes[row, i]))
+            for row, i in enumerate(times.argmax(axis=1))]
+
+
+def worst_cell(regime: Regime, d: float, zeta: float, exit_step: float, labeled=False):
+    """worst_cells of the one cell (d, zeta)."""
+    return worst_cells([(d, zeta, regime)], exit_step, labeled)[0]

@@ -67,6 +67,12 @@ class SolverError(RuntimeError):
     """A catch-up root failed its residual gate."""
 
 
+def pick(v, mask):
+    """v on the points of mask: a float passes, an array is broadcast to the
+    mask's shape first, so a column of per-cell values gives one per point."""
+    return np.broadcast_to(v, mask.shape)[mask] if np.ndim(v) else v
+
+
 def residual(x: float, offset: float, y: float) -> float:
     return x + 2.0 * math.sin((x + y + offset) / 2.0) - y
 
@@ -103,11 +109,13 @@ def _kepler_arr(c):
     k = np.cbrt(r + np.sqrt(r * r - c4 * c2))
     w = k * k
     u = (2.0 * r * w / (w * w - w * c2 + c4) + c) / alpha
+    del alpha, c2, c4, r, k, w
     s, h = np.sin(u), np.sin(u / 2.0)
     g = u - s
     small = u < _SERIES_BELOW
     g[small] = _u_minus_sin_series(u[small])
-    return u + _fifth_order_step(g - c, s, h)
+    g -= c
+    return u + _fifth_order_step(g, s, h)
 
 
 def _u_minus_sin_series(u):
@@ -165,29 +173,32 @@ def solve_meeting(x: float, offset: float) -> float:
 
 
 def solve_meeting_arr(x, offset):
-    """Vectorized solve_meeting over an array of x values (shared offset).
+    """Vectorized solve_meeting over an array of x values.
 
-    Entries outside the valid regime (f(x) < 0) come back as NaN.
+    offset is one float or an array that broadcasts against x, such as a
+    column of per-cell offsets.  Entries outside the valid regime
+    (f(x) < 0) come back as NaN.
     """
     shape = np.shape(x)
-    x = np.asarray(x, dtype=float).ravel()
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     f_lo = _residual_arr(x, offset, x)
     valid = f_lo >= -_BRACKET_SLACK
     early = valid & (np.abs(f_lo) < GATE_TOL)
+    del f_lo
     xe = x[early]
-    early[early] = _residual_arr(xe, offset, xe + ROOT_TOL) <= 0.0  # and a sign change
+    early[early] = _residual_arr(xe, pick(offset, early), xe + ROOT_TOL) <= 0.0  # and a sign change
     y = np.where(early, x, np.nan)
-    solve = np.flatnonzero(valid & ~early)
-    xs = x[solve]
+    solve = valid & ~early
+    xs, offset = x[solve], pick(offset, solve)
     ys = 2.0 * _kepler_arr(xs + offset / 2.0) - xs - offset
 
     f_pm = _residual_arr(xs, offset, ys + _PLUS_MINUS)
     bad = ~((f_pm[0] >= 0.0) & (f_pm[1] <= 0.0))
     if bad.any():
-        xb = xs[bad]
-        ys[bad] = _bisect(lambda m: _residual_arr(xb, offset, m) > 0.0,
-                          xb, np.minimum(xb + 2.0, TWO_PI - xb - offset),
-                          lambda m: np.abs(_residual_arr(xb, offset, m)) < GATE_TOL)
+        xb, ob = xs[bad], pick(offset, bad)
+        ys[bad] = _bisect(lambda m: _residual_arr(xb, ob, m) > 0.0,
+                          xb, np.minimum(xb + 2.0, TWO_PI - xb - ob),
+                          lambda m: np.abs(_residual_arr(xb, ob, m)) < GATE_TOL)
     if not np.all(np.abs(_residual_arr(xs, offset, ys)) < GATE_TOL):
         raise SolverError(f"residual gate {GATE_TOL} not met")
     y[solve] = ys
@@ -225,6 +236,7 @@ def _catch_g_arr(nx, ny, t0, b, p):
     """P-catch residual g(p), with dx, dy, sin a, cos a, dist for g'(p)."""
     a = -b - p
     ca, sa = np.cos(a), np.sin(a)
+    del a
     dx, dy = nx - ca, ny - sa
     dist = np.hypot(dx, dy)
     return p - t0 - dist, dx, dy, sa, ca, dist
@@ -263,46 +275,47 @@ def catch_on_circle(nx: float, ny: float, t0: float, b: float) -> float:
     return p
 
 
-def catch_on_circle_arr(nx, ny, t0, b: float):
+def catch_on_circle_arr(nx, ny, t0, b):
     """Re-aimed on-circle catch P for each point N = (nx, ny) left at t0.
 
     Smallest p >= t0 with p - t0 = |N - partner(p)|, the partner at angle
-    -b - p, within ROOT_TOL.  nx, ny and t0 are 1-d arrays of one length;
-    non-finite entries come back as NaN.
+    -b - p, within ROOT_TOL.  nx, ny and t0 are 1-d arrays of one length,
+    and b is one float or such an array; non-finite entries come back as NaN.
     """
     nx, ny, t0 = (np.asarray(v, dtype=float) for v in (nx, ny, t0))
     finite = np.isfinite(nx + ny + t0)
     if not finite.all():
         p = np.full(t0.shape, np.nan)
-        p[finite] = catch_on_circle_arr(nx[finite], ny[finite], t0[finite], b)
+        p[finite] = catch_on_circle_arr(nx[finite], ny[finite], t0[finite], pick(b, finite))
         return p
     p_out = np.empty(t0.shape)
-    idx, nxa, nya, ta = np.arange(t0.size), nx, ny, t0
+    idx, nxa, nya, ta, ba = np.arange(t0.size), nx, ny, t0, b
     p, lo, hi = t0, t0, t0 + 2.0 + 1e-9
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(MAX_ITER):
             if idx.size == 0:
                 break
-            gv, dx, dy, sa, ca, dist = _catch_g_arr(nxa, nya, ta, b, p)
+            gv, dx, dy, sa, ca, dist = _catch_g_arr(nxa, nya, ta, ba, p)
             right = gv > 0.0
             lo = np.where(right, lo, p)
             hi = np.where(right, p, hi)
             # g' = 1 + (dx sin a - dy cos a)/dist; g == 0 gives a zero step
             newton = p - gv / (1.0 + (dx * sa - dy * ca) / dist)
+            del gv, dx, dy, sa, ca, dist, right  # not alive in the next step's call
             nxt = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
             done = np.abs(nxt - p) < _NEWTON_STOP
             p = nxt
             if done.any():
                 p_out[idx[done]] = p[done]
                 keep = ~done
-                idx, nxa, nya, ta = idx[keep], nxa[keep], nya[keep], ta[keep]
+                idx, nxa, nya, ta, ba = idx[keep], nxa[keep], nya[keep], ta[keep], pick(ba, keep)
                 p, lo, hi = p[keep], lo[keep], hi[keep]
     p_out[idx] = np.nan  # unsettled after MAX_ITER steps: bisect below
 
     g_pm = _catch_g_arr(nx, ny, t0, b, p_out + _PLUS_MINUS)[0]
     bad = ~((g_pm[0] <= 0.0) & (g_pm[1] >= 0.0))
     if bad.any():
-        nb, yb, tb = nx[bad], ny[bad], t0[bad]
-        p_out[bad] = _bisect(lambda m: _catch_g_arr(nb, yb, tb, b, m)[0] <= 0.0,
+        nb, yb, tb, bb = nx[bad], ny[bad], t0[bad], pick(b, bad)
+        p_out[bad] = _bisect(lambda m: _catch_g_arr(nb, yb, tb, bb, m)[0] <= 0.0,
                              tb, tb + 2.0 + 1e-9)
     return p_out

@@ -2,8 +2,9 @@
 
 A sweep evaluates one series (model, labeling, zeta policy) on a d grid;
 each cell takes the maximum realized evacuation time over a dense grid of
-exit positions.  Cells are independent work items, so any worker count
-yields byte-identical output.
+exit positions.  Blocks of cells are independent work items, and a cell's
+values do not depend on its block, so any worker count yields
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -88,24 +89,46 @@ def series_cells(cfg: SweepConfig, series: SeriesSpec) -> list[tuple[float, floa
     return cells
 
 
-def _eval_cell(args) -> SweepRecord:
-    d, zeta, regime, series, cfg = args
+def series_blocks(cfg: SweepConfig, series: SeriesSpec) -> list[list[tuple[float, float, Regime]]]:
+    """series_cells in blocks of consecutive cells of one regime, each of at
+    most _batch.BLOCK_POINTS exit points (at least one cell): one kernel
+    call evaluates a block."""
     from . import _batch  # imported on first use, not at CLI start
 
-    time, argmax, tag = _batch.worst_cell(regime, d, zeta, cfg.exit_step, series.labeled)
-    return SweepRecord(d, series.zeta_policy, series.model.value,
-                       series.labeled, time, argmax.theta, tag)
+    per_block = max(1, _batch.BLOCK_POINTS // _batch.exit_count(cfg.exit_step))
+    blocks = []
+    for cell in series_cells(cfg, series):
+        if blocks and blocks[-1][-1][2] is cell[2] and len(blocks[-1]) < per_block:
+            blocks[-1].append(cell)
+        else:
+            blocks.append([cell])
+    return blocks
+
+
+def _eval_block(args) -> list[SweepRecord]:
+    block, series, cfg = args
+    from . import _batch
+
+    worst = _batch.worst_cells(block, cfg.exit_step, series.labeled)
+    return [SweepRecord(d, series.zeta_policy, series.model.value,
+                        series.labeled, time, argmax.theta, tag)
+            for (d, _, _), (time, argmax, tag) in zip(block, worst)]
 
 
 def run_sweep(cfg: SweepConfig, series: SeriesSpec) -> list[SweepRecord]:
-    """One record per d grid point, ordered by d, worker-count independent."""
-    jobs = [(*cell, series, cfg) for cell in series_cells(cfg, series)]
+    """One record per d grid point, ordered by d, worker-count independent.
+
+    Each call at workers > 1 starts and joins its own pool: the workers
+    are reaped when it returns, so RUSAGE_CHILDREN counts their CPU and
+    peak memory, which a pool kept across calls would leave uncounted.
+    """
+    jobs = [(block, series, cfg) for block in series_blocks(cfg, series)]
     if cfg.workers == 1:
-        return [_eval_cell(job) for job in jobs]
+        return [rec for job in jobs for rec in _eval_block(job)]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
     with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(_eval_cell, jobs, chunksize=8))
+        return [rec for recs in pool.map(_eval_block, jobs, chunksize=3) for rec in recs]
 
 
 def min_over_d(records: list[SweepRecord]) -> tuple[float, float]:
@@ -114,7 +137,7 @@ def min_over_d(records: list[SweepRecord]) -> tuple[float, float]:
         raise ValueError("no records")
     best = records[0]
     for rec in records[1:]:
-        if rec.worst_time < best.worst_time - 0.0:
+        if rec.worst_time < best.worst_time:
             best = rec
     return best.d, best.worst_time
 

@@ -14,7 +14,7 @@ from diskevac import _batch
 from diskevac.geometry import SNAP_TOL, TWO_PI, ArcPos, angle_close
 from diskevac.replay import replay, verify_agreement
 from diskevac.scenarios import CommModel, Frame, Regime, Scenario, candidates_coincide, evaluate
-from diskevac.sweep import ALL_SERIES, SweepConfig, series_cells
+from diskevac.sweep import ALL_SERIES, SweepConfig, series_blocks, series_cells
 
 FOUR_PI = 2.0 * TWO_PI
 
@@ -268,10 +268,58 @@ def test_f2f_labeled_is_never_slower_than_unlabeled():
         assert np.all(_batch.batch_f2f_labeled(d, d, grid)[0] <= diff + 1e-12), d
 
 
+@pytest.mark.parametrize("series", ALL_SERIES, ids=lambda s: s.key)
+def test_block_rows_equal_single_cells_bit_for_bit(series):
+    # every block of a coarse sweep, and the paper-grid blocks holding
+    # d = 0, 1.5 and pi: the kernels are elementwise, so a cell's row of a
+    # block call holds the bytes of the cell alone
+    coarse = SweepConfig(d_step=0.1, exit_step=0.01)
+    paper = [b for b in series_blocks(PAPER, series) if {0.0, 1.5, math.pi} & {c[0] for c in b}]
+    assert len(paper) == 3
+    for cfg, blocks in ((coarse, series_blocks(coarse, series)), (PAPER, paper)):
+        grid = _batch.exit_grid(cfg.exit_step)
+        for block in blocks:
+            regime = block[0][2]
+            assert all(c[2] is regime for c in block), block  # never two regimes in a block
+            times, codes = _batch.batch_block(block, grid, series.labeled)
+            for row, (d, zeta, regime) in enumerate(block):
+                cell_times, cell_codes = _batch.batch_cell(regime, d, zeta, grid, series.labeled)
+                assert times[row].tobytes() == cell_times.tobytes(), (d, zeta)
+                assert codes[row].tobytes() == cell_codes.tobytes(), (d, zeta)
+
+
+def test_per_point_d_and_zeta_equal_one_call_per_point():
+    # d and zeta may also vary point by point, one scenario a point
+    rng = np.random.default_rng(5)
+    d, e1s, share = (rng.uniform(0.0, hi, 100) for hi in (math.pi, TWO_PI, 1.0))
+    for name, kernel in KERNELS.items():
+        zeta = {"f2f-same": 0.0 * d, "f2f-diff": d}.get(name, share * d)
+        times, codes = kernel(d, zeta, e1s)
+        for i in range(d.size):
+            one = kernel(float(d[i]), float(zeta[i]), e1s[i:i + 1])
+            assert (one[0].tobytes(), one[1].tobytes()) == \
+                (times[i:i + 1].tobytes(), codes[i:i + 1].tobytes()), (name, i)
+
+
+def test_sweep_blocks_split_where_the_regime_changes():
+    # unlabeled f2f at zeta = d routes d = 0 to F2F_SAME: a block of its own
+    for series in ALL_SERIES:
+        blocks = series_blocks(PAPER, series)
+        assert [c for b in blocks for c in b] == series_cells(PAPER, series)
+        per_block = _batch.BLOCK_POINTS // _batch.exit_count(PAPER.exit_step)
+        assert max(map(len, blocks)) == per_block >= 3
+        changes = sum(a[-1][2] is not b[0][2] for a, b in zip(blocks, blocks[1:]))
+        assert changes == (series.key == "f2f-unlab-zd"), series.key
+    first = series_blocks(PAPER, ALL_SERIES[7])[0]
+    assert [(d, regime) for d, _, regime in first] == [(0.0, Regime.F2F_SAME)]
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator thresholds")
 def test_kernel_temporaries_do_not_fault_again():
     """Importing _batch keeps freed 250 KB temporaries in the heap: without
-    it each of these cells faults about 1,100 pages back in."""
+    it each of these cells faults about 1,100 pages back in.  A sweep block
+    at the point budget stays below the mmap threshold: after one warm
+    block of a kernel, the next block faults nothing back in."""
     cells = [(Regime.WIRELESS, d, d / 2, 0.0002, labeled)
              for d in (1.0, 2.0, 3.0) for labeled in (False, True)]
     _batch.worst_cell(*cells[0])
@@ -281,3 +329,13 @@ def test_kernel_temporaries_do_not_fault_again():
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt0
     assert faults < 100
     assert time.perf_counter() - t0 < 0.2
+
+    for series in ALL_SERIES:
+        warm, block = series_blocks(PAPER, series)[60:62]
+        assert len(block) * _batch.exit_count(PAPER.exit_step) <= _batch.BLOCK_POINTS
+        for run in (warm, block):
+            if run is block:
+                flt0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            _batch.worst_cells(run, PAPER.exit_step, series.labeled)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt0
+        assert faults < 100, series.key

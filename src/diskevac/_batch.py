@@ -20,8 +20,10 @@ Input domain: finite exit angles e1s in [0, 2*pi) and 0 <= zeta <= d <= pi
 (with the DOMAIN_SLACK Scenario allows); anything else raises ValueError.
 On it each angle reduction is a conditional +-2*pi that equals np.mod(a,
 2*pi) bit for bit, -0.0 -> +0.0 included, on the range written at its call
-site.  Ranges holding a catch-up root y use x + y + offset <= 2*pi and
-y <= pi + 1, the bounds of solve_meeting_arr's Newton start.
+site.  A catch-up root is y = 2u - x - offset, where u in [0, pi] solves
+u - sin u = c on the catch-up domain c = x + offset/2 <= pi; so ranges
+holding y use x + y + offset = 2u <= 2*pi and y = x + 2*sin u, hence
+y <= min(x + 2, 2*pi - x - offset) <= pi + 1.
 
 Importing this module pins two glibc allocator thresholds for the whole
 process (Linux only; nothing happens where mallopt is missing or refuses).
@@ -461,7 +463,7 @@ def batch_f2f_diff(d, e1s: np.ndarray):
         xi, yi, si = x[m1c], y[m1c], s[m1c]
         t_chase = yi + np.minimum(w_1a[m1c], _ch(_down(xi + yi)))  # [0, 2*pi]
         tn = xi + si
-        fi, txi, di, bi = found[m1c], t_x[m1c], pick(d, m1c), pick(b, m1c)
+        fi, di, bi = found[m1c], pick(d, m1c), pick(b, m1c)
         del y, s, w_1a, found, t_x, xi, yi
         xp = _point(fi)
         cap, sgi = _point(fi + di), pick(seg, m1c)
@@ -471,8 +473,7 @@ def batch_f2f_diff(d, e1s: np.ndarray):
         p = _catch_p_arr(nx, ny, tn, bi)
         del nx, ny, tn
         t_pm = _hop(*_point(-bi - p), p, xp, _point(fi - di))
-        times[m1c] = np.where(si <= ANGLE_TOL, t_chase,
-                              np.where(p <= txi, t_pm, np.maximum(t_pm, txi)))
+        times[m1c] = np.where(si <= ANGLE_TOL, t_chase, t_pm)
         codes[m1c] = encode_tag("Fd-1c")
 
     _put(times, codes, sim, x, encode_tag("Fd-sim"))

@@ -237,15 +237,10 @@ def _finder_plan(f: _Frame, same: bool) -> _Plan:
         if s <= ANGLE_TOL:  # the partner swept past E2' long ago: plain catch
             return catch("Fd-1c")
         t_n = x + s
+        # P comes no later than X: the P-catch residual at the partner's
+        # time to X is t_x - t_n - s >= d - 2*sin(d/2) >= 0
         p = meeting.catch_on_circle(*n_point, t_n, f.b)
-        p_pos = cartesian(f.partner_at(p))
-        stops = ((n_point, t_n), (p_pos, p))
-        if p <= t_x:
-            return _Plan("Fd-1c", stops, True)
-        # Defensive corner: the partner reaches X (a real exit) before P
-        # and leaves; the finder carries on alone from P to the closest exit.
-        target, time = _joint_hop(p, _by_distance(p_pos, f.x_arc, f.cb))
-        return _Plan("Fd-1c", stops + ((cartesian(target), time),))
+        return _Plan("Fd-1c", ((n_point, t_n), (cartesian(f.partner_at(p)), p)), True)
 
     if x + y <= d:  # Case 1: catch before the trailing candidate
         return catch("F0-1")
@@ -347,9 +342,6 @@ def _outcome_f2f_diff(scn: Scenario) -> Outcome:
         f.meet_at_n(n_point, f.ca)
         return f.joint_hop("Fd-2a" if t_a >= d - ANGLE_TOL else "Fd-1b", n_point, x + s,
                            [(f.x_arc, s), (f.ca, seg - s)])
-    if not plan.meet:  # the partner reached X before P and left
-        f.sweep_partner(f.x_arc)
-        return f.outcome("Fd-1c", f.walk(plan.stops)[1], t_x)
     point, t = f.meet(plan.stops)
     if plan.tag == "Fd-1a":  # E2' may still be ahead of the partner: back to X
         return f.joint("Fd-1a", point, f.x_arc, t + chord_length(d + x + t))

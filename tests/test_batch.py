@@ -134,6 +134,33 @@ def test_f2f_same_solves_only_what_its_cases_read(monkeypatch):
         assert np.count_nonzero(read) < np.count_nonzero(~sim), d
 
 
+def test_f2f_diff_partner_reaches_p_no_later_than_x(monkeypatch):
+    # Fd-1c catches the partner at P without asking whether it passed X
+    # first: the P-catch residual at the partner's time to X, t_x - t_n - s,
+    # is at least d - 2*sin(d/2) >= 0.  Checked on every Fd-1c point of the
+    # paper grid.
+    catches = []
+    real = _batch._catch_p_arr
+    monkeypatch.setattr(_batch, "_catch_p_arr",
+                        lambda *args: catches.append(real(*args)) or catches[-1])
+    grid = _batch.exit_grid(0.001)
+    points = 0
+    for d in SweepConfig().d_grid():
+        catches.clear()
+        _, codes = _batch.batch_f2f_diff(d, grid)
+        x, found, sim, _, behind = _batch._f2f_frame(d, d, grid)
+        y = _batch.solve_meeting_arr(x, d)
+        t_a = _batch._up2(-d / 2.0 - (found + d))
+        m1c = (x < d) & ~(t_a > y) & behind  # the kernel's 1c mask
+        assert np.all(codes[m1c & ~sim] == _batch.encode_tag("Fd-1c")), d
+        assert len(catches) == np.any(m1c), d
+        if catches:
+            t_x = _batch._up2(-d / 2.0 - found)[m1c]
+            assert np.all(catches[0] <= t_x), d
+            points += t_x.size
+    assert points > 300000
+
+
 ANY_ZETA = (lambda d: 0.0, lambda d: d / 2.0, lambda d: d)
 FAMILIES = (  # (model, labeled, zeta policies)
     (CommModel.FACE_TO_FACE, False, (lambda d: 0.0,)),

@@ -143,6 +143,39 @@ def test_table1_coarse(capsys):
     assert out.count("min_time") == 6
 
 
+def test_table1_writes_header_and_six_rows(tmp_path, capsys):
+    path = tmp_path / "table1.csv"
+    rc = main(["table1", "--d-step", "0.5", "--exit-step", "0.05", "--out", str(path)])
+    capsys.readouterr()
+    assert rc == 0
+    lines = path.read_text().splitlines()
+    assert lines[0] == "zeta_policy,labeled,min_time,d_star"
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        ["0", "0"], ["d", "0"], ["d/2", "0"], ["0", "1"], ["d", "1"], ["d/2", "1"]]
+
+
+def test_bounds_prints_the_wireless_gap_bound(capsys):
+    rc = main(["bounds", "--d", "1", "--zeta", "0.5"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.splitlines()[1] == ("wireless_gap_bound(0.500000) = 3.386401 "
+                                   "[pi - zeta/2 + 2*sin(pi - zeta/2)]")
+
+
+def test_negative_zeta_is_named(capsys):
+    rc = main(["eval", "--model", "wireless", "--d", "1", "--zeta", "-0.5", "--e1", "0.5"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert (captured.out, captured.err) == ("", "error: zeta = -0.5 negative\n")
+
+
+def test_sweep_refuses_d_min_above_pi(capsys):
+    rc = main(["sweep", "--d-min", "4", "--d-step", "0.5", "--exit-step", "0.1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert (captured.out, captured.err) == ("", "error: d_min = 4.0 outside [0, pi]\n")
+
+
 def test_eval_and_sweep_have_no_tol_option(capsys):
     rc_eval = main(["eval", "--model", "wireless", "--d", "1.0", "--zeta", "0",
                     "--e1", "0.5", "--tol", "1e-6"])

@@ -66,15 +66,21 @@ def test_mutated_trace_fails_agreement():
     assert not report.passed
 
 
-def _flagged(monkeypatch, scn, mutate) -> bool:
-    """Replay scn with mutate applied to its outcome; True if anything objects."""
+def _objections(monkeypatch, scn, mutate) -> list[str]:
+    """Replay scn with mutate applied to its outcome: the replay's refusal,
+    or else the agreement check's issues."""
     real = replay_mod.evaluate
     monkeypatch.setattr(replay_mod, "evaluate", lambda s: mutate(real(s)))
     try:
         tr1, tr2, _ = replay(scn)
-    except TraceInvalidError:
-        return True
-    return not verify_agreement(scn, tr1, tr2).passed
+    except TraceInvalidError as exc:
+        return [str(exc)]
+    return verify_agreement(scn, tr1, tr2).issues
+
+
+def _flagged(monkeypatch, scn, mutate) -> bool:
+    """True if anything objects to scn's outcome with mutate applied."""
+    return bool(_objections(monkeypatch, scn, mutate))
 
 
 def _extend_sweep(legs, extra):
@@ -113,6 +119,37 @@ def test_unmutated_plans_pass(monkeypatch):
 def test_receiver_sweeping_past_the_message_is_flagged(monkeypatch):
     # the message lands when the receiver's own sweep ends, 0.3 after it left
     assert _flagged(monkeypatch, WL_SCN, _receiver_mutated(lambda legs: _extend_sweep(legs, 0.3)))
+
+
+def test_receiver_stopping_before_the_message_is_flagged(monkeypatch):
+    # the receiver's sweep ends, and the message lands, 0.3 before it left
+    issues = _objections(monkeypatch, WL_SCN,
+                         _receiver_mutated(lambda legs: _extend_sweep(legs, -0.3)))
+    assert "message received before it was sent" in issues
+
+
+def test_no_sweep_ending_on_an_exit_is_refused(monkeypatch):
+    # the finder stops 0.3 short of its exit and cuts across to it, so no
+    # robot's sweep ends on an exit and no message can be timed
+    def mutate(out):
+        (sweep,) = out.r1_plan
+        at_exit = cartesian(sweep.end)
+        return out._replace(r1_plan=_extend_sweep([sweep, ChordLeg(at_exit, at_exit)], -0.3))
+    assert _objections(monkeypatch, WL_SCN, mutate) == ["no robot's sweep ends on an exit"]
+
+
+def test_robot_walking_on_past_its_exit_is_flagged(monkeypatch):
+    def mutate(out):
+        return out._replace(r1_plan=[*out.r1_plan, ChordLeg(out.r1_plan[-1].p1, (0.0, 0.0))])
+    issues = _objections(monkeypatch, F2F_SCN, mutate)
+    assert "r1: exited at (0.0, 0.0), not a true exit" in issues
+
+
+def test_second_exited_event_is_flagged():
+    tr1, tr2, _ = replay(F2F_SCN)
+    tr2.events.append(Event("exited", 0.5, tr2.segments[0].p1))
+    issues = verify_agreement(F2F_SCN, tr1, tr2).issues
+    assert issues == ["r2: expected exactly one exited event"]
 
 
 def test_moved_catch_point_is_flagged(monkeypatch):

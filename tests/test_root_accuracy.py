@@ -18,7 +18,8 @@ from diskevac.meeting import (
     solve_meeting,
     solve_meeting_arr,
 )
-from diskevac.scenarios import evaluate
+from diskevac.scenarios import CommModel, evaluate
+from diskevac.sweep import SeriesSpec, SweepConfig, run_sweep
 
 mpmath.mp.dps = 60
 
@@ -172,9 +173,29 @@ def _twin_mismatches(nx, ny, t0, b, ps):
             if catch_on_circle(x, y, t, b) != p]
 
 
+def _hard_p_queries(n, seed, b):
+    """n queries where a P catch converges slowest: N next to the circle
+    (1 - |N| from 1e-12 to 0.1, a tenth of them on it), and a fifth of them
+    also next to the partner's start (theta = 1e-12 to 0.1 either side of 0)."""
+    rng = np.random.RandomState(seed)
+    r = 1.0 - 10.0 ** rng.uniform(-12.0, -1.0, n)
+    r[: n // 10] = 1.0
+    t0 = rng.uniform(0.0, 2.0 * math.pi, n)
+    phi = rng.uniform(0.0, 2.0 * math.pi, n)
+    near = slice(n - n // 5, n)
+    phi[near] = (-b - t0[near]
+                 + rng.choice([-1.0, 1.0], n // 5) * 10.0 ** rng.uniform(-12.0, -1.0, n // 5))
+    return r * np.cos(phi), r * np.sin(phi), t0
+
+
 @pytest.mark.parametrize("b", [0.0, 0.4, 1.3])
 def test_p_catch_twin_matches_kernel_on_random_queries(b):
-    nx, ny, t0 = _random_p_queries(20000, 100 + int(10 * b))
+    # 34,000 queries a b, 102,000 in all: uniform in the disk, then the
+    # slow region, where g' at the root is small
+    seed = 100 + int(10 * b)
+    queries = zip(_random_p_queries(20000, seed), _hard_p_queries(14000, seed, b))
+    nx, ny, t0 = (np.concatenate(pair) for pair in queries)
+    assert nx.size == 34000
     assert not _twin_mismatches(nx, ny, t0, b, catch_on_circle_arr(nx, ny, t0, b))
 
 
@@ -209,11 +230,12 @@ def test_p_catch_flat_root_at_the_partner():
 
 
 def test_p_catch_twin_matches_kernel_in_the_bisect_fallback(monkeypatch):
-    # one Newton step settles none of these points, so both fall back to
-    # bisection on [t0, t0 + 2 + 1e-9]
+    # with no Halley step the start, the root for N on the circle, settles
+    # none of these points inside it, so both fall back to bisection on
+    # [t0, t0 + 2 + 1e-9]
     bisects = []
     real = meeting._bisect
-    monkeypatch.setattr(meeting, "MAX_ITER", 1)
+    monkeypatch.setattr(meeting, "_HALLEY_STEPS", 0)
     monkeypatch.setattr(meeting, "_bisect",
                         lambda *args: bisects.append(args) or real(*args))
     nx, ny, t0 = _random_p_queries(50, 3)
@@ -224,6 +246,35 @@ def test_p_catch_twin_matches_kernel_in_the_bisect_fallback(monkeypatch):
     for x, y, t, p in zip(nx, ny, t0, ps):
         assert _p_residual(x, y, t, 0.4, p - ROOT_TOL) <= 0.0
         assert _p_residual(x, y, t, 0.4, p + ROOT_TOL) >= 0.0
+
+
+def test_p_catch_never_bisects_on_the_paper_grid(monkeypatch):
+    # every P catch of both unlabeled face-to-face sweeps on the paper grid
+    # settles inside its fixed Halley steps, with the residual changing sign
+    # within ROOT_TOL of it
+    catches, bisects, fallbacks = [], [], []
+    real_catch, real_bisect = _batch._catch_p_arr, meeting._bisect
+
+    def spy(nx, ny, t0, b):
+        before = len(bisects)
+        p = real_catch(nx, ny, t0, b)
+        catches.append((nx, ny, t0, np.broadcast_to(b, p.shape), p))
+        fallbacks.append(len(bisects) - before)
+        return p
+
+    monkeypatch.setattr(_batch, "_catch_p_arr", spy)
+    monkeypatch.setattr(meeting, "_bisect",
+                        lambda *args: bisects.append(args[1].size) or real_bisect(*args))
+    for zeta in ("0", "d"):
+        run_sweep(SweepConfig(), SeriesSpec(CommModel.FACE_TO_FACE, False, zeta))
+    nx, ny, t0, b, p = (np.concatenate(column) for column in zip(*catches))
+    g_pm = meeting._catch_g_arr(nx, ny, t0, b, p + meeting._PLUS_MINUS)[0]
+    unsettled = np.count_nonzero(~((g_pm[0] <= 0.0) & (g_pm[1] >= 0.0)))
+    print(f"P catches: {p.size} points in {len(catches)} calls, "
+          f"{sum(fallbacks)} bisection fallbacks, {unsettled} without a sign change")
+    assert p.size > 600000
+    assert sum(fallbacks) == 0
+    assert unsettled == 0
 
 
 def test_p_catch_batch_name_is_the_shared_kernel():

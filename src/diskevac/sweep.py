@@ -118,16 +118,19 @@ def _eval_block(args) -> list[SweepRecord]:
 def run_sweep(cfg: SweepConfig, series: SeriesSpec) -> list[SweepRecord]:
     """One record per d grid point, ordered by d, worker-count independent.
 
-    Each call at workers > 1 starts and joins its own pool: the workers
-    are reaped when it returns, so RUSAGE_CHILDREN counts their CPU and
-    peak memory, which a pool kept across calls would leave uncounted.
+    Each call with more than one worker starts and joins its own pool: the
+    workers are reaped when it returns, so RUSAGE_CHILDREN counts their CPU
+    and peak memory, which a pool kept across calls would leave uncounted.
+    The pool has at most one worker per block: under fork it starts all
+    of its workers at the first submit, busy or not.
     """
     jobs = [(block, series, cfg) for block in series_blocks(cfg, series)]
-    if cfg.workers == 1:
+    workers = min(cfg.workers, len(jobs))
+    if workers == 1:
         return [rec for job in jobs for rec in _eval_block(job)]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return [rec for recs in pool.map(_eval_block, jobs, chunksize=3) for rec in recs]
 
 

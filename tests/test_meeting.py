@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from diskevac.meeting import (
-    GATE_TOL,
-    RegimeError,
-    residual,
-    solve_meeting,
-    solve_meeting_arr,
-)
+from diskevac.meeting import RegimeError, solve_meeting, solve_meeting_arr
 
 
 def fixed_point_oracle(x, offset, tol=1e-8, max_iter=100000):
@@ -57,7 +51,7 @@ def test_agrees_with_fixed_point_on_random_queries():
 def test_residual_below_tolerance(offset, frac):
     x = frac * (2.0 * math.pi - offset) / 2.0 / math.pi
     y = solve_meeting(x, offset)
-    assert abs(residual(x, offset, y)) < GATE_TOL
+    assert abs(x + 2.0 * math.sin((x + y + offset) / 2.0) - y) < 1e-12
     assert y >= x
 
 
@@ -96,3 +90,13 @@ def test_vector_flags_invalid_regime():
     ys = solve_meeting_arr(np.array([0.5, 3.2]), 0.1)
     assert not math.isnan(ys[0])
     assert math.isnan(ys[1])
+    # NaN exactly where c = x + offset/2 leaves [0, pi] by more than 5e-13,
+    # also on (2*pi, 3*pi), where sin c, the sign of f(x), is positive again
+    x = np.array([0.5, -0.1, 0.0, 0.0, 3.2, 6.0, 6.5, 8.0, math.pi, 1e-20, 3.0, math.pi / 2])
+    offset = np.array([0.1, 0.0, -2e-12, 0.0, 0.1, 0.5, 0.0, 1.0, 0.0, 0.0, 0.2, math.pi])
+    off_domain = np.array([0, 1, 1, 0, 1, 1, 1, 1, 0, 0, 0, 0], dtype=bool)
+    ys = solve_meeting_arr(x, offset)
+    assert np.array_equal(np.isnan(ys), off_domain)
+    on = ~off_domain
+    assert np.array_equal(ys[on], solve_meeting_arr(x[on], offset[on]))
+    assert ys[on].tolist() == [solve_meeting(*q) for q in zip(x[on].tolist(), offset[on].tolist())]

@@ -10,11 +10,9 @@ import pytest
 from diskevac import _batch, meeting
 from diskevac.cli import random_scenarios
 from diskevac.meeting import (
-    GATE_TOL,
     ROOT_TOL,
     catch_on_circle,
     catch_on_circle_arr,
-    residual,
     solve_meeting,
     solve_meeting_arr,
 )
@@ -25,6 +23,11 @@ mpmath.mp.dps = 60
 
 OFFSETS = (0.0, 0.5, 1.5, math.pi)
 SMALL_X = (0.0, 1e-13, 1e-9, 1e-6, 1e-3, 0.1, 1.0)
+
+
+def residual(x, offset, y):
+    """Catch-up residual f(y) = x + 2 sin((x + y + offset)/2) - y in floats."""
+    return x + 2.0 * math.sin((x + y + offset) / 2.0) - y
 
 
 def _mp_bisect(g, lo, hi, steps=240):
@@ -72,37 +75,15 @@ def test_catch_up_root_within_root_tol(offset):
         assert abs(y - catch_up_reference(x, offset)) <= ROOT_TOL, (x, offset)
 
 
-@pytest.mark.parametrize("x", [1e-16, 1e-14, 1e-12])
-def test_catch_up_flat_root_error_is_rounding_over_slope(x):
+@pytest.mark.parametrize("x", [1e-36, 1e-30, 3.2975858968125234e-24, 4.695471382493421e-24,
+                               1e-20, 1e-16, 1e-14, 1e-13, 1e-12])
+def test_catch_up_flat_root_within_root_tol(x):
     # offset 0, x -> 0: f'(root) = -2 sin^2(root/4) -> 0, so the computed
-    # residual's rounding noise (a few ulp of y) over |f'| bounds the error,
-    # not ROOT_TOL.  Measured: 5.8e-11, 9.0e-12, 1.1e-12; a residual-only
-    # stop at 1e-12 lands 1.7e-5, 7.8e-5 and 2.8e-6 away.
-    y = solve_meeting(x, 0.0)
-    ref = catch_up_reference(x, 0.0)
-    slope = 2.0 * math.sin(float(ref) / 4.0) ** 2
-    bound = ROOT_TOL + 4.0 * np.finfo(float).eps * float(ref) / slope
-    assert abs(y - ref) <= bound
-    assert bound < float(ref) / 100.0
-
-
-def test_catch_up_early_return_needs_a_sign_change():
-    # |f(x)| = 2e-13 is below the 1e-12 residual gate at x = 1e-13, but the
-    # root is 1.7e-4 away
-    y = solve_meeting(1e-13, 0.0)
-    assert abs(y - catch_up_reference(1e-13, 0.0)) <= ROOT_TOL
-
-
-def test_catch_up_unsettled_newton_falls_back_to_bisection():
-    # at x = 4.7e-24, offset 0 the computed residual is rounding noise
-    # within 1e-8 of the root, so the closed-form root fails the ROOT_TOL
-    # sign check and both solvers bisect
-    x = 4.695471382493421e-24
+    # residual is rounding noise near the root and says nothing of its error;
+    # a residual-based stop or sign check lands up to 2.4e-8 away here
     y = solve_meeting(x, 0.0)
     assert y == solve_meeting_arr(np.array([x]), 0.0)[0]
-    assert residual(x, 0.0, y - ROOT_TOL) >= 0.0
-    assert residual(x, 0.0, y + ROOT_TOL) <= 0.0
-    assert abs(y - catch_up_reference(x, 0.0)) < 1e-7
+    assert abs(y - catch_up_reference(x, 0.0)) <= ROOT_TOL
 
 
 def _catch_up_twin_mismatches(xs, offset, ys):
@@ -118,29 +99,39 @@ def test_catch_up_twin_matches_kernel_on_random_x(offset):
     assert not _catch_up_twin_mismatches(xs, offset, solve_meeting_arr(xs, offset))
 
 
-@pytest.mark.parametrize("offset", OFFSETS)
-def test_catch_up_twin_matches_kernel_in_the_bisect_fallback(monkeypatch, offset):
-    # a closed form 1e-9 off fails the ROOT_TOL sign check, so both solvers
-    # bisect on [x, min(x + 2, 2*pi - x - offset)].  A bracket 2*ROOT_TOL
-    # wide does not settle the root where |f'| > 1, so bisection goes on
-    # until the residual passes the GATE_TOL gate: no root raises.
-    bisects = []
-    real = meeting._bisect
-    monkeypatch.setattr(meeting, "_bisect",
-                        lambda *args: bisects.append(args[1].size) or real(*args))
-    for name in ("_kepler", "_kepler_arr"):
-        closed_form = getattr(meeting, name)
-        monkeypatch.setattr(meeting, name, lambda c, f=closed_form: f(c) + 1e-9)
-    roots = 0
-    for x in np.linspace(0.01, (2.0 * math.pi - offset) / 2.0 - 0.01, 40).tolist():
-        y = solve_meeting_arr(np.array([x]), offset)[0]
-        assert solve_meeting(x, offset) == y, (x, offset)
-        assert residual(x, offset, y - ROOT_TOL) >= 0.0
-        assert residual(x, offset, y + ROOT_TOL) <= 0.0
-        assert abs(residual(x, offset, y)) < GATE_TOL
-        roots += 1
-    assert bisects == [1] * 80
-    assert roots == 40
+def kepler_reference(c):
+    """u with u - sin u = c by mpmath Newton from (6c)**(1/3), which lies
+    left of the root; the sign of u - sin u - c at u -/+ 1e-30 certifies it."""
+    c = mpmath.mpf(c)
+    u = mpmath.cbrt(6 * c)
+    for _ in range(60):
+        step = (u - mpmath.sin(u) - c) / (1 - mpmath.cos(u))
+        u -= step
+        if abs(step) <= u * mpmath.mpf("1e-50"):
+            break
+    delta = mpmath.mpf("1e-30")
+    assert u - delta - mpmath.sin(u - delta) < c < u + delta - mpmath.sin(u + delta)
+    return u
+
+
+def test_kepler_closed_form_over_its_domain():
+    # The catch-up checks no residual, so its closed form must hold on all
+    # of (_FLAT_C, pi + _C_SLACK].  A stratified sample of 4,004 c, not an
+    # interval proof: the flat end, the whole range, the steep end at pi
+    # and both sides of the series switch.  Measured: at most 4.6e-16 in u.
+    rng = np.random.RandomState(22)
+    near_switch = meeting._SERIES_BELOW + rng.uniform(-1e-3, 1e-3, 1000)
+    c = np.concatenate([
+        10.0 ** rng.uniform(math.log10(meeting._FLAT_C), -3.0, 1000),
+        rng.uniform(0.0, math.pi, 1000),
+        math.pi - 10.0 ** rng.uniform(-16.0, -1.0, 1000),
+        near_switch - np.sin(near_switch),
+        [np.nextafter(meeting._FLAT_C, 1.0), 1e-3, math.pi, math.pi + meeting._C_SLACK]])
+    u = meeting._kepler_arr(c)
+    assert [meeting._kepler(v) for v in c.tolist()] == u.tolist()
+    error = max(abs(mpmath.mpf(v) - kepler_reference(w)) for v, w in zip(u.tolist(), c.tolist()))
+    print(f"closed form: max |u - u*| = {float(error):.2e} over {c.size} c")
+    assert 2 * error <= ROOT_TOL / 100
 
 
 def _p_residual(nx, ny, t0, b, p):

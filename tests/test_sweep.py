@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import subprocess
@@ -54,6 +55,36 @@ def test_worker_count_does_not_change_records():
     seq = run_sweep(COARSE, WL0)
     par = run_sweep(SweepConfig(d_step=0.1, exit_step=0.01, workers=4), WL0)
     assert [r.csv_row() for r in seq] == [r.csv_row() for r in par]
+
+
+def test_pool_has_no_more_workers_than_blocks(monkeypatch):
+    # under fork a ProcessPoolExecutor starts all max_workers processes at
+    # its first submit; this stand-in starts none and records the count
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    blocks = len(sweep.series_blocks(COARSE, F2F0))
+    assert 1 < blocks < 5000
+    many = run_sweep(SweepConfig(d_step=0.1, exit_step=0.01, workers=5000), F2F0)
+    assert pools == [blocks]
+    assert [r.csv_row() for r in many] == [r.csv_row() for r in run_sweep(COARSE, F2F0)]
+    one_block = SweepConfig(d_step=1.0, exit_step=0.1, workers=8)
+    assert len(sweep.series_blocks(one_block, WL0)) == 1
+    run_sweep(one_block, WL0)
+    assert pools == [blocks]  # one block runs serially
 
 
 def test_min_over_d_single_record():

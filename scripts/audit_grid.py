@@ -40,7 +40,7 @@ def audit(cfg, series, stride):
         cells += 1
         points += len(e1s)
         try:
-            times, codes = _batch.batch_cell(regime, d, zeta, grid, series.labeled)
+            times, codes = _batch.batch_cell(regime, d, zeta, grid)
         except REFUSALS:
             raises += len(e1s)
             continue

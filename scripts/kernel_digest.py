@@ -27,7 +27,7 @@ def digest(cfg, series):
     blocks = series_blocks(cfg, series)
     for block in blocks:
         # the kernel call the sweep makes for the same block, one row a cell
-        times, codes = _batch.batch_block(block, grid, series.labeled)
+        times, codes = _batch.batch_block(block, grid)
         for row_times, row_codes in zip(times, codes):
             h.update(row_times.tobytes())
             h.update(row_codes.tobytes())

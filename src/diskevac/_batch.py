@@ -334,11 +334,11 @@ def _second_exit_arr(a_s, d):
 
 
 def _f2f_frame(d, zeta, e1s: np.ndarray):
-    """Unlabeled face-to-face frame: x, found, sim and the other exit's side."""
-    x, found, _, sim, ahead, trivial = _frame(d, zeta, e1s)
+    """Unlabeled face-to-face frame: x, found, other, sim and the other exit's side."""
+    x, found, other, sim, ahead, trivial = _frame(d, zeta, e1s)
     if np.any(sim & ~trivial):
         raise TraceInvalidError("symmetric simultaneous placement on the grid")
-    return x, found, sim, ahead, ~ahead
+    return x, found, other, sim, ahead, ~ahead
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +346,7 @@ def _f2f_frame(d, zeta, e1s: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def batch_f2f_same(d, e1s: np.ndarray):
-    x, found, sim, ahead, behind = _f2f_frame(d, 0.0, e1s)
+    x, found, other, sim, ahead, behind = _f2f_frame(d, 0.0, e1s)
     y = solve_meeting_arr(x, 0.0)
     t_a = _up2(-(found + d))  # [-3*pi, 0]
     times = np.empty(x.shape)
@@ -378,6 +378,10 @@ def batch_f2f_same(d, e1s: np.ndarray):
         np.where(behind, y + hop_cb, y + hop_cb + between),
     ), encode_tag("F0-1"))
     del hop_cb, w_x
+    # met at M on the other exit itself: both leave there at y
+    on_exit = c1.copy()
+    on_exit[c1] = _close(_up(-y[c1]), other[c1])  # -y in [-pi - 1, 0]
+    np.copyto(times, y, where=on_exit)
 
     # case 2
     _put(times, codes, c2 & g2a & ahead, t_catch, encode_tag("F0-2a"))
@@ -426,7 +430,7 @@ def batch_f2f_same(d, e1s: np.ndarray):
 
 def batch_f2f_diff(d, e1s: np.ndarray):
     b = d / 2.0
-    x, found, sim, ahead, behind = _f2f_frame(d, d, e1s)
+    x, found, _, sim, ahead, behind = _f2f_frame(d, d, e1s)
 
     y = solve_meeting_arr(x, d)
     t_a = _up2(-b - (found + d))  # [-7*pi/2, 0]
@@ -503,26 +507,26 @@ def batch_f2f_labeled(d, zeta, e1s: np.ndarray):
     return times, codes
 
 
-def batch_cell(regime: Regime, d, zeta, e1s: np.ndarray, labeled=False):
+def batch_cell(regime: Regime, d, zeta, e1s: np.ndarray):
     """(times, codes) over e1s, d and zeta broadcast against it, from the
-    kernel of regime; only wireless reads labeled."""
-    if regime is Regime.WIRELESS:
-        return batch_wireless(d, zeta, labeled, e1s)
+    kernel of regime."""
     if regime is Regime.F2F_SAME:
         return batch_f2f_same(d, e1s)
     if regime is Regime.F2F_DIFF:
         return batch_f2f_diff(d, e1s)
-    return batch_f2f_labeled(d, zeta, e1s)
+    if regime is Regime.F2F_LABELED:
+        return batch_f2f_labeled(d, zeta, e1s)
+    return batch_wireless(d, zeta, regime is Regime.WIRELESS_LABELED, e1s)
 
 
-def batch_block(block, e1s: np.ndarray, labeled=False):
+def batch_block(block, e1s: np.ndarray):
     """(times, codes) of a block of cells (d, zeta, regime) of one regime in
     one kernel call: row i holds cell i, bit for bit batch_cell's for it alone."""
     ds, zetas = (np.array([cell[i] for cell in block], dtype=float)[:, np.newaxis] for i in (0, 1))
-    return batch_cell(block[0][2], ds, zetas, e1s, labeled)
+    return batch_cell(block[0][2], ds, zetas, e1s)
 
 
-def worst_cells(block, exit_step: float, labeled=False):
+def worst_cells(block, exit_step: float):
     """Worst realized time over the exit grid of each cell of a block:
     [(time, argmax_e1, case_tag)], one per cell.
 
@@ -530,15 +534,10 @@ def worst_cells(block, exit_step: float, labeled=False):
     """
     if not (math.isfinite(exit_step) and exit_step > 0.0):
         raise ValueError(f"exit step {exit_step} is not finite and > 0")
-    times, codes = batch_block(block, exit_grid(exit_step), labeled)
+    times, codes = batch_block(block, exit_grid(exit_step))
     finite = np.isfinite(times).all(axis=1)
     if not finite.all():
         d = block[np.argmin(finite)][0]
         raise TraceInvalidError(f"non-finite evacuation time in the cell d = {d}")
     return [(float(times[row, i]), ArcPos(int(i) * exit_step), decode_tag(codes[row, i]))
             for row, i in enumerate(times.argmax(axis=1))]
-
-
-def worst_cell(regime: Regime, d: float, zeta: float, exit_step: float, labeled=False):
-    """worst_cells of the one cell (d, zeta)."""
-    return worst_cells([(d, zeta, regime)], exit_step, labeled)[0]

@@ -19,6 +19,7 @@ import numpy as np
 from .bounds import f2f_lower_bound, wireless_gap_bound
 from .geometry import TWO_PI, ArcPos, DomainError
 from .meeting import RegimeError, SolverError
+from .replay import EVENT_TIME_TOL  # loaded with the package
 from .scenarios import (
     CommModel,
     Scenario,
@@ -126,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument("--samples", type=_count, default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tol", type=_positive_finite, default=1e-4,
+    p_verify.add_argument("--tol", type=_positive_finite, default=EVENT_TIME_TOL,
                           help="largest accepted |policy - replay| time")
 
     p_table = sub.add_parser("table1", help="reproduce the Table-1 minima")

@@ -424,17 +424,17 @@ def _sim_outcome(f: _Frame, same: bool) -> Outcome:
 # ---------------------------------------------------------------------------
 
 def eval_f2f_same(scn: Scenario) -> Outcome:
-    routed(scn, Regime.F2F_SAME, False)
+    routed(scn, Regime.F2F_SAME)
     return _outcome_f2f_same(scn)
 
 
 def eval_f2f_diff(scn: Scenario) -> Outcome:
-    routed(scn, Regime.F2F_DIFF, False)
+    routed(scn, Regime.F2F_DIFF)
     return _outcome_f2f_diff(scn)
 
 
 def eval_f2f_labeled(scn: Scenario) -> Outcome:
-    routed(scn, Regime.F2F_LABELED, True)
+    routed(scn, Regime.F2F_LABELED)
     return _outcome_f2f_labeled(scn)
 
 
@@ -449,4 +449,4 @@ def worst_f2f(d: float, variant: str, exit_step: float, zeta_policy="0"):
 
     if variant not in ("same", "diff", "labeled"):
         raise ValueError(f"unknown face-to-face variant {variant!r}")
-    return _batch.worst_cell(Regime(variant), d, resolve_zeta(zeta_policy, d), exit_step)
+    return _batch.worst_cells([(d, resolve_zeta(zeta_policy, d), Regime(variant))], exit_step)[0]

@@ -7,7 +7,8 @@ unique.  With u = s the equation reads u - sin u = c, c = x + offset/2:
 Kepler's equation at eccentricity 1.  Its domain is c in [0, pi], where
 f(x) = 2*sin(c) >= 0.  A query whose c lies more than _C_SLACK = 5e-13
 outside it (1e-12 on f(x)) has no root at or beyond x: the kernel returns
-NaN and the scalar twin raises RegimeError.  The catch-up is decided by
+NaN and the scalar twin raises RegimeError, as both do for x < 0 and for an
+offset outside [0, pi + DOMAIN_SLACK].  The catch-up is decided by
 comparisons on c alone and evaluates no residual:
 - c <= _FLAT_C = (ROOT_TOL/2)**3/6: the root is flat, u <= ROOT_TOL/2, so
   y - x = 2*sin(u) <= ROOT_TOL and y = x is returned.  This covers c = 0,
@@ -167,13 +168,16 @@ def solve_meeting_arr(x, offset):
     """Vectorized solve_meeting over an array of x values.
 
     offset is one float or an array that broadcasts against x, such as a
-    column of per-cell offsets.  Entries with c = x + offset/2 outside
-    [0, pi], beyond its slack, come back as NaN.
+    column of per-cell offsets.  An entry comes back as NaN exactly where
+    solve_meeting raises RegimeError: x < 0 (or NaN), an offset outside
+    [0, pi] beyond DOMAIN_SLACK, or c = x + offset/2 beyond pi + _C_SLACK.
     """
     shape = np.shape(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    c = x + offset / 2.0
-    y = np.where((c >= -_C_SLACK) & (c <= _FLAT_C), x, np.nan)
+    # checked once per offset value; then c >= 0 wherever x >= 0
+    half = np.where((0.0 <= offset) & (offset <= math.pi + DOMAIN_SLACK), offset / 2.0, np.nan)
+    c = np.where(x >= 0.0, x + half, np.nan)
+    y = np.where(c <= _FLAT_C, x, np.nan)
     solve = (c > _FLAT_C) & (c <= math.pi + _C_SLACK)
     ys = 2.0 * _kepler_arr(c[solve]) - x[solve] - pick(offset, solve)
     if not np.isfinite(ys).all():

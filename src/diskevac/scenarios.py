@@ -101,23 +101,25 @@ def check_zeta(d: float, zeta: float) -> None:
 
 
 class Regime(Enum):
-    """The paper's four policy families; values name the f2f variants."""
+    """The paper's five algorithms, one evaluator and one kernel each; values
+    name the f2f variants."""
 
     WIRELESS = "wireless"
+    WIRELESS_LABELED = "wireless-labeled"
     F2F_SAME = "same"
     F2F_DIFF = "diff"
     F2F_LABELED = "labeled"
 
 
 def classify(model: CommModel, labeled: bool, d: float, zeta: float) -> Regime:
-    """The policy family that handles (model, labeled, d, zeta).
+    """The algorithm that handles (model, labeled, d, zeta).
 
     Wireless policies take any zeta, labeled face-to-face too.  Unlabeled
     face-to-face has policies for zeta = 0 and zeta = d only, each within
     ANGLE_TOL; zeta = 0 is tested first, so d = zeta = 0 is F2F_SAME.
     """
     if model is CommModel.WIRELESS:
-        return Regime.WIRELESS
+        return Regime.WIRELESS_LABELED if labeled else Regime.WIRELESS
     if labeled:
         return Regime.F2F_LABELED
     if abs(zeta) <= ANGLE_TOL:
@@ -130,7 +132,7 @@ def classify(model: CommModel, labeled: bool, d: float, zeta: float) -> Regime:
     )
 
 
-# (regime, labeled) -> (module, evaluator name); looked up by name per call
+# regime -> (module, evaluator name); looked up by name per call
 _EVALUATORS: dict = {}
 
 
@@ -140,22 +142,21 @@ def evaluate(scn: Scenario) -> Outcome:
         from . import face_to_face, wireless
 
         _EVALUATORS.update({
-            (Regime.WIRELESS, False): (wireless, "eval_wireless_unlabeled"),
-            (Regime.WIRELESS, True): (wireless, "eval_wireless_labeled"),
-            (Regime.F2F_SAME, False): (face_to_face, "eval_f2f_same"),
-            (Regime.F2F_DIFF, False): (face_to_face, "eval_f2f_diff"),
-            (Regime.F2F_LABELED, True): (face_to_face, "eval_f2f_labeled"),
+            Regime.WIRELESS: (wireless, "eval_wireless_unlabeled"),
+            Regime.WIRELESS_LABELED: (wireless, "eval_wireless_labeled"),
+            Regime.F2F_SAME: (face_to_face, "eval_f2f_same"),
+            Regime.F2F_DIFF: (face_to_face, "eval_f2f_diff"),
+            Regime.F2F_LABELED: (face_to_face, "eval_f2f_labeled"),
         })
-    module, name = _EVALUATORS[scn.regime, scn.labeled]
+    module, name = _EVALUATORS[scn.regime]
     return getattr(module, name)(scn)
 
 
-def routed(scn: Scenario, regime: Regime, labeled: bool) -> None:
-    """The guard of every evaluator: refuse scn unless `evaluate` routes it
-    to `regime` with this labeling."""
-    if scn.regime is not regime or scn.labeled != labeled:
-        raise WrongEvaluatorError(f"a {scn.regime.value} scenario (labeled={scn.labeled}) "
-                                  f"sent to the {regime.value} evaluator (labeled={labeled})")
+def routed(scn: Scenario, regime: Regime) -> None:
+    """The guard of every evaluator: refuse scn unless `evaluate` routes it to `regime`."""
+    if scn.regime is not regime:
+        raise WrongEvaluatorError(f"a {scn.regime.value} scenario sent to the "
+                                  f"{regime.value} evaluator")
 
 
 def resolve_zeta(policy, d: float) -> float:

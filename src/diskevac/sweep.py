@@ -109,7 +109,7 @@ def _eval_block(args) -> list[SweepRecord]:
     block, series, cfg = args
     from . import _batch
 
-    worst = _batch.worst_cells(block, cfg.exit_step, series.labeled)
+    worst = _batch.worst_cells(block, cfg.exit_step)
     return [SweepRecord(d, series.zeta_policy, series.model.value,
                         series.labeled, time, argmax.theta, tag)
             for (d, _, _), (time, argmax, tag) in zip(block, worst)]

@@ -121,12 +121,12 @@ def _wireless_outcome(scn: Scenario) -> Outcome:
 
 
 def eval_wireless_unlabeled(scn: Scenario) -> Outcome:
-    routed(scn, Regime.WIRELESS, False)
+    routed(scn, Regime.WIRELESS)
     return _wireless_outcome(scn)
 
 
 def eval_wireless_labeled(scn: Scenario) -> Outcome:
-    routed(scn, Regime.WIRELESS, True)
+    routed(scn, Regime.WIRELESS_LABELED)
     return _wireless_outcome(scn)
 
 
@@ -139,5 +139,5 @@ def worst_wireless(d: float, zeta_policy, labeled: bool, exit_step: float):
     """Worst realized time over the exit grid for one d: (time, argmax_e1, case_tag)."""
     from . import _batch
 
-    return _batch.worst_cell(Regime.WIRELESS, d, resolve_zeta(zeta_policy, d), exit_step,
-                             labeled)
+    regime = Regime.WIRELESS_LABELED if labeled else Regime.WIRELESS
+    return _batch.worst_cells([(d, resolve_zeta(zeta_policy, d), regime)], exit_step)[0]

@@ -19,7 +19,7 @@ from diskevac.face_to_face import DISCREPANCY_NOTES
 from diskevac.geometry import ArcPos
 from diskevac.meeting import ROOT_TOL
 from diskevac.replay import replay, verify_agreement
-from diskevac.scenarios import CommModel, Scenario, evaluate, resolve_zeta
+from diskevac.scenarios import CommModel, Regime, Scenario, evaluate, resolve_zeta
 from diskevac.sweep import (
     SeriesSpec,
     SweepConfig,
@@ -171,8 +171,7 @@ def test_criterion_6_oracle_equivalence():
     scns = random_scenarios(seed=20260810, samples=5000)
     per_kind = {}
     for scn in scns:
-        kind = (scn.regime, scn.labeled)
-        per_kind[kind] = per_kind.get(kind, 0) + 1
+        per_kind[scn.regime] = per_kind.get(scn.regime, 0) + 1
         res = evaluate(scn)
         tr1, tr2, makespan = replay(scn, res)
         dev = abs(makespan - res.time_from_perimeter)
@@ -194,7 +193,7 @@ def test_criterion_6_oracle_equivalence():
                 ok = False
             if hi - lo > 1e-9:
                 case_2b_split += 1
-    if min(per_kind.values()) < 900:
+    if set(per_kind) != set(Regime) or min(per_kind.values()) < 900:
         ok = False
         print(f"  sampling imbalance: {per_kind}")
     if not DISCREPANCY_NOTES or "min(x, 2*pi - x - 2d)" not in DISCREPANCY_NOTES[0]:

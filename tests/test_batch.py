@@ -12,6 +12,7 @@ import pytest
 
 from diskevac import _batch
 from diskevac.geometry import SNAP_TOL, TWO_PI, ArcPos, angle_close
+from diskevac.meeting import solve_meeting
 from diskevac.replay import replay, verify_agreement
 from diskevac.scenarios import CommModel, Frame, Regime, Scenario, candidates_coincide, evaluate
 from diskevac.sweep import ALL_SERIES, SweepConfig, series_blocks, series_cells
@@ -78,7 +79,7 @@ def test_kernels_refuse_d_zeta_outside_domain(name, d, zeta):
 @pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf])
 def test_worst_cell_refuses_an_exit_step_by_name(step):
     with pytest.raises(ValueError, match=f"^exit step {step} is not finite and > 0$"):
-        _batch.worst_cell(Regime.F2F_SAME, 1.0, 0.0, step)
+        _batch.worst_cells([(1.0, 0.0, Regime.F2F_SAME)], step)
 
 
 def test_kernels_take_the_slack_scenarios_allow():
@@ -120,7 +121,7 @@ def test_f2f_same_solves_only_what_its_cases_read(monkeypatch):
         for calls in sizes.values():
             calls.clear()
         _batch.batch_f2f_same(d, grid)
-        x, found, sim, ahead, _ = _batch._f2f_frame(d, 0.0, grid)
+        x, found, _, sim, ahead, _ = _batch._f2f_frame(d, 0.0, grid)
         y = _batch.solve_meeting_arr(x, 0.0)
         t_a = _batch._up2(-(found + d))
         c1 = x + y <= d
@@ -148,7 +149,7 @@ def test_f2f_diff_partner_reaches_p_no_later_than_x(monkeypatch):
     for d in SweepConfig().d_grid():
         catches.clear()
         _, codes = _batch.batch_f2f_diff(d, grid)
-        x, found, sim, _, behind = _batch._f2f_frame(d, d, grid)
+        x, found, _, sim, _, behind = _batch._f2f_frame(d, d, grid)
         y = _batch.solve_meeting_arr(x, d)
         t_a = _batch._up2(-d / 2.0 - (found + d))
         m1c = (x < d) & ~(t_a > y) & behind  # the kernel's 1c mask
@@ -202,10 +203,23 @@ def test_scalar_replay_and_kernel_agree_at_band_edges(placement):
         tr1, tr2, makespan = replay(scn, out)
         assert verify_agreement(scn, tr1, tr2).passed, scn
         assert makespan == pytest.approx(out.time_from_perimeter, abs=1e-9), scn
-        times, codes = _batch.batch_cell(scn.regime, scn.d, scn.zeta,
-                                         np.array([scn.e1.theta]), scn.labeled)
+        times, codes = _batch.batch_cell(scn.regime, scn.d, scn.zeta, np.array([scn.e1.theta]))
         assert float(times[0]) == pytest.approx(out.time_from_perimeter, abs=1e-9), scn
         assert _batch.decode_tag(codes[0]) == out.case_tag, scn
+
+
+@pytest.mark.parametrize("x", [0.01, 0.05, 0.1])
+@pytest.mark.parametrize("eps", [0.0, 1e-10, 5e-10])
+def test_f2f_same_case_1_leaves_at_m_when_m_is_the_other_exit(x, eps):
+    # zeta = 0 case 1 with d = x + y + eps: the catch point M lies within
+    # ANGLE_TOL of the trailing exit, so both robots stand on it at y
+    y = solve_meeting(x, 0.0)
+    d = x + y + eps
+    e1 = (x - d) % TWO_PI
+    out = evaluate(Scenario(CommModel.FACE_TO_FACE, False, d, 0.0, ArcPos(e1)))
+    times, codes = _batch.batch_f2f_same(d, np.array([e1]))
+    assert out.case_tag == _batch.decode_tag(codes[0]) == "F0-1"
+    assert float(times[0]) == pytest.approx(out.time_from_perimeter, abs=1e-9)
 
 
 @pytest.mark.parametrize("d", [0.0, 5e-10, 1e-9, 1.5e-9, math.pi - 1e-10, math.pi, None],
@@ -308,9 +322,9 @@ def test_block_rows_equal_single_cells_bit_for_bit(series):
         for block in blocks:
             regime = block[0][2]
             assert all(c[2] is regime for c in block), block  # never two regimes in a block
-            times, codes = _batch.batch_block(block, grid, series.labeled)
+            times, codes = _batch.batch_block(block, grid)
             for row, (d, zeta, regime) in enumerate(block):
-                cell_times, cell_codes = _batch.batch_cell(regime, d, zeta, grid, series.labeled)
+                cell_times, cell_codes = _batch.batch_cell(regime, d, zeta, grid)
                 assert times[row].tobytes() == cell_times.tobytes(), (d, zeta)
                 assert codes[row].tobytes() == cell_codes.tobytes(), (d, zeta)
 
@@ -347,12 +361,12 @@ def test_kernel_temporaries_do_not_fault_again():
     it each of these cells faults about 1,100 pages back in.  A sweep block
     at the point budget stays below the mmap threshold: after one warm
     block of a kernel, the next block faults nothing back in."""
-    cells = [(Regime.WIRELESS, d, d / 2, 0.0002, labeled)
-             for d in (1.0, 2.0, 3.0) for labeled in (False, True)]
-    _batch.worst_cell(*cells[0])
+    cells = [(d, d / 2, regime)
+             for d in (1.0, 2.0, 3.0) for regime in (Regime.WIRELESS, Regime.WIRELESS_LABELED)]
+    _batch.worst_cells(cells[:1], 0.0002)
     t0, flt0 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for cell in cells:
-        _batch.worst_cell(*cell)
+        _batch.worst_cells([cell], 0.0002)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt0
     assert faults < 100
     assert time.perf_counter() - t0 < 0.2
@@ -363,6 +377,6 @@ def test_kernel_temporaries_do_not_fault_again():
         for run in (warm, block):
             if run is block:
                 flt0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            _batch.worst_cells(run, PAPER.exit_step, series.labeled)
+            _batch.worst_cells(run, PAPER.exit_step)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt0
         assert faults < 100, series.key

@@ -356,6 +356,23 @@ def test_verify_reports_a_deviation_above_tol(monkeypatch, capsys):
     assert out.count("FAIL:") == 20 and "vs replay" in out
 
 
+def test_verify_default_tol_fails_an_exit_time_off_by_1e_6(monkeypatch, capsys):
+    # the default tolerance is the replay's EVENT_TIME_TOL, 1e-9, not 1e-4
+    from diskevac import face_to_face
+
+    real = face_to_face.eval_f2f_same
+
+    def late(scn):
+        out = real(scn)
+        return out._replace(r1_exit_time=out.r1_exit_time + 1e-6)
+
+    monkeypatch.setattr(face_to_face, "eval_f2f_same", late)
+    rc = main(["verify", "--samples", "200", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert rc == 3
+    assert "R1 policy exit" in out
+
+
 def test_verify_fails_a_nan_receiver_chord(monkeypatch, capsys):
     from diskevac import wireless
     from diskevac.plans import ChordLeg

@@ -100,3 +100,22 @@ def test_vector_flags_invalid_regime():
     on = ~off_domain
     assert np.array_equal(ys[on], solve_meeting_arr(x[on], offset[on]))
     assert ys[on].tolist() == [solve_meeting(*q) for q in zip(x[on].tolist(), offset[on].tolist())]
+
+
+def test_vector_refuses_exactly_what_the_scalar_twin_refuses():
+    # x < 0 and an offset outside [0, pi] are refused even where c = x +
+    # offset/2 lies in [0, pi]: NaN where solve_meeting raises, its bits elsewhere
+    x = np.array([-1e-13, 1.0, 0.5, 0.5, 0.5, -0.0, 1e-20, 0.3, math.nan, 0.2, 0.1, -0.2])
+    offset = np.array([0.0, -0.2, 3.2, math.pi + 1e-12, math.pi + 2e-12, 0.0, -1e-300,
+                       0.0, 0.0, math.nan, math.pi, 1.0])
+    ys = solve_meeting_arr(x, offset)
+    refused = []
+    for i, query in enumerate(zip(x.tolist(), offset.tolist())):
+        try:
+            want = solve_meeting(*query)
+        except RegimeError:
+            refused.append(i)
+            assert math.isnan(ys[i]), query
+        else:
+            assert np.float64(want).tobytes() == ys[i].tobytes(), query
+    assert refused == [0, 1, 2, 4, 6, 8, 9, 11]

@@ -25,8 +25,8 @@ WL, F2F = CommModel.WIRELESS, CommModel.FACE_TO_FACE
 
 def _family(tag: str) -> Regime:
     """The policy family a case tag belongs to."""
-    return {"F0": Regime.F2F_SAME, "Fd": Regime.F2F_DIFF,
-            "FL": Regime.F2F_LABELED}.get(tag[:2], Regime.WIRELESS)
+    return {"F0": Regime.F2F_SAME, "Fd": Regime.F2F_DIFF, "FL": Regime.F2F_LABELED,
+            "WL": Regime.WIRELESS_LABELED}.get(tag[:2], Regime.WIRELESS)
 
 
 class _OneCell(SweepConfig):
@@ -43,7 +43,9 @@ def _one_cell(model, labeled, d, zeta):
 
 @pytest.mark.parametrize("model, labeled, d, zeta, regime", [
     (WL, False, 1.0, 0.5, Regime.WIRELESS),
-    (WL, True, 1.0, 0.0, Regime.WIRELESS),
+    (WL, True, 1.0, 0.0, Regime.WIRELESS_LABELED),
+    (WL, True, 1.0, 0.5, Regime.WIRELESS_LABELED),
+    (WL, True, 1.0, 1.0, Regime.WIRELESS_LABELED),
     (WL, False, 0.0, 0.0, Regime.WIRELESS),
     (F2F, True, 1.0, 0.5, Regime.F2F_LABELED),
     (F2F, True, 0.0, 0.0, Regime.F2F_LABELED),
@@ -60,6 +62,7 @@ def test_every_path_routes_alike(model, labeled, d, zeta, regime):
     scn = Scenario(model, labeled, d, zeta, ArcPos(2.0))
     assert scn.regime is regime
     out = evaluate(scn)
+    assert set(scenarios._EVALUATORS) == set(Regime)  # one evaluator per regime
     assert _family(out.case_tag) is regime
     assert replay(scn)[2] == pytest.approx(out.time_from_perimeter, abs=1e-9)
     (record,) = _one_cell(model, labeled, d, zeta)

@@ -234,8 +234,7 @@ def test_exit_positions_are_true_exits():
 
 def _batch_outcome(scn):
     """(time, case tag) of the vectorized kernel at scn's one placement."""
-    times, codes = _batch.batch_cell(scn.regime, scn.d, scn.zeta, np.array([scn.e1.theta]),
-                                     scn.labeled)
+    times, codes = _batch.batch_cell(scn.regime, scn.d, scn.zeta, np.array([scn.e1.theta]))
     return float(times[0]), _batch.decode_tag(codes[0])
 
 

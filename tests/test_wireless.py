@@ -248,8 +248,7 @@ def test_batch_matches_scalar_when_d_is_near_angle_tol(d, model, labeled):
     e1s = np.concatenate([_batch.exit_grid(0.05),
                           np.random.RandomState(5).uniform(0.0, TWO_PI, 60)])
     for zeta in (0.0, d / 2.0, d):
-        times, codes = _batch.batch_cell(classify(model, labeled, d, zeta), d, zeta, e1s,
-                                         labeled)
+        times, codes = _batch.batch_cell(classify(model, labeled, d, zeta), d, zeta, e1s)
         for e1, t, c in zip(e1s, times, codes):
             res = evaluate(Scenario(model, labeled, d, zeta, ArcPos(float(e1))))
             assert res.time_from_perimeter == pytest.approx(float(t), abs=1e-9)

@@ -22,12 +22,10 @@ The grid options are those of `run_sweeps.py` (paper grid by default).
 import argparse
 
 from diskevac import _batch
+from diskevac.cli import POLICY_FAILURES
 from diskevac.geometry import ArcPos
-from diskevac.meeting import RegimeError, SolverError
-from diskevac.scenarios import Scenario, TraceInvalidError, evaluate
+from diskevac.scenarios import Scenario, evaluate
 from diskevac.sweep import ALL_SERIES, SweepConfig, series_cells
-
-REFUSALS = (TraceInvalidError, RegimeError, SolverError)
 
 
 def audit(cfg, series, stride):
@@ -41,13 +39,13 @@ def audit(cfg, series, stride):
         points += len(e1s)
         try:
             times, codes = _batch.batch_cell(regime, d, zeta, grid)
-        except REFUSALS:
+        except POLICY_FAILURES:
             raises += len(e1s)
             continue
         for e1, t_kernel, code in zip(e1s, times.tolist(), codes.tolist()):
             try:
                 out = evaluate(Scenario(series.model, series.labeled, d, zeta, ArcPos(e1)))
-            except REFUSALS:
+            except POLICY_FAILURES:
                 raises += 1
                 continue
             max_dt = max(max_dt, abs(out.time_from_perimeter - t_kernel))

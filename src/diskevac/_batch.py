@@ -67,8 +67,7 @@ _pin_malloc_thresholds()
 
 TAG_LIST = (
     "W-sim", "W1a", "W1b", "W1c", "W2", "W3a", "W3b", "WL-L1", "WL-L2",
-    "F0-sim", "F0-1", "F0-2a", "F0-2b", "F0-3a", "F0-3b", "F0-4a", "F0-4b",
-    "F0-4c",
+    "F0-sim", "F0-1", "F0-2a", "F0-2b", "F0-3a", "F0-3b", "F0-4a", "F0-4c",
     "Fd-sim", "Fd-1a", "Fd-1b", "Fd-1c", "Fd-2a", "Fd-2b", "Fd-2c",
     "FL-1", "FL-2", "FL-3", "FL-4",
 )
@@ -363,10 +362,9 @@ def batch_f2f_same(d, e1s: np.ndarray):
     w_x = _ch(_down(x + y))  # [0, 2*pi]
     t_catch = y + np.minimum(w_x, _ch(_up(_down(t_a - y))))  # [-pi - 1, 2*pi]
     # evacuate separately: the partner is a second finder at arc t_a (solved
-    # only where a case below reads it: 2b with the exit ahead, 3, 4b and 4c)
+    # only where a case below reads it: 2b with the exit ahead, and 3)
     g2a = y <= t_a
-    g4a = y < t_a
-    apart = ~sim & ((c2 & ~g2a & ahead) | c3 | (c4 & ~g4a))
+    apart = ~sim & ((c2 & ~g2a & ahead) | c3)
     t_apart = np.full(x.shape, np.nan)
     t_apart[apart] = np.maximum(x[apart], _second_exit_arr(t_a[apart], pick(d, apart)))
 
@@ -415,10 +413,10 @@ def batch_f2f_same(d, e1s: np.ndarray):
         codes[c3] = np.where(go & (hit | (yi < tai)),
                              encode_tag("F0-3a"), encode_tag("F0-3b"))
 
-    # case 4
-    _put(times, codes, c4, np.where(g4a, t_catch, t_apart),
-         np.where(g4a, encode_tag("F0-4a"),
-                  np.where(t_a >= d - ANGLE_TOL, encode_tag("F0-4c"), encode_tag("F0-4b"))))
+    # case 4: the exit is ahead, so the partner reaches it at t_a >= x >= d and,
+    # unless caught first (4a), exits there as a second finder (4c)
+    _put(times, codes, c4, np.maximum(x, t_a), encode_tag("F0-4c"))
+    _put(times, codes, c4 & (y < t_a), t_catch, encode_tag("F0-4a"))
 
     _put(times, codes, sim, x, encode_tag("F0-sim"))
     return times, codes

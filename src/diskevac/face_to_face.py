@@ -258,8 +258,8 @@ def _finder_plan(f: _Frame, same: bool) -> _Plan:
             target, time = _joint_hop(t_n, _by_distance(n_point, f.x_arc, f.ca))
             return _Plan("F0-3a", ((n_point, t_n), (cartesian(target), time)))
         tags = ("F0-3a", "F0-3b")  # missed N: chase on the circle, or exit
-    else:  # Case 4: the trailing candidate is in the finder's own swept arc
-        tags = ("F0-4a", "F0-4c" if t_a >= d - ANGLE_TOL else "F0-4b")
+    else:  # Case 4: X - d is in the finder's own sweep, so the exit is ahead: t_a >= x >= d
+        tags = ("F0-4a", "F0-4c")
     return catch(tags[0]) if y < t_a else _Plan(tags[1])
 
 

@@ -47,11 +47,11 @@ solve_meeting_arr, catch_on_circle beside catch_on_circle_arr.  A twin
 runs the same operations in the same order on floats (math's sin, cos
 and sqrt; numpy's hypot, cbrt and arctan2, since math's round
 differently) and, for the P catch, the same ROOT_TOL sign check and the
-same bisection fallback on length-1 arrays, so it returns the kernel's
-roots bit for bit without numpy's per-call cost.  Where the P-catch kernel
-divides by zero, or takes the sine of inf, and so ends on inf or NaN, the
-twin's ZeroDivisionError or ValueError sends the point to the same
-bisection.
+same bisection fallback on floats (_bisect_float), so it returns the
+kernel's roots bit for bit without numpy's per-call cost.  Where the
+P-catch kernel divides by zero, or takes the sine of inf, and so ends on
+inf or NaN, the twin's ZeroDivisionError or ValueError sends the point to
+the same bisection.
 """
 
 from __future__ import annotations
@@ -168,14 +168,15 @@ def solve_meeting_arr(x, offset):
     """Vectorized solve_meeting over an array of x values.
 
     offset is one float or an array that broadcasts against x, such as a
-    column of per-cell offsets.  An entry comes back as NaN exactly where
-    solve_meeting raises RegimeError: x < 0 (or NaN), an offset outside
-    [0, pi] beyond DOMAIN_SLACK, or c = x + offset/2 beyond pi + _C_SLACK.
+    column of per-cell offsets; the result has their broadcast shape.  An
+    entry comes back as NaN exactly where solve_meeting raises RegimeError:
+    x < 0 (or NaN), an offset outside [0, pi] beyond DOMAIN_SLACK, or
+    c = x + offset/2 beyond pi + _C_SLACK.
     """
-    shape = np.shape(x)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     # checked once per offset value; then c >= 0 wherever x >= 0
     half = np.where((0.0 <= offset) & (offset <= math.pi + DOMAIN_SLACK), offset / 2.0, np.nan)
+    shape = np.broadcast_shapes(np.shape(x), half.shape)
+    x = np.atleast_1d(np.broadcast_to(np.asarray(x, dtype=float), shape))
     c = np.where(x >= 0.0, x + half, np.nan)
     y = np.where(c <= _FLAT_C, x, np.nan)
     solve = (c > _FLAT_C) & (c <= math.pi + _C_SLACK)
@@ -196,6 +197,17 @@ def _bisect(left_of_root, lo, hi):
         left = left_of_root(mid)
         lo = np.where(active & left, mid, lo)
         hi = np.where(active & ~left, mid, hi)
+
+
+def _bisect_float(left_of_root, lo: float, hi: float) -> float:
+    """Scalar _bisect: the same midpoints, stop and updates on floats."""
+    while hi - lo > 2.0 * ROOT_TOL:
+        mid = 0.5 * (lo + hi)
+        if left_of_root(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _catch_g(nx: float, ny: float, t0: float, b: float, p: float):
@@ -246,8 +258,7 @@ def catch_on_circle(nx: float, ny: float, t0: float, b: float) -> float:
     except (ZeroDivisionError, ValueError):  # the kernel's inf or NaN (math's sin of inf)
         settled = False
     if not settled:
-        p = float(_bisect(lambda m: _catch_g_arr(nx, ny, t0, b, m)[0] <= 0.0,
-                          np.array([t0]), np.array([t0 + 2.0 + 1e-9]))[0])
+        p = _bisect_float(lambda m: _catch_g(nx, ny, t0, b, m)[0] <= 0.0, t0, t0 + 2.0 + 1e-9)
     return p
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from diskevac import _batch
-from diskevac.geometry import SNAP_TOL, TWO_PI, ArcPos, angle_close
+from diskevac.geometry import ANGLE_TOL, SNAP_TOL, TWO_PI, ArcPos, angle_close
 from diskevac.meeting import solve_meeting
 from diskevac.replay import replay, verify_agreement
 from diskevac.scenarios import CommModel, Frame, Regime, Scenario, candidates_coincide, evaluate
@@ -109,8 +109,8 @@ def test_no_kernel_returns_negative_zero():
 
 def test_f2f_same_solves_only_what_its_cases_read(monkeypatch):
     # the second-finder dance runs only where t_apart is read (2b with the
-    # exit ahead, 3, 4 without a catch), the P catch only on case-3 points
-    # that reach N in time
+    # exit ahead, and 3), the P catch only on case-3 points that reach N in
+    # time
     sizes = {"_second_exit_arr": [], "_catch_p_arr": []}
     for name, calls in sizes.items():
         real = getattr(_batch, name)
@@ -127,12 +127,88 @@ def test_f2f_same_solves_only_what_its_cases_read(monkeypatch):
         c1 = x + y <= d
         c2 = ~c1 & (x <= d / 2.0)
         c3 = ~c1 & ~c2 & (x < d)
-        c4 = ~c1 & ~c2 & ~c3
-        read = ~sim & ((c2 & (y > t_a) & ahead) | c3 | (c4 & (y >= t_a)))
+        read = ~sim & ((c2 & (y > t_a) & ahead) | c3)
         go, hit, *_ = _batch._case3_arr(x[c3], d)
         assert sizes["_second_exit_arr"] == [np.count_nonzero(read)], d
         assert sum(sizes["_catch_p_arr"]) == np.count_nonzero(go & hit), d
         assert np.count_nonzero(read) < np.count_nonzero(~sim), d
+
+
+def test_f2f_same_case_4_puts_the_exit_ahead_of_the_partner():
+    # Case 4 (x >= d): the trailing candidate lies in the finder's own sweep,
+    # so the other exit is ahead, and the partner, not the first finder,
+    # reaches it at t_a >= x (>= d): it exits there without a second-finder
+    # dance.  Every 5th cell of the paper grid and 20,000 random (d, e1), in
+    # the kernel's frame and, for the random ones, the scalar Frame.
+    rng = np.random.default_rng(24)
+    d_rand, e_rand = rng.uniform(0.0, math.pi, 20000), rng.uniform(0.0, TWO_PI, 20000)
+    d_grid = np.array(SweepConfig().d_grid()[::5])[:, np.newaxis]
+    points = 0
+    for d, e1s in ((d_grid, _batch.exit_grid(0.001)), (d_rand, e_rand)):
+        x, found, _, sim, ahead, _ = _batch._frame(d, 0.0, e1s)
+        y = _batch.solve_meeting_arr(x, 0.0)
+        c4 = ~sim & (x + y > d) & (x >= d)
+        t_a = _batch._up2(-(found + d))
+        assert ahead[c4].all()
+        assert (t_a[c4] >= x[c4] - ANGLE_TOL).all()
+        points += np.count_nonzero(c4)
+    assert points > 100000
+    scalar = 0
+    for d, e1 in zip(d_rand.tolist(), e_rand.tolist()):
+        f = Frame(Scenario(CommModel.FACE_TO_FACE, False, d, 0.0, ArcPos(e1)))
+        if f.sim or f.x + solve_meeting(f.x, 0.0) <= d or f.x < d:
+            continue
+        assert f.ahead and f.partner_time(f.ca.theta) >= f.x - ANGLE_TOL, (d, e1)
+        scalar += 1
+    assert scalar > 2000
+
+
+W, F = CommModel.WIRELESS, CommModel.FACE_TO_FACE
+CASE_PLACEMENTS = [  # (tag, model, labeled, d, zeta, e1): one placement per tag
+    ("W-sim", W, False, 1.58, 0.0, 0.0),
+    ("W1a", W, False, 1.58, 0.0, 5.099),
+    ("W1b", W, False, 1.58, 0.79, 3.124),
+    ("W1c", W, False, 2.52, 1.26, 0.622),
+    ("W2", W, False, 1.8, 0.9, 0.446),
+    ("W3a", W, False, 1.58, 0.0, 1.185),
+    ("W3b", W, False, 1.58, 0.0, 2.352),
+    ("WL-L1", W, True, 1.58, 0.0, 3.142),
+    ("WL-L2", W, True, 1.58, 0.79, 4.704),
+    ("F0-sim", F, False, 1.58, 0.0, 0.0),
+    ("F0-1", F, False, 1.58, 0.0, 4.703),
+    ("F0-2a", F, False, 1.58, 0.0, 0.435),
+    ("F0-2b", F, False, 2.25, 0.0, 5.158),
+    ("F0-3a", F, False, 1.58, 0.0, 5.493),
+    ("F0-3b", F, False, 1.62, 0.0, 1.614),
+    ("F0-4a", F, False, 1.58, 0.0, 1.611),
+    ("F0-4c", F, False, 1.58, 0.0, 2.352),
+    ("Fd-sim", F, False, math.pi, math.pi, 0.0),
+    ("Fd-1a", F, False, 1.58, 1.58, 5.463),
+    ("Fd-1b", F, False, 1.58, 1.58, 2.352),
+    ("Fd-1c", F, False, 1.58, 1.58, 0.426),
+    ("Fd-2a", F, False, 1.58, 1.58, 1.988),
+    ("Fd-2b", F, False, 1.57, 1.57, 2.357),
+    ("Fd-2c", F, False, 1.27, 1.27, 1.909),
+    ("FL-1", F, True, 1.58, 0.0, 6.244),
+    ("FL-2", F, True, 1.58, 0.0, 5.493),
+    ("FL-3", F, True, 1.58, 0.0, 3.883),
+    ("FL-4", F, True, 1.58, 0.0, 2.352),
+]
+
+
+def test_case_placements_cover_every_tag():
+    assert [row[0] for row in CASE_PLACEMENTS] == list(_batch.TAG_LIST)
+    assert len(_batch.TAG_LIST) == 28
+
+
+@pytest.mark.parametrize("tag, model, labeled, d, zeta, e1", CASE_PLACEMENTS,
+                         ids=[row[0] for row in CASE_PLACEMENTS])
+def test_each_case_tag_is_reached_by_both_twins(tag, model, labeled, d, zeta, e1):
+    scn = Scenario(model, labeled, d, zeta, ArcPos(e1))
+    out = evaluate(scn)
+    times, codes = _batch.batch_cell(scn.regime, d, zeta, np.array([e1]))
+    assert out.case_tag == _batch.decode_tag(codes[0]) == tag
+    assert abs(out.time_from_perimeter - float(times[0])) <= 1e-12
 
 
 def test_f2f_diff_partner_reaches_p_no_later_than_x(monkeypatch):

@@ -267,7 +267,7 @@ def test_second_finder_chase_and_p_gates_stay_shut(monkeypatch):
     monkeypatch.setattr(face_to_face, "_second_finder_same",
                         lambda a, d: calls.append((a, d)) or real(a, d))
     grid = _batch.exit_grid(0.001)
-    apart = [_batch.encode_tag(t) for t in ("F0-2b", "F0-3a", "F0-3b", "F0-4b", "F0-4c")]
+    apart = [_batch.encode_tag(t) for t in ("F0-2b", "F0-3a", "F0-3b", "F0-4c")]
     for d in (0.3, 0.9, 1.4, 2.0, 2.6, math.pi):
         x, found, *_ = _batch._f2f_frame(d, 0.0, grid)
         _, codes = _batch.batch_f2f_same(d, grid)

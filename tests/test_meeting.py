@@ -102,6 +102,17 @@ def test_vector_flags_invalid_regime():
     assert ys[on].tolist() == [solve_meeting(*q) for q in zip(x[on].tolist(), offset[on].tolist())]
 
 
+@pytest.mark.parametrize("x", [[[0.1, 0.2]], [0.1, 0.2]], ids=["row", "1-d"])
+def test_vector_broadcasts_x_against_a_larger_offset(x):
+    # the result takes the broadcast shape of x and a column of offsets
+    offset = np.array([[0.5], [0.7]])
+    ys = solve_meeting_arr(np.array(x), offset)
+    assert ys.shape == (2, 2)
+    for i, j in np.ndindex(2, 2):
+        want = solve_meeting(np.ravel(x)[j], float(offset[i, 0]))
+        assert np.float64(want).tobytes() == ys[i, j].tobytes(), (i, j)
+
+
 def test_vector_refuses_exactly_what_the_scalar_twin_refuses():
     # x < 0 and an offset outside [0, pi] are refused even where c = x +
     # offset/2 lies in [0, pi]: NaN where solve_meeting raises, its bits elsewhere

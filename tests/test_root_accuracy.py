@@ -223,7 +223,7 @@ def test_p_catch_flat_root_at_the_partner():
 def test_p_catch_twin_matches_kernel_in_the_bisect_fallback(monkeypatch):
     # with no Halley step the start, the root for N on the circle, settles
     # none of these points inside it, so both fall back to bisection on
-    # [t0, t0 + 2 + 1e-9]
+    # [t0, t0 + 2 + 1e-9]; the twin bisects on floats, not through _bisect
     bisects = []
     real = meeting._bisect
     monkeypatch.setattr(meeting, "_HALLEY_STEPS", 0)
@@ -233,10 +233,27 @@ def test_p_catch_twin_matches_kernel_in_the_bisect_fallback(monkeypatch):
     ps = catch_on_circle_arr(nx, ny, t0, 0.4)
     assert len(bisects) == 1 and bisects[0][1].size == 50
     assert not _twin_mismatches(nx, ny, t0, 0.4, ps)
-    assert len(bisects) == 51
+    assert len(bisects) == 1
     for x, y, t, p in zip(nx, ny, t0, ps):
         assert _p_residual(x, y, t, 0.4, p - ROOT_TOL) <= 0.0
         assert _p_residual(x, y, t, 0.4, p + ROOT_TOL) >= 0.0
+
+
+def test_p_catch_twin_bisects_flat_roots_on_floats(monkeypatch):
+    # N on or next to the circle within 0.1 of the partner's start: the sign
+    # check cannot pass at these flat roots, so many of them bisect; the twin
+    # does it on floats, never through the array _bisect, bit for bit
+    bisects = []
+    real = meeting._bisect
+    monkeypatch.setattr(meeting, "_bisect",
+                        lambda *args: bisects.append(args[1].size) or real(*args))
+    for b in (0.0, 0.4, 1.3):
+        nx, ny, t0 = (v[-2000:] for v in _hard_p_queries(10000, 200 + int(10 * b), b))
+        ps = catch_on_circle_arr(nx, ny, t0, b)
+        assert sum(bisects) > 100, b
+        bisects.clear()
+        assert not _twin_mismatches(nx, ny, t0, b, ps)
+        assert bisects == []
 
 
 def test_p_catch_never_bisects_on_the_paper_grid(monkeypatch):

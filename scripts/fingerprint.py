@@ -22,6 +22,7 @@ held outcome.
 
 import hashlib
 import math
+from typing import NamedTuple
 
 from diskevac.cli import random_scenarios
 from diskevac.geometry import TWO_PI, ArcPos
@@ -43,6 +44,16 @@ SYMMETRIC = 2000  # placements per symmetric family
 EDGE_GAPS = [s * k * 1e-10 for s in (1, -1) for k in range(1, 21)]  # across SNAP_TOL, ANGLE_TOL
 EDGE_D = (1e-9, 1.5e-9, 2e-9, 3e-9)  # across ANGLE_TOL and COINCIDENT_D
 ROUTED_D = (0.3, 1.4, 2.6)
+
+
+class Unbuilt(NamedTuple):
+    """A Scenario's arguments, built when fingerprinted: a refused build is its line."""
+
+    model: CommModel
+    labeled: bool
+    d: float
+    zeta: float
+    e1: ArcPos
 
 
 def symmetric_scenarios(n: int):
@@ -88,11 +99,11 @@ def routed_scenarios():
     """Unlabeled face-to-face at zeta = k*1e-10 and d - k*1e-10, k = 1..10.
 
     classify routes each to the zeta = 0 or zeta = d policy, except where
-    d - 1e-9 rounds outside the band and the refusal is the line; every
-    53rd point of the exit grid at each ROUTED_D.
+    d - 1e-9 rounds outside the band and the Scenario refuses to be built;
+    every 53rd point of the exit grid at each ROUTED_D.
     """
     n_exits = int(math.floor(TWO_PI / EXIT_STEP - 1e-9)) + 1
-    return [Scenario(CommModel.FACE_TO_FACE, False, d, zeta, ArcPos(k * EXIT_STEP))
+    return [Unbuilt(CommModel.FACE_TO_FACE, False, d, zeta, ArcPos(k * EXIT_STEP))
             for d in ROUTED_D for j in range(1, 11) for zeta in (j * 1e-10, d - j * 1e-10)
             for k in range(0, n_exits, 53)]
 
@@ -104,11 +115,13 @@ def corpus():
 
 
 def fingerprint(scenarios):
-    """One line per scenario: scenario, repr(time), tag, replay hash."""
+    """One line per scenario (or Unbuilt): scenario, repr(time), tag, replay hash."""
     for scn in scenarios:
         head = (f"{scn.model.value} labeled={scn.labeled} d={scn.d!r} "
                 f"zeta={scn.zeta!r} e1={scn.e1.theta!r}")
         try:
+            if isinstance(scn, Unbuilt):
+                scn = Scenario(*scn)
             out = evaluate(scn)
             tr1, tr2, _ = replay(scn, out)
         except (TraceInvalidError, SolverError, ValueError) as exc:  # a fingerprint too

@@ -128,10 +128,10 @@ def _ch(t):
     return 2.0 * np.sin(t / 2.0)
 
 
-def _close(a, b, tol=ANGLE_TOL):
-    """Same circle point within tol.  _up(_down(u)) is np.mod(u, 2*pi) on [-2*pi,
+def _close(a, b):
+    """Same circle point within ANGLE_TOL.  _up(_down(u)) is np.mod(u, 2*pi) on [-2*pi,
     4*pi), which holds u = a - b + pi up to a few ulps, where both are far from pi."""
-    return np.abs(_up(_down(a - b + math.pi)) - math.pi) <= tol
+    return np.abs(_up(_down(a - b + math.pi)) - math.pi) <= ANGLE_TOL
 
 
 def _hit(t):

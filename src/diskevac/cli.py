@@ -44,13 +44,6 @@ VERIFY_ERROR = 3
 POLICY_FAILURES = (TraceInvalidError, RegimeError, SolverError)
 
 
-def _positive_finite(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"{text} is not finite and > 0")
-    return value
-
-
 def _nonnegative_finite(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value >= 0.0):
@@ -127,8 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument("--samples", type=_count, default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tol", type=_positive_finite, default=EVENT_TIME_TOL,
-                          help="largest accepted |policy - replay| time")
 
     p_table = sub.add_parser("table1", help="reproduce the Table-1 minima")
     p_table.set_defaults(run=_cmd_table1)
@@ -258,7 +249,7 @@ def run_verification(samples: int, seed: int, tol: float):
 
 
 def _cmd_verify(args) -> int:
-    max_dev, issues = run_verification(args.samples, args.seed, args.tol)
+    max_dev, issues = run_verification(args.samples, args.seed, EVENT_TIME_TOL)
     print(f"verified {args.samples} scenarios, max |policy - replay| = {max_dev:.3e}")
     if issues:
         for msg in issues[:20]:

@@ -41,19 +41,6 @@ class TraceInvalidError(RuntimeError):
     """A robot plan referenced a meeting that cannot occur (policy bug)."""
 
 
-class _Unrouted:
-    """Class-level regime of a scenario no policy covers: reading it raises.
-
-    A non-data descriptor: a classified scenario's own regime shadows it,
-    and reads of every Scenario attribute keep the interpreter's fast path.
-    """
-
-    def __get__(self, scn, owner=None):
-        if scn is None:
-            return self
-        return classify(scn.model, scn.labeled, scn.d, scn.zeta)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Full problem instance.
@@ -61,7 +48,8 @@ class Scenario:
     e1 is the position of exit E1; E2 sits at arc distance d counter-
     clockwise of E1 (the labeled convention; for unlabeled evaluation the
     identity of the two exits is irrelevant).  e2 and the regime are
-    derived when the scenario is built, as every evaluation reads both.
+    derived when the scenario is built, as every evaluation reads both;
+    a scenario that classify routes to no algorithm is refused there.
     """
 
     model: CommModel
@@ -70,7 +58,7 @@ class Scenario:
     zeta: float
     e1: ArcPos
     e2: ArcPos = field(init=False, repr=False, compare=False)
-    regime: Regime = field(default=_Unrouted(), init=False, repr=False, compare=False)
+    regime: Regime = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, value in (("d", self.d), ("zeta", self.zeta), ("e1", self.e1.theta)):
@@ -80,11 +68,7 @@ class Scenario:
             raise ScenarioError(f"d = {self.d} outside [0, pi]")
         check_zeta(self.d, self.zeta)
         object.__setattr__(self, "e2", self.e1.offset(self.d))
-        try:
-            regime = classify(self.model, self.labeled, self.d, self.zeta)
-        except WrongEvaluatorError:
-            return  # left unset: the class-level _Unrouted raises on every read
-        object.__setattr__(self, "regime", regime)
+        object.__setattr__(self, "regime", classify(self.model, self.labeled, self.d, self.zeta))
 
 
 def check_zeta(d: float, zeta: float) -> None:

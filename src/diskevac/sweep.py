@@ -16,6 +16,7 @@ from .geometry import DOMAIN_SLACK
 from .scenarios import CommModel, Regime, check_zeta, classify, resolve_zeta
 
 CSV_HEADER = "d,zeta_policy,model,labeled,worst_time,argmax_e1,case"
+_DIP = 1e-9  # worst-time changes up to this are grid noise to local_minima
 
 
 @dataclass(frozen=True)
@@ -180,14 +181,14 @@ def transition_points(records: list[SweepRecord]) -> list[float]:
     return out
 
 
-def local_minima(records: list[SweepRecord], prominence: float = 1e-9) -> list[float]:
-    """Interior d values where the worst-time curve dips."""
+def local_minima(records: list[SweepRecord]) -> list[float]:
+    """Interior d values where the worst-time curve dips by more than _DIP."""
     out = []
     for i in range(1, len(records) - 1):
         w_prev = records[i - 1].worst_time
         w_here = records[i].worst_time
         w_next = records[i + 1].worst_time
-        if w_here < w_prev - prominence and w_here <= w_next + prominence:
+        if w_here < w_prev - _DIP and w_here <= w_next + _DIP:
             out.append(records[i].d)
     return out
 

@@ -70,9 +70,9 @@ def test_every_path_routes_alike(model, labeled, d, zeta, regime):
 
 
 def test_unlabeled_f2f_between_0_and_d_is_refused_everywhere():
-    # the scenario itself is valid; only the routing refuses it
-    scn = Scenario(F2F, False, 1.0, 0.5, ArcPos(2.0))
-    for route in (lambda: scn.regime, lambda: evaluate(scn), lambda: replay(scn),
+    # no algorithm covers it: the scenario is refused when built, the sweep
+    # before any cell runs
+    for route in (lambda: Scenario(F2F, False, 1.0, 0.5, ArcPos(2.0)),
                   lambda: _one_cell(F2F, False, 1.0, 0.5)):
         with pytest.raises(WrongEvaluatorError, match=r"\{0, d\}"):
             route()
@@ -149,6 +149,5 @@ def test_scenario_keeps_its_regime_when_copied(copy):
     assert twin.regime is Regime.F2F_DIFF
     moved = dataclasses.replace(twin, zeta=0.0)  # a new zeta is classified anew
     assert moved.regime is Regime.F2F_SAME
-    unrouted = copy(dataclasses.replace(scn, zeta=0.5))  # builds, but has no regime
     with pytest.raises(WrongEvaluatorError, match=r"\{0, d\}"):
-        unrouted.regime
+        dataclasses.replace(scn, zeta=0.5)  # routed to no algorithm: not built

@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from . import meeting
 from .geometry import (
     ANGLE_TOL,
@@ -66,12 +68,14 @@ def intercept_moving_target(chaser_q, chaser_t0, target_p0, target_t0, target_p1
     chaser is not late at the far end; squaring the equal-time condition
     cancels the quadratic terms and leaves a linear root.  `slack` admits
     a tiny lateness for callers whose meeting is guaranteed analytically.
-    Returns (point, time, s_along_segment) or None on a miss.
+    Returns (point, time, s_along_segment) or None on a miss.  Lengths are
+    np.hypot's, as in _batch._intercept_arr, so the twins round alike.
     """
     ux, uy = target_p1[0] - target_p0[0], target_p1[1] - target_p0[1]
-    seg_len = math.hypot(ux, uy)
+    seg_len = float(np.hypot(ux, uy))
     delta = target_t0 - chaser_t0
-    lateness = point_distance(chaser_q, target_p1) - (seg_len + delta)
+    lateness = float(np.hypot(chaser_q[0] - target_p1[0],
+                              chaser_q[1] - target_p1[1])) - (seg_len + delta)
     if lateness > slack:
         return None
     if seg_len <= ANGLE_TOL:
@@ -104,8 +108,9 @@ def _case3_same(a: float, d: float, m: float | None = None, slack: float = 0.0):
         m = meeting.solve_meeting(phi, 0.0)
     if m >= TWO_PI - 2.0 * d + a:
         return False, None
-    return True, intercept_moving_target(cartesian(ArcPos(a)), a, cartesian(ArcPos(-phi)),
-                                         phi, cartesian(ArcPos(m)), slack)
+    start = (math.cos(-phi), math.sin(-phi))  # unwrapped, as the kernel's _point(-phi)
+    return True, intercept_moving_target(cartesian(ArcPos(a)), a, start, phi,
+                                         cartesian(ArcPos(m)), slack)
 
 
 def _second_finder_same(a: float, d: float):

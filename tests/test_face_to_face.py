@@ -57,6 +57,25 @@ def test_same_case_1_meet_then_candidates():
     assert res.r1_exit_time == pytest.approx(res.r2_exit_time, abs=1e-9)
 
 
+def test_case3_twins_agree_where_the_chase_grazes_the_dancer():
+    # Near a = d/2 + sin(d/2) the chase passes the dancer's exit as it
+    # leaves, and the dancer is late by a few 1e-16: the twins must round
+    # the chase start and both lengths alike to agree on go, hit and N.
+    rng = np.random.default_rng(0)
+    d = rng.uniform(0.01, math.pi, 20000)
+    a = d / 2.0 + np.sin(d / 2.0) + rng.uniform(-1e-9, 1e-9, d.size)
+    d = np.append(d, [2.0, 1.0])  # two grazing exits that once split the twins
+    a = np.append(a, [1.8414709848078954, 0.979425538604203])
+    go, hit, nx, ny, tn = _batch._case3_arr(a, d)
+    for k in range(d.size):
+        s_go, s_hit = face_to_face._case3_same(float(a[k]), float(d[k]))
+        assert s_go == go[k], (a[k], d[k])
+        if s_go:
+            assert (s_hit is not None) == hit[k], (a[k], d[k])
+        if s_hit is not None:
+            assert s_hit[:2] == ((nx[k], ny[k]), tn[k]), (a[k], d[k])
+
+
 def test_same_wrong_evaluator():
     with pytest.raises(WrongEvaluatorError):
         eval_f2f_same(f2f(1.0, 1.0, 0.3))

@@ -25,7 +25,7 @@ reaches both trees here and reads as no change.  Compare such a change
 with perfbench runs of each tree in its own process.
 
 Work:
-- verify: `cli.run_verification` on --samples seeded scenarios
+- verify: `cli.run_verification` on --samples seeded scenarios, at verify's bound
 - f2f: `sweep.run_sweep` over the two unlabeled face-to-face series
 - table1: `sweep.table1`
 The sweeps use the grid --d-step, --exit-step.
@@ -56,7 +56,8 @@ def load(src: str, name: str, into: Path):
 def work_for(args, cli, sweep):
     """A no-argument pass over the chosen work, returning comparable output."""
     if args.work == "verify":
-        return lambda: cli.run_verification(args.samples, args.seed, 1e-4)
+        # at verify's own bound, replay.EVENT_TIME_TOL, which cli imports
+        return lambda: cli.run_verification(args.samples, args.seed, cli.EVENT_TIME_TOL)
     step = {} if args.exit_step is None else {"exit_step": args.exit_step}
     cfg = sweep.SweepConfig(d_step=args.d_step, **step)
     if args.work == "table1":

@@ -394,6 +394,9 @@ def batch_f2f_same(d, e1s: np.ndarray):
             raise TraceInvalidError("partner failed to intercept a live chase")
         times[m2] = _hop(nx, ny, tn, _point(a_s), _point(a_s - d2))
         codes[m2] = encode_tag("F0-3a")
+    # 2b with the exit behind: the partner found it at a = d - x, and its dance
+    # would weigh this chase, root y; go needs y < 2*pi - 2d + a = t_a, which
+    # 2b denies, so the partner exits in place with no dance
     _put(times, codes, c2 & ~g2a, np.where(behind, np.maximum(x, d - x), t_apart),
          encode_tag("F0-2b"))
 

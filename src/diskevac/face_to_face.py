@@ -289,6 +289,8 @@ def _outcome_f2f_same(scn: Scenario) -> Outcome:
         return f.outcome(plan.tag, f_time, s_time)
 
     if not plan.stops:  # exit in place
+        # behind (2b): the partner at d - x never dances, as its go needs this
+        # chase's root y < 2*pi - 2d + (d - x) = t_a, which 2b denies
         return separately(x, d - x if behind else t_a)
     if not plan.meet:  # nobody at N and P out of reach: the nearer exit
         return separately(f.walk(plan.stops)[1], t_a)

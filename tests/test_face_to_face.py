@@ -15,6 +15,7 @@ from diskevac.geometry import ANGLE_TOL, TWO_PI, ArcPos, angle_close, cartesian,
 from diskevac.meeting import catch_on_circle, solve_meeting
 from diskevac.replay import POS_TOL, replay, verify_agreement
 from diskevac.scenarios import CommModel, Frame, Scenario, WrongEvaluatorError, evaluate
+from diskevac.sweep import SweepConfig
 
 SQRT2 = math.sqrt(2.0)
 
@@ -74,6 +75,24 @@ def test_case3_twins_agree_where_the_chase_grazes_the_dancer():
             assert (s_hit is not None) == hit[k], (a[k], d[k])
         if s_hit is not None:
             assert s_hit[:2] == ((nx[k], ny[k]), tn[k]), (a[k], d[k])
+
+
+def test_exit_behind_f0_2b_partner_never_starts_its_dance():
+    # With the exit behind, the partner found it at arc a = d - x, and the
+    # chase its dance weighs is this finder's own: root y, at phi = x.  2b
+    # means y > t_a = 2*pi - 2d + a, so go (m < 2*pi - 2d + a) never holds,
+    # and the kernel writes max(x, d - x) without a dance.
+    grid = _batch.exit_grid(0.001)
+    f0_2b = _batch.encode_tag("F0-2b")
+    checked = 0
+    for d in SweepConfig().d_grid()[::3]:
+        x, _, _, sim, _, behind = _batch._f2f_frame(d, 0.0, grid)
+        _, codes = _batch.batch_f2f_same(d, grid)
+        a = d - x[(codes == f0_2b) & behind & ~sim]
+        for a_s in a[(a > d / 2.0) & (a < d)]:
+            assert not face_to_face._case3_same(float(a_s), d)[0], (a_s, d)
+            checked += 1
+    assert checked > 30000
 
 
 def test_same_wrong_evaluator():

@@ -8,6 +8,9 @@ touches:
 
     PYTHONPATH=src python3 scripts/fingerprint.py > after.txt
 
+stderr names numpy's version and CPU dispatch (`numpy_stamp.py`), which
+some times and replay hashes depend on: compare runs whose stamps agree.
+
 The corpus: `random_scenarios` seeds 7 and 11 (6,000 each); every 11th
 point of the 0.001 exit grid at seven values of d for each regime family;
 the two mirror-symmetric simultaneous families (face-to-face zeta = 0
@@ -22,6 +25,7 @@ held outcome.
 
 import hashlib
 import math
+import sys
 from typing import NamedTuple
 
 from diskevac.cli import random_scenarios
@@ -29,6 +33,8 @@ from diskevac.geometry import TWO_PI, ArcPos
 from diskevac.meeting import SolverError
 from diskevac.replay import replay
 from diskevac.scenarios import CommModel, Scenario, TraceInvalidError, evaluate
+
+from numpy_stamp import numpy_stamp  # beside this script
 
 GRID_D = (0.0, 0.3, 0.9, 1.4, 2.0, 2.6, math.pi)
 EXIT_STEP = 0.001
@@ -133,6 +139,7 @@ def fingerprint(scenarios):
 
 
 def main():
+    print(numpy_stamp(), file=sys.stderr)
     for line in fingerprint(corpus()):
         print(line)
 

@@ -10,14 +10,20 @@ kernel change keeps every bit:
 
     PYTHONPATH=src python3 scripts/kernel_digest.py > after.txt
 
+stderr names numpy's version and CPU dispatch (`numpy_stamp.py`); compare
+digests only between runs whose stamps agree.
+
 The grid options are those of `run_sweeps.py` (paper grid by default).
 """
 
 import argparse
 import hashlib
+import sys
 
 from diskevac import _batch
 from diskevac.sweep import ALL_SERIES, SweepConfig, series_blocks
+
+from numpy_stamp import numpy_stamp  # beside this script
 
 
 def digest(cfg, series):
@@ -40,6 +46,7 @@ def main():
     parser.add_argument("--exit-step", type=float, default=SweepConfig.exit_step)
     args = parser.parse_args()
     cfg = SweepConfig(d_step=args.d_step, exit_step=args.exit_step)
+    print(numpy_stamp(), file=sys.stderr)
     for series in ALL_SERIES:
         cells, hexdigest = digest(cfg, series)
         print(f"{series.key} {cells} {hexdigest}")

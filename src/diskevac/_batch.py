@@ -319,8 +319,8 @@ def _second_exit_arr(a_s, d):
     """Second finder's exit time (own frame), vectorized; d as in _case3_arr.
 
     Mirrors _second_finder_same: exit in place when the second find pins
-    the layout (a_s >= d), otherwise run the case-3 dance with the
-    guaranteed miss at N.
+    the layout (a_s >= d), otherwise run the case-3 dance, which finds
+    nobody at N and goes back to its own exit (a scan, not a proof).
     """
     out = a_s.copy()
     dance = (a_s < d - ANGLE_TOL) & (a_s > d / 2.0)
@@ -328,7 +328,7 @@ def _second_exit_arr(a_s, d):
         return out
     a, d = a_s[dance], pick(d, dance)
     go, hit, nx, ny, tn = _case3_arr(a, d)
-    out[dance] = np.where(go & hit, _hop(nx, ny, tn, _point(a), _point(a + d)), a)
+    out[dance] = np.where(go & hit, tn + np.hypot(nx - np.cos(a), ny - np.sin(a)), a)
     return out
 
 
@@ -392,7 +392,8 @@ def batch_f2f_same(d, e1s: np.ndarray):
         _, hit, nx, ny, tn = _case3_arr(a_s, d2, m=y[m2], slack=1e-7)
         if not np.all(hit):
             raise TraceInvalidError("partner failed to intercept a live chase")
-        times[m2] = _hop(nx, ny, tn, _point(a_s), _point(a_s - d2))
+        # on to its exit E, not X: N is equal-elapsed, so |NE| - |NX| = 2x - d <= 0
+        times[m2] = tn + np.hypot(nx - np.cos(a_s), ny - np.sin(a_s))
         codes[m2] = encode_tag("F0-3a")
     # 2b with the exit behind: the partner found it at a = d - x, and its dance
     # would weigh this chase, root y; go needs y < 2*pi - 2d + a = t_a, which
@@ -435,7 +436,6 @@ def batch_f2f_diff(d, e1s: np.ndarray):
 
     y = solve_meeting_arr(x, d)
     t_a = _up2(-b - (found + d))  # [-7*pi/2, 0]
-    t_x = _up2(-b - found)  # (-5*pi/2, 0]
     times = np.empty(x.shape)
     codes = np.empty(x.shape, dtype=np.int16)
 
@@ -444,32 +444,33 @@ def batch_f2f_diff(d, e1s: np.ndarray):
         raise TraceInvalidError("case 2 with an exit at the ruled-out candidate")
     w_1a = _ch(_down(x + y + d))  # [0, 2*pi]
 
-    # case 2 (2c where the catch-up comes first)
-    t_stop = np.minimum(t_a, t_x)
-    _put(times, codes, c2, np.maximum(x, t_stop), encode_tag("Fd-2b"))
-    _put(times, codes, c2 & (y < t_stop),
+    # case 2 (2c where the catch-up comes first); the partner reaches E2' first:
+    # x >= d and x < t_X = 2*pi - d - x give 2d + x < 2*pi, so t_a = t_X - d
+    _put(times, codes, c2, np.maximum(x, t_a), encode_tag("Fd-2b"))
+    _put(times, codes, c2 & (y < t_a),
          y + np.minimum(w_1a, _ch(_down(x + y + 2.0 * d))),  # [0, 3*pi]
          encode_tag("Fd-2c"))
-    del t_stop
 
     # case 1 (1a where the catch-up comes first)
     g1a = t_a > y
     seg = _ch(_down(d))  # [0, pi], per cell
     s = np.clip((t_a + seg - x) / 2.0, 0.0, seg)
-    _put(times, codes, ~c2 & ahead, x + s + np.minimum(s, seg - s),
+    # 1b: on to E2', as seg - s < s exactly when t_a > x (the finder is first)
+    _put(times, codes, ~c2 & ahead, x + s + (seg - s),
          np.where(t_a >= d - ANGLE_TOL, encode_tag("Fd-2a"), encode_tag("Fd-1b")))
     _put(times, codes, ~c2 & g1a, y + w_1a, encode_tag("Fd-1a"))
 
-    # 1c: gap exit, miss at N, catch at P (or the degenerate direct chase);
+    # 1c: gap exit, miss at N, catch at P, or where s <= ANGLE_TOL the direct
+    # chase, on to X: there 2*pi - 2d - x = t_a <= x - seg, so x + y + d/2 > pi;
     # none of its points is in a case above
     m1c = ~c2 & ~g1a & behind
     del t_a, c2, g1a, ahead, behind
     if np.any(m1c):
         xi, yi, si = x[m1c], y[m1c], s[m1c]
-        t_chase = yi + np.minimum(w_1a[m1c], _ch(_down(xi + yi)))  # [0, 2*pi]
+        t_chase = yi + w_1a[m1c]
         tn = xi + si
         fi, di, bi = found[m1c], pick(d, m1c), pick(b, m1c)
-        del y, s, w_1a, found, t_x, xi, yi
+        del y, s, w_1a, found, xi, yi
         xp = _point(fi)
         cap, sgi = _point(fi + di), pick(seg, m1c)
         nx = xp[0] + si * ((cap[0] - xp[0]) / sgi)  # N, s along the chord from X to X + d

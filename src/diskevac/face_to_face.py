@@ -117,21 +117,20 @@ def _second_finder_same(a: float, d: float):
     """Exit time and legs of a second finder (zeta = 0) in its own frame.
 
     Twin of _batch._second_exit_arr.  A second finder never meets anyone:
-    in its case-3 dance it finds nobody at N and heads for the nearer of
-    its own exit and the candidate ahead of it; otherwise it exits in
-    place.  Its chase and P gates, which compare against the partner's
-    arrival at the candidate ahead, never open: that arrival already
-    happened (a test checks this on the 0.001 exit grid).
+    in its case-3 dance it finds nobody at N and goes back to its own exit
+    A, nearer than the candidate C ahead (a scan, not a proof: over the a in
+    (max(d/2, pi - d/2), d) that dance, |NC| - |NA| >= 0.53); otherwise it
+    exits in place.  Its chase and P gates, timed against the partner's
+    arrival at C, never open: that arrival already happened (both tested).
     """
     legs: list = [ArcLeg(ArcPos(0.0), ArcPos(a), Direction.CCW)]
     if d / 2.0 < a < d - ANGLE_TOL:
         _, hit = _case3_same(a, d)
         if hit:
             n_point, t_n, _ = hit
-            (own, w_own), (ca, w_ca) = _by_distance(n_point, ArcPos(a), ArcPos(a + d))
-            target, hop = (own, w_own) if w_own <= w_ca else (ca, w_ca)
-            legs += [ChordLeg(cartesian(own), n_point), ChordLeg(n_point, cartesian(target))]
-            return t_n + hop, legs
+            own = cartesian(ArcPos(a))
+            legs += [ChordLeg(own, n_point), ChordLeg(n_point, own)]
+            return t_n + point_distance(n_point, own), legs
     return a, legs
 
 
@@ -157,12 +156,12 @@ class _Frame(Frame):
     """The shared first-finder frame plus the face-to-face meeting moves."""
 
     def walk(self, stops):
-        """The finder walks X -> each stop; returns the last (point, time)."""
+        """The finder walks X -> each stop; returns where and when it ends (X, x for none)."""
         at = self.x_pos
         for point, _ in stops:
             self.finder_legs.append(ChordLeg(at, point))
             at = point
-        return stops[-1]
+        return stops[-1] if stops else (at, self.x)
 
     def meet(self, stops):
         """The finder walks the stops; the partner sweeps on to the last, where both meet."""
@@ -215,9 +214,11 @@ def _finder_plan(f: _Frame, same: bool) -> _Plan:
     """The unlabeled first finder's moves (zeta = 0 if same, else zeta = d).
 
     Decided from x, d, zeta, X and the candidates `ca`, `cb` alone: the
-    other exit, and so `f.other` and `f.ahead`, stay unread.  A layout with
-    the other exit at the other candidate gets the same moves; there a
-    partner who knows more may only meet the finder sooner, on its way.
+    other exit, and so `f.other` and `f.ahead`, stay unread.  Of the
+    partner's sweep it weighs only t_a, its arrival at `ca`; at zeta = d in
+    case 2 that comes before its arrival at X.  A layout with the other exit
+    at the other candidate gets the same moves; there a partner who knows
+    more may only meet the finder sooner, on its way.
     """
     d, x = f.d, f.x
     t_a = f.partner_time(f.ca.theta)  # partner's arrival at the ahead candidate
@@ -228,10 +229,9 @@ def _finder_plan(f: _Frame, same: bool) -> _Plan:
         return _Plan(tag, ((cartesian(f.partner_at(y)), y),), True)
 
     if not same:
-        t_x = f.partner_time(f.x_arc.theta)
         if x >= d:  # Case 2: own sweep rules the trailing candidate out
-            # 2c: catch the partner before it reaches any exit; 2b: exit
-            return catch("Fd-2c") if y < min(t_a, t_x) else _Plan("Fd-2b")
+            # 2c: catch the partner before it reaches E2' (before X); 2b: exit
+            return catch("Fd-2c") if y < t_a else _Plan("Fd-2b")
         # Case 1: x < d, the trailing candidate hides in the never-swept gap
         if y < t_a:  # 1a: E2' is not inside arc CM; catch and return to X
             return catch("Fd-1a")
@@ -242,8 +242,8 @@ def _finder_plan(f: _Frame, same: bool) -> _Plan:
         if s <= ANGLE_TOL:  # the partner swept past E2' long ago: plain catch
             return catch("Fd-1c")
         t_n = x + s
-        # P comes no later than X: the P-catch residual at the partner's
-        # time to X is t_x - t_n - s >= d - 2*sin(d/2) >= 0
+        # P comes no later than X: at the partner's time to X, t = 2*pi - d - x,
+        # the P-catch residual is t - t_n - s >= d - 2*sin(d/2) >= 0
         p = meeting.catch_on_circle(*n_point, t_n, f.b)
         return _Plan("Fd-1c", ((n_point, t_n), (cartesian(f.partner_at(p)), p)), True)
 
@@ -282,18 +282,19 @@ def _outcome_f2f_same(scn: Scenario) -> Outcome:
     plan = _finder_plan(f, True)
     behind = not f.ahead
 
-    def separately(f_time: float, s_arc: float) -> Outcome:
-        """The partner evacuates alone as a second finder at its arc s_arc."""
-        s_time, s_legs = _second_finder_same(s_arc, d)
+    def separately(f_time: float) -> Outcome:
+        """The partner evacuates alone as a second finder at its arc t_a."""
+        s_time, s_legs = _second_finder_same(t_a, d)
         f.partner_legs = mirror_plan(s_legs)
         return f.outcome(plan.tag, f_time, s_time)
 
-    if not plan.stops:  # exit in place
-        # behind (2b): the partner at d - x never dances, as its go needs this
-        # chase's root y < 2*pi - 2d + (d - x) = t_a, which 2b denies
-        return separately(x, d - x if behind else t_a)
-    if not plan.meet:  # nobody at N and P out of reach: the nearer exit
-        return separately(f.walk(plan.stops)[1], t_a)
+    # 2b behind: the partner exits at d - x, with no dance: its go needs this
+    # chase's root y < 2*pi - 2d + (d - x) = t_a, which 2b denies
+    if not plan.stops and behind:
+        f.sweep_partner(f.partner_at(d - x))
+        return f.outcome(plan.tag, x, d - x)
+    if not plan.meet:  # exit in place, or nobody at N and P out of reach: the nearer exit
+        return separately(f.walk(plan.stops)[1])
     if behind and plan.tag == "F0-2a":
         # exit at the trailing candidate: the partner finds it first and
         # intercepts this chase at N (its own case 3, with this chase's root)
@@ -302,7 +303,8 @@ def _outcome_f2f_same(scn: Scenario) -> Outcome:
             raise TraceInvalidError("partner failed to intercept a live chase")
         n_f = mirror_point(hit[0])
         f.meet_at_n(n_f, f.cb)
-        return f.joint_hop("F0-3a", n_f, hit[1], _by_distance(n_f, f.x_arc, f.cb))
+        # on to its exit E = cb, not X: N is equal-elapsed, so |NE| - |NX| = 2x - d <= 0
+        return f.joint("F0-3a", n_f, f.cb, hit[1] + point_distance(n_f, cartesian(f.cb)))
     point, t = f.meet(plan.stops)
     if len(plan.stops) > 1:  # met at P: the nearer of X and E2'
         return f.joint_hop(plan.tag, point, t, _by_distance(point, f.x_arc, f.ca))
@@ -336,19 +338,19 @@ def _outcome_f2f_diff(scn: Scenario) -> Outcome:
         return _sim_outcome(f, False)
     x = f.x
     t_a = f.partner_time(f.ca.theta)
-    t_x = f.partner_time(f.x_arc.theta)
     plan = _finder_plan(f, False)
 
     if not plan.stops:  # 2b: the partner will deduce the layout on its own
-        t_stop = min(t_a, t_x)
-        f.sweep_partner(f.partner_at(t_stop))
-        return f.outcome("Fd-2b", x, t_stop)
+        # it stops at E2', reached before X, as x >= d and x < 2*pi - d - x give 2d + x < 2*pi
+        f.sweep_partner(f.partner_at(t_a))
+        return f.outcome("Fd-2b", x, t_a)
     if plan.tag == "Fd-1c" and f.ahead:
-        # 1b: the partner found E2' and, coming back, meets the finder at N
+        # 1b: the partner found E2' and, coming back, meets the finder at N;
+        # on to E2', as seg - s < s exactly when t_a > x (the finder is first)
         n_point, s, seg = f.n_on_chord(t_a)
         f.meet_at_n(n_point, f.ca)
-        return f.joint_hop("Fd-2a" if t_a >= d - ANGLE_TOL else "Fd-1b", n_point, x + s,
-                           [(f.x_arc, s), (f.ca, seg - s)])
+        return f.joint("Fd-2a" if t_a >= d - ANGLE_TOL else "Fd-1b", n_point, f.ca,
+                       x + s + (seg - s))
     point, t = f.meet(plan.stops)
     if plan.tag == "Fd-1a":  # E2' may still be ahead of the partner: back to X
         return f.joint("Fd-1a", point, f.x_arc, t + chord_length(d + x + t))
@@ -412,11 +414,8 @@ def _sim_outcome(f: _Frame, same: bool) -> Outcome:
         cross = (at[0] + u * (point[0] - at[0]), 0.0)
         tau = t_leg + u * seg
         leg1.append(ChordLeg(at, cross))
-        r2_exit = ArcPos(f.r2_find)
-        w_a, w_b = point_distance(cross, f.x_pos), point_distance(cross, cartesian(r2_exit))
-        target = f.x_arc if w_a <= w_b else r2_exit
+        target, time = _joint_hop(tau, _by_distance(cross, f.x_arc, ArcPos(f.r2_find)))
         leg1.append(ChordLeg(cross, cartesian(target)))
-        time = tau + min(w_a, w_b)
         # the meeting point lies on the symmetry axis, its own mirror image
         return Outcome(f.x, tag, True, time, time, leg1, mirror_plan(leg1), [cross])
     if plan.meet:

@@ -76,10 +76,10 @@ class ArcPos(_ArcPosFields):
         return ArcPos(self.theta + delta)
 
 
-def angle_close(a: float, b: float, tol: float = ANGLE_TOL) -> bool:
-    """True when two angles denote the same circle point within tol."""
+def angle_close(a: float, b: float) -> bool:
+    """True when two angles denote the same circle point within ANGLE_TOL."""
     diff = abs(normalize_angle(a) - normalize_angle(b))
-    return min(diff, TWO_PI - diff) <= tol
+    return min(diff, TWO_PI - diff) <= ANGLE_TOL
 
 
 def chord_length(arc: float) -> float:

@@ -151,7 +151,7 @@ def verify_agreement(scn: Scenario, tr1: Trajectory, tr2: Trajectory) -> Agreeme
         if len(finals) != 1:
             issues.append(f"{name}: expected exactly one exited event")
             continue
-        if _exit_distance(finals[0].pos, exits) > 1e-7:
+        if _exit_distance(finals[0].pos, exits) > POS_TOL:
             issues.append(f"{name}: exited at {finals[0].pos}, not a true exit")
         at = cartesian(start)
         for kind, t0, t1, p0, p1, theta0, theta1, ccw in tr.segments:

@@ -12,7 +12,7 @@ from diskevac.face_to_face import (
     worst_f2f,
 )
 from diskevac.geometry import ANGLE_TOL, TWO_PI, ArcPos, angle_close, cartesian, point_distance
-from diskevac.meeting import catch_on_circle, solve_meeting
+from diskevac.meeting import catch_on_circle, solve_meeting, solve_meeting_arr
 from diskevac.replay import POS_TOL, replay, verify_agreement
 from diskevac.scenarios import CommModel, Frame, Scenario, WrongEvaluatorError, evaluate
 from diskevac.sweep import SweepConfig
@@ -93,6 +93,63 @@ def test_exit_behind_f0_2b_partner_never_starts_its_dance():
             assert not face_to_face._case3_same(float(a_s), d)[0], (a_s, d)
             checked += 1
     assert checked > 30000
+
+
+def test_f2f_nearer_and_first_exit_arms_go_one_way():
+    # Four comparisons the unlabeled policies no longer make, each recomputed
+    # as the kernel did on the points that read it (every 4th paper-grid cell,
+    # d > 0) and each going the way the comment at its site proves.
+    grid = _batch.exit_grid(0.001)
+    code = _batch.encode_tag
+    counts = [0, 0, 0, 0]
+    for d in SweepConfig().d_grid()[1::4]:
+        # F0-2a with the exit behind: from N, the partner's exit E is no
+        # farther than X (|NE| - |NX| = 2x - d)
+        x, _, _, _, _, behind = _batch._f2f_frame(d, 0.0, grid)
+        _, codes = _batch.batch_f2f_same(d, grid)
+        m2 = (codes == code("F0-3a")) & behind
+        a = d - x[m2]
+        _, _, nx, ny, _ = _batch._case3_arr(a, d, m=solve_meeting_arr(x[m2], 0.0), slack=1e-7)
+        assert np.all(np.hypot(nx - np.cos(a), ny - np.sin(a))
+                      <= np.hypot(nx - np.cos(a - d), ny - np.sin(a - d))), d
+        counts[0] += a.size
+        # zeta = d
+        x, found, *_ = _batch._f2f_frame(d, d, grid)
+        _, codes = _batch.batch_f2f_diff(d, grid)
+        t_a = _batch._up2(-d / 2.0 - (found + d))
+        # Fd-2b and Fd-2c: the partner reaches E2' before X
+        c2 = np.isin(codes, [code("Fd-2b"), code("Fd-2c")])
+        assert np.all(t_a[c2] < _batch._up2(-d / 2.0 - found[c2])), d
+        # Fd-1b and Fd-2a: from N, E2' is nearer than X
+        seg = _batch._ch(_batch._down(d))
+        s = np.clip((t_a + seg - x) / 2.0, 0.0, seg)
+        b1 = np.isin(codes, [code("Fd-1b"), code("Fd-2a")])
+        assert np.all(seg - s[b1] < s[b1]), d
+        # Fd-1c's direct chase: from M, X is nearer than the gap exit
+        chase = (codes == code("Fd-1c")) & (s <= ANGLE_TOL)
+        u = x[chase] + solve_meeting_arr(x[chase], d)
+        assert np.all(u + d / 2.0 > math.pi), d
+        assert np.all(_batch._ch(_batch._down(u + d)) < _batch._ch(_batch._down(u))), d
+        for i, mask in ((1, c2), (2, b1), (3, chase)):
+            counts[i] += int(mask.sum())
+    assert min(counts) > 1000, counts
+
+
+def test_second_finder_goes_back_to_its_own_exit():
+    # A zeta = 0 second finder dances only for a in (max(d/2, pi - d/2), d),
+    # where its partner found first, at 2*pi - a - d < a.  Scanned over that
+    # domain, N is nearer its own exit A than the candidate C ahead by at
+    # least 0.5 wherever the dance goes and hits N.
+    d = np.linspace(2.0 * math.pi / 3.0, math.pi, 798)[1:, np.newaxis]
+    lo = np.maximum(d / 2.0, math.pi - d / 2.0)
+    a = lo + np.arange(1, 799) / 799.0 * (d - lo)
+    d, a = (v.ravel() for v in np.broadcast_arrays(d, a))
+    go, hit, nx, ny, _ = _batch._case3_arr(a, d)
+    gh = go & hit
+    gap = (np.hypot(nx - np.cos(a + d), ny - np.sin(a + d))
+           - np.hypot(nx - np.cos(a), ny - np.sin(a)))[gh]
+    assert gh.sum() > 150_000
+    assert gap.min() >= 0.5
 
 
 def test_same_wrong_evaluator():
@@ -306,7 +363,7 @@ def test_second_finder_chase_and_p_gates_stay_shut(monkeypatch):
                         lambda a, d: calls.append((a, d)) or real(a, d))
     grid = _batch.exit_grid(0.001)
     apart = [_batch.encode_tag(t) for t in ("F0-2b", "F0-3a", "F0-3b", "F0-4c")]
-    for d in (0.3, 0.9, 1.4, 2.0, 2.6, math.pi):
+    for d in (0.3, 0.9, 1.4, 2.0, 2.3, 2.6, math.pi):
         x, found, *_ = _batch._f2f_frame(d, 0.0, grid)
         _, codes = _batch.batch_f2f_same(d, grid)
         dance = [(a > d / 2.0) & (a < d - ANGLE_TOL)

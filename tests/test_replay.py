@@ -145,6 +145,15 @@ def test_robot_walking_on_past_its_exit_is_flagged(monkeypatch):
     assert "r1: exited at (0.0, 0.0), not a true exit" in issues
 
 
+def test_last_chord_ending_1e_8_off_its_exit_is_flagged(monkeypatch):
+    # a robot stands on its exit within POS_TOL, as on every other point
+    def mutate(out):
+        *legs, (p0, (px, py)) = out.r1_plan
+        return out._replace(r1_plan=[*legs, ChordLeg(p0, (px * (1 + 1e-8), py * (1 + 1e-8)))])
+    issues = _objections(monkeypatch, F2F_SCN, mutate)
+    assert len(issues) == 1 and issues[0].startswith("r1: exited at"), issues
+
+
 def test_second_exited_event_is_flagged():
     tr1, tr2, _ = replay(F2F_SCN)
     tr2.events.append(Event("exited", 0.5, tr2.segments[0].p1))

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from diskevac.cli import random_scenarios
 from diskevac.sweep import ALL_SERIES, CSV_HEADER, SweepConfig
 
@@ -14,12 +16,21 @@ ROOT = Path(__file__).resolve().parent.parent
 COARSE = ["--d-step", "0.5", "--exit-step", "0.05"]
 
 
-def _run(script, *args):
-    env = dict(os.environ)
+def _run(script, *args, **env_vars):
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
                           capture_output=True, text=True, env=env, timeout=300)
+
+
+def _script_module(name, monkeypatch):
+    """scripts/<name>.py imported, with its neighbours importable as they are when it runs."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_run_sweeps_writes_every_series(tmp_path):
@@ -43,17 +54,36 @@ def test_kernel_digest_prints_one_line_per_series():
     assert proc.stdout == _run("kernel_digest.py", *COARSE).stdout
 
 
-def test_fingerprint_is_repeatable():
-    spec = importlib.util.spec_from_file_location("fingerprint",
-                                                  ROOT / "scripts" / "fingerprint.py")
-    fp = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(fp)
+def test_fingerprint_is_repeatable(monkeypatch):
+    fp = _script_module("fingerprint", monkeypatch)
     corpus = random_scenarios(7, 60) + fp.symmetric_scenarios(20)
     first = list(fp.fingerprint(corpus))
     assert first == list(fp.fingerprint(corpus))
     assert len(first) == len(corpus) == 99
     for line in first:  # model, labeled, d, zeta, e1, time, tag, hash
         assert len(line.split()) == 8, line
+
+
+def test_digest_scripts_name_numpy_and_its_dispatch_on_stderr(monkeypatch, capsys):
+    # A byte-identity gate holds only where numpy dispatches alike, so both
+    # digest scripts name numpy's version and SIMD targets on stderr, and
+    # nothing but their lines on stdout.
+    stamp = _script_module("numpy_stamp", monkeypatch).numpy_stamp()
+    assert stamp.startswith(f"numpy {np.__version__} simd ")
+    proc = _run("kernel_digest.py", *COARSE)
+    assert proc.returncode == 0 and proc.stderr == stamp + "\n", proc.stderr
+    assert len(proc.stdout.splitlines()) == 11
+    fp = _script_module("fingerprint", monkeypatch)
+    corpus = random_scenarios(7, 30)
+    monkeypatch.setattr(fp, "corpus", lambda: corpus)
+    fp.main()
+    out, err = capsys.readouterr()
+    assert err == stamp + "\n"
+    assert out.splitlines() == list(fp.fingerprint(corpus))
+    targets = stamp.split()[3:]
+    if targets != ["none"]:  # the stamp follows the dispatch numpy was allowed
+        proc = _run("kernel_digest.py", *COARSE, NPY_DISABLE_CPU_FEATURES=targets[-1])
+        assert proc.stderr.split()[3:] == (targets[:-1] or ["none"]), proc.stderr
 
 
 def test_audit_grid_finds_kernel_and_scalar_agreeing():

@@ -6,7 +6,7 @@ import pytest
 
 from diskevac import _batch
 from diskevac.cli import random_scenarios
-from diskevac.geometry import SNAP_TOL, TWO_PI, ArcPos, angle_close
+from diskevac.geometry import SNAP_TOL, TWO_PI, ArcPos
 from diskevac.scenarios import (
     CommModel,
     Scenario,
@@ -120,7 +120,7 @@ def test_reflection_symmetry_unlabeled():
     checked = 0
     for scn in random_scenarios(0, 5000):
         b = scn.zeta / 2.0
-        if scn.labeled or any(angle_close(e.theta, s, SNAP_TOL)
+        if scn.labeled or any(abs(math.remainder(e.theta - s, TWO_PI)) <= SNAP_TOL
                               for e in (scn.e1, scn.e2) for s in (b, -b)):
             continue
         checked += 1

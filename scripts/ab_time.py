@@ -11,12 +11,14 @@ each tree checks that both return the same output.  Then every round
 times one pass of each in process CPU time, the two in turn, with the
 first side swapped every round.  The summary line reads
 
-    work <w> rounds <n> old_s <median> new_s <median> ratio <median of old/new> wins <n>
-    old_flt <median> new_flt <median>
+    work <w> rounds <n> old_s <median> new_s <median> ratio <median of old/new>
+    ratio_q1 <q1> ratio_q3 <q3> wins <n> old_flt <median> new_flt <median>
 
 where `ratio` is the median over rounds of the per-round ratio (above 1:
-the new tree is faster), `wins` counts the rounds the new tree won and
-`old_flt`/`new_flt` are the median minor page faults of a pass.  Two
+the new tree is faster), `ratio_q1` and `ratio_q3` are that ratio's
+quartiles, which show how far the rounds spread, `wins` counts the rounds
+the new tree won and `old_flt`/`new_flt` are the median minor page faults
+of a pass.  Two
 passes in one process share the machine's state, so the ratio resolves
 differences that separate runs of a benchmark would blur.  They also
 share one allocator and every other piece of process-wide state: a change
@@ -108,10 +110,13 @@ def main(argv=None) -> int:
                 measured.append(cpu_and_faults(fn))
     (t_old, f_old), (t_new, f_new) = zip(*m_old), zip(*m_new)
     ratios = [a / b for a, b in zip(t_old, t_new)]
+    q1, _, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
+                 if len(ratios) > 1 else ratios * 3)  # quantiles needs two rounds
     wins = sum(b < a for a, b in zip(t_old, t_new))
     print(f"work {args.work} rounds {args.rounds} "
           f"old_s {statistics.median(t_old):.4f} new_s {statistics.median(t_new):.4f} "
-          f"ratio {statistics.median(ratios):.4f} wins {wins} "
+          f"ratio {statistics.median(ratios):.4f} ratio_q1 {q1:.4f} ratio_q3 {q3:.4f} "
+          f"wins {wins} "
           f"old_flt {statistics.median(f_old):.0f} new_flt {statistics.median(f_new):.0f}")
     return 0
 

@@ -98,17 +98,10 @@ def exit_grid(step: float) -> np.ndarray:
 # Where no wrap is due a wrap adds +0.0, which turns -0.0 into +0.0 as np.mod does.
 
 def _up(a):
-    """np.mod(a, 2*pi) for a in [-2*pi, 2*pi): one conditional + 2*pi."""
+    """np.mod(a, 2*pi) on [-2*pi, 2*pi): a conditional + 2*pi; twice (Sterbenz) on [-4*pi, 2*pi)."""
     t = (a < 0.0) * TWO_PI
     t += a
     return t
-
-
-def _up2(a):
-    """np.mod(a, 2*pi) for a in [-4*pi, 2*pi): an exact (Sterbenz) + 2*pi, then _up."""
-    t = (a < -TWO_PI) * TWO_PI
-    t += a
-    return _up(t)
 
 
 def _down(a):
@@ -151,6 +144,11 @@ def _put(times, codes, mask, t, code):
     np.copyto(codes, code, where=mask)
 
 
+def _first(ta, tb):
+    """A robot's first find: (E1 before E2, its time), from its times to E1 and E2."""
+    return ta <= tb, np.minimum(ta, tb)
+
+
 def _frame(d, zeta, e1s: np.ndarray):
     """First-finder frame: x, found/other angles, masks sim, ahead and trivial.
 
@@ -169,33 +167,25 @@ def _frame(d, zeta, e1s: np.ndarray):
                          f"[0, 2*pi), got d={d}, zeta={zeta}")
     b = zeta / 2.0
     e2s = _down(e1s + d)  # [0, 3*pi]
-    t1a = _hit(_up(e1s - b))  # [-pi/2, 2*pi), and so is e2s - b
-    t1b = _hit(_up(e2s - b))
-    first1 = t1a <= t1b
-    t1 = np.minimum(t1a, t1b)
-    del t1a, t1b
-    t2a = _hit(_up2(-b - e1s))  # (-5*pi/2, 0], and so is -b - e2s
-    t2b = _hit(_up2(-b - e2s))
-    first2 = t2a <= t2b
-    t2 = np.minimum(t2a, t2b)
-    del t2a, t2b
-    found1 = np.where(first1, e1s, e2s)
-    other1 = np.where(first1, e2s, e1s)
-    found2 = np.where(first2, e1s, e2s)
-    other2 = np.where(first2, e2s, e1s)
-    del e2s
+    first1, t1 = _first(_hit(_up(e1s - b)), _hit(_up(e2s - b)))  # [-pi/2, 2*pi) both
+    first2, t2 = _first(_hit(_up(_up(-b - e1s))), _hit(_up(_up(-b - e2s))))  # (-5*pi/2, 0]
     lead = t1 - t2
     sim = np.abs(lead) <= ANGLE_TOL
-    trivial = np.zeros_like(sim)
-    if sim.any():
-        trivial[sim] = _close(found1[sim], found2[sim]) | (t1[sim] <= ANGLE_TOL)
     mirrored = lead > ANGLE_TOL  # R2 first; a simultaneous find is seen in R1's frame
+    on_e1 = np.where(mirrored, first2, first1)  # the finder's find is E1
+    found = np.where(on_e1, e1s, e2s)
+    other = np.where(on_e1, e2s, e1s)
+    del e2s
+    trivial = np.zeros_like(sim)
+    if sim.any():  # R2 found R1's exit, or the other one on the same point
+        trivial[sim] = ((first1[sim] == first2[sim]) | _close(found[sim], other[sim])
+                        | (t1[sim] <= ANGLE_TOL))
     # E2 lies d counterclockwise of E1: ahead where R1 found E1 or, mirrored, R2 found E2
-    ahead = np.where(mirrored, ~first2, first1) | _coincide(d)
+    ahead = (on_e1 != mirrored) | _coincide(d)
     x = np.where(sim, np.maximum(t1, t2), np.minimum(t1, t2))
-    found = np.where(mirrored, _up(-found2), found1)  # (-2*pi, 0], and so is -other2
+    found = np.where(mirrored, _up(-found), found)  # (-2*pi, 0], and so is -other
     np.copyto(found, b, where=x == 0.0)  # a find at time 0 is on the start itself
-    other = np.where(mirrored, _up(-other2), other1)
+    other = np.where(mirrored, _up(-other), other)
     return x, found, other, sim, ahead, trivial
 
 
@@ -206,7 +196,7 @@ def _frame(d, zeta, e1s: np.ndarray):
 def batch_wireless(d, zeta, labeled: bool, e1s: np.ndarray):
     b = zeta / 2.0
     x, found, other, sim, ahead, _ = _frame(d, zeta, e1s)
-    big_d = _up2(-b - x)  # (-5*pi/2, 0]: receiver position when the message lands
+    big_d = _up(_up(-b - x))  # (-5*pi/2, 0]: receiver position when the message lands
     reach = x + SNAP_TOL
 
     def chord_from_d(c):
@@ -214,7 +204,7 @@ def batch_wireless(d, zeta, labeled: bool, e1s: np.ndarray):
 
     def swept(c):
         by_finder = _norm(_up(c - b)) <= reach  # [-pi/2, 2*pi)
-        by_receiver = _norm(_up2(-b - c)) <= reach  # (-5*pi/2, 0]
+        by_receiver = _norm(_up(_up(-b - c))) <= reach  # (-5*pi/2, 0]
         return by_finder, by_receiver
 
     def in_gap(c):
@@ -323,7 +313,7 @@ def _second_exit_arr(a_s, d):
     nobody at N and goes back to its own exit (a scan, not a proof).
     """
     out = a_s.copy()
-    dance = (a_s < d - ANGLE_TOL) & (a_s > d / 2.0)
+    dance = a_s < d - ANGLE_TOL  # and a > d/2: x = 2*pi - a - d < a gives a > pi - d/2 >= d/2
     if not np.any(dance):
         return out
     a, d = a_s[dance], pick(d, dance)
@@ -347,7 +337,7 @@ def _f2f_frame(d, zeta, e1s: np.ndarray):
 def batch_f2f_same(d, e1s: np.ndarray):
     x, found, other, sim, ahead, behind = _f2f_frame(d, 0.0, e1s)
     y = solve_meeting_arr(x, 0.0)
-    t_a = _up2(-(found + d))  # [-3*pi, 0]
+    t_a = _up(_up(-(found + d)))  # [-3*pi, 0]
     times = np.empty(x.shape)
     codes = np.empty(x.shape, dtype=np.int16)
 
@@ -366,7 +356,8 @@ def batch_f2f_same(d, e1s: np.ndarray):
     g2a = y <= t_a
     apart = ~sim & ((c2 & ~g2a & ahead) | c3)
     t_apart = np.full(x.shape, np.nan)
-    t_apart[apart] = np.maximum(x[apart], _second_exit_arr(t_a[apart], pick(d, apart)))
+    # the partner exits no sooner than its find at t_a, which comes after x
+    t_apart[apart] = _second_exit_arr(t_a[apart], pick(d, apart))
 
     # case 1
     hop_cb = _ch(_down(np.maximum(d - x - y, 0.0)))  # [0, pi]
@@ -397,8 +388,8 @@ def batch_f2f_same(d, e1s: np.ndarray):
         codes[m2] = encode_tag("F0-3a")
     # 2b with the exit behind: the partner found it at a = d - x, and its dance
     # would weigh this chase, root y; go needs y < 2*pi - 2d + a = t_a, which
-    # 2b denies, so the partner exits in place with no dance
-    _put(times, codes, c2 & ~g2a, np.where(behind, np.maximum(x, d - x), t_apart),
+    # 2b denies, so the partner exits in place with no dance, at d - x >= x (x <= d/2)
+    _put(times, codes, c2 & ~g2a, np.where(behind, d - x, t_apart),
          encode_tag("F0-2b"))
 
     # case 3 (exit always ahead here)
@@ -417,9 +408,9 @@ def batch_f2f_same(d, e1s: np.ndarray):
         codes[c3] = np.where(go & (hit | (yi < tai)),
                              encode_tag("F0-3a"), encode_tag("F0-3b"))
 
-    # case 4: the exit is ahead, so the partner reaches it at t_a >= x >= d and,
-    # unless caught first (4a), exits there as a second finder (4c)
-    _put(times, codes, c4, np.maximum(x, t_a), encode_tag("F0-4c"))
+    # case 4: the exit is ahead, so the partner reaches it at t_a > x >= d (the
+    # finder is first) and, unless caught first (4a), exits there as a second finder (4c)
+    _put(times, codes, c4, t_a, encode_tag("F0-4c"))
     _put(times, codes, c4 & (y < t_a), t_catch, encode_tag("F0-4a"))
 
     _put(times, codes, sim, x, encode_tag("F0-sim"))
@@ -435,7 +426,7 @@ def batch_f2f_diff(d, e1s: np.ndarray):
     x, found, _, sim, ahead, behind = _f2f_frame(d, d, e1s)
 
     y = solve_meeting_arr(x, d)
-    t_a = _up2(-b - (found + d))  # [-7*pi/2, 0]
+    t_a = _up(_up(-b - (found + d)))  # [-7*pi/2, 0]
     times = np.empty(x.shape)
     codes = np.empty(x.shape, dtype=np.int16)
 
@@ -445,8 +436,9 @@ def batch_f2f_diff(d, e1s: np.ndarray):
     w_1a = _ch(_down(x + y + d))  # [0, 2*pi]
 
     # case 2 (2c where the catch-up comes first); the partner reaches E2' first:
-    # x >= d and x < t_X = 2*pi - d - x give 2d + x < 2*pi, so t_a = t_X - d
-    _put(times, codes, c2, np.maximum(x, t_a), encode_tag("Fd-2b"))
+    # x >= d and x < t_X = 2*pi - d - x give 2d + x < 2*pi, so t_a = t_X - d; and
+    # E2' is the exit, so t_a > x, as the finder is first
+    _put(times, codes, c2, t_a, encode_tag("Fd-2b"))
     _put(times, codes, c2 & (y < t_a),
          y + np.minimum(w_1a, _ch(_down(x + y + 2.0 * d))),  # [0, 3*pi]
          encode_tag("Fd-2c"))
@@ -494,13 +486,13 @@ def batch_f2f_labeled(d, zeta, e1s: np.ndarray):
     b = zeta / 2.0
     x, _, other, sim, ahead, _ = _frame(d, zeta, e1s)
     y = solve_meeting_arr(x, zeta)
-    t_o = _up2(-b - other)  # (-5*pi/2, 0]
+    t_o = _up(_up(-b - other))  # (-5*pi/2, 0]
 
     chase = t_o > y
     t_chase = y + np.minimum(_ch(_down(x + y + zeta)),  # [0, 2*pi]
                              _ch(_up(_down(t_o - y))))  # [-pi - 1, 2*pi]
-    t_exit = np.maximum(x, t_o)
-    times = np.where(chase & ~sim, t_chase, np.where(sim, x, t_exit))
+    # off sim the partner finds the other exit at t_o, no sooner than its first find, after x
+    times = np.where(chase & ~sim, t_chase, np.where(sim, x, t_o))
     codes = np.where(
         chase & ~sim,
         np.where(ahead, encode_tag("FL-3"), encode_tag("FL-1")),

@@ -119,12 +119,12 @@ def _second_finder_same(a: float, d: float):
     Twin of _batch._second_exit_arr.  A second finder never meets anyone:
     in its case-3 dance it finds nobody at N and goes back to its own exit
     A, nearer than the candidate C ahead (a scan, not a proof: over the a in
-    (max(d/2, pi - d/2), d) that dance, |NC| - |NA| >= 0.53); otherwise it
+    (pi - d/2, d) that dance, |NC| - |NA| >= 0.53); otherwise it
     exits in place.  Its chase and P gates, timed against the partner's
     arrival at C, never open: that arrival already happened (both tested).
     """
     legs: list = [ArcLeg(ArcPos(0.0), ArcPos(a), Direction.CCW)]
-    if d / 2.0 < a < d - ANGLE_TOL:
+    if a < d - ANGLE_TOL:  # and a > d/2: x = 2*pi - a - d < a gives a > pi - d/2 >= d/2
         _, hit = _case3_same(a, d)
         if hit:
             n_point, t_n, _ = hit

@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import DOMAIN_SLACK
+from .geometry import DOMAIN_SLACK, TWO_PI
 from .scenarios import CommModel, Regime, check_zeta, classify, resolve_zeta
 
 CSV_HEADER = "d,zeta_policy,model,labeled,worst_time,argmax_e1,case"
 _DIP = 1e-9  # worst-time changes up to this are grid noise to local_minima
+MAX_D_CELLS, MAX_EXIT_POINTS = 100_000, 1_000_000  # far above the paper grid's 316 and 6,284
 
 
 @dataclass(frozen=True)
@@ -39,11 +40,15 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for step in (self.d_step, self.exit_step):
-            if not (math.isfinite(step) and step > 0.0):
-                raise ValueError(f"grid step {step} is not finite and > 0")
         if not (0.0 <= self.d_min <= math.pi):
             raise ValueError(f"d_min = {self.d_min} outside [0, pi]")
+        for step, span, ceiling in ((self.d_step, math.pi - self.d_min, MAX_D_CELLS),
+                                    (self.exit_step, TWO_PI, MAX_EXIT_POINTS)):
+            if not (math.isfinite(step) and step > 0.0):
+                raise ValueError(f"grid step {step} is not finite and > 0")
+            if span / step > ceiling:  # refused before a grid is built
+                raise ValueError(f"grid step {step} gives {span / step:.3g} points, "
+                                 f"above its ceiling of {ceiling:,}")
         if self.workers < 1:
             raise ValueError(f"workers = {self.workers}, need at least 1")
 

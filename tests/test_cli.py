@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from diskevac import _batch, sweep
 from diskevac.cli import main, random_scenarios
 from diskevac.geometry import ArcPos
 from diskevac.meeting import RegimeError, SolverError
@@ -230,6 +231,25 @@ def test_non_finite_sweep_step_rejected(verb, step, capsys):
     rc = main([verb, "--d-step", step] + required)
     assert rc == 2
     assert "is not finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["sweep", "table1", "compare"])
+@pytest.mark.parametrize("option, step", [("--d-step", "1e-12"), ("--exit-step", "1e-9")])
+def test_grid_above_its_ceiling_is_refused_before_it_is_built(verb, option, step, capsys,
+                                                              monkeypatch):
+    # 3.1e12 d cells, or 6.3e9 exit points (50 GB): refused from the step alone
+    def built(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(sweep.SweepConfig, "d_grid", built)
+    monkeypatch.setattr(_batch, "exit_grid", built)
+    sweep.SweepConfig(d_step=1e-4, exit_step=1e-5)  # 100 times the paper grid's density
+    with pytest.raises(ValueError, match="above its ceiling"):
+        sweep.SweepConfig(**{option[2:].replace("-", "_"): float(step)})
+    required = {"sweep": [], "table1": [],
+                "compare": ["--model-a", "wireless", "--model-b", "wireless"]}[verb]
+    assert main([verb, option, step] + required) == 2
+    assert "above its ceiling" in capsys.readouterr().err
 
 
 def test_eval_f2f_zeta_within_tolerance_of_zero(capsys):

@@ -116,10 +116,10 @@ def test_f2f_nearer_and_first_exit_arms_go_one_way():
         # zeta = d
         x, found, *_ = _batch._f2f_frame(d, d, grid)
         _, codes = _batch.batch_f2f_diff(d, grid)
-        t_a = _batch._up2(-d / 2.0 - (found + d))
+        t_a = _batch._up(_batch._up(-d / 2.0 - (found + d)))
         # Fd-2b and Fd-2c: the partner reaches E2' before X
         c2 = np.isin(codes, [code("Fd-2b"), code("Fd-2c")])
-        assert np.all(t_a[c2] < _batch._up2(-d / 2.0 - found[c2])), d
+        assert np.all(t_a[c2] < _batch._up(_batch._up(-d / 2.0 - found[c2]))), d
         # Fd-1b and Fd-2a: from N, E2' is nearer than X
         seg = _batch._ch(_batch._down(d))
         s = np.clip((t_a + seg - x) / 2.0, 0.0, seg)
@@ -133,6 +133,42 @@ def test_f2f_nearer_and_first_exit_arms_go_one_way():
         for i, mask in ((1, c2), (2, b1), (3, chase)):
             counts[i] += int(mask.sum())
     assert min(counts) > 1000, counts
+
+
+def test_partner_exits_after_the_first_find():
+    # Five maxima with x and one a > d/2 test the kernels no longer take,
+    # recomputed as the kernels did on the points that read them (every 4th
+    # paper-grid cell; zeta = d from d > 0).  Off sim the finder is first, so
+    # the partner's exit time exceeds x; and a second finder's find
+    # a = 2*pi - x - d > x gives a > pi - d/2 >= d/2.
+    grid = _batch.exit_grid(0.001)
+    counts = dict.fromkeys(["F0-4c", "F0-2b behind", "second finder", "Fd-2b", "FL"], 0)
+
+    def after_x(site, t_exit, x):
+        assert np.all(t_exit > x), (site, d)
+        counts[site] += x.size
+
+    for d in SweepConfig().d_grid()[::4]:
+        x, found, _, sim, ahead, behind = _batch._f2f_frame(d, 0.0, grid)
+        y = solve_meeting_arr(x, 0.0)
+        t_a = _batch._up(_batch._up(-(found + d)))
+        c1 = x + y <= d
+        c2b = ~c1 & (x <= d / 2.0) & ~(y <= t_a) & ~sim
+        c4 = ~c1 & (x >= d) & ~sim
+        apart = (c2b & ahead) | (~c1 & (x > d / 2.0) & (x < d) & ~sim)
+        after_x("F0-4c", t_a[c4], x[c4])
+        after_x("F0-2b behind", d - x[c2b & behind], x[c2b & behind])
+        assert np.all(t_a[apart] > d / 2.0), d
+        after_x("second finder", _batch._second_exit_arr(t_a[apart], d), x[apart])
+        if d > 0.0:
+            x, found, _, sim, *_ = _batch._f2f_frame(d, d, grid)
+            t_a = _batch._up(_batch._up(-d / 2.0 - (found + d)))
+            c2 = (x >= d) & ~sim
+            after_x("Fd-2b", t_a[c2], x[c2])
+        for zeta in (0.0, d / 2.0, d):  # labeled: the partner exits at t_o
+            x, _, other, sim, *_ = _batch._frame(d, zeta, grid)
+            after_x("FL", _batch._up(_batch._up(-zeta / 2.0 - other))[~sim], x[~sim])
+    assert min(counts.values()) > 20000 and counts["FL"] > 10**6, counts
 
 
 def test_second_finder_goes_back_to_its_own_exit():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from diskevac.meeting import RegimeError, solve_meeting, solve_meeting_arr
 
@@ -48,11 +48,13 @@ def test_agrees_with_fixed_point_on_random_queries():
 
 @given(st.floats(min_value=0.0, max_value=math.pi),
        st.floats(min_value=0.0, max_value=math.pi))
+@example(offset=2.375, frac=math.pi)  # c = pi: the closed form rounds one ulp below x
 def test_residual_below_tolerance(offset, frac):
     x = frac * (2.0 * math.pi - offset) / 2.0 / math.pi
     y = solve_meeting(x, offset)
     assert abs(x + 2.0 * math.sin((x + y + offset) / 2.0) - y) < 1e-12
     assert y >= x
+    assert solve_meeting_arr(np.array([x]), offset)[0] == y  # the kernel twin too
 
 
 def test_monotone_in_x():

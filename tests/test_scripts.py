@@ -115,7 +115,9 @@ def test_ab_time_times_a_tree_against_itself():
         fields = _ab_fields(proc)
         assert (fields["work"], fields["rounds"]) == (work, "3"), proc.stdout
         assert 0 <= int(fields["wins"]) <= 3
-        assert float(fields["old_s"]) > 0.0 and float(fields["ratio"]) > 0.0
+        assert float(fields["old_s"]) > 0.0
+        ratios = [float(fields[key]) for key in ("ratio_q1", "ratio", "ratio_q3")]
+        assert 0.0 < ratios[0] <= ratios[1] <= ratios[2], proc.stdout
         assert int(fields["old_flt"]) >= 0 and int(fields["new_flt"]) >= 0
 
 
